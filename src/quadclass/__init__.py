@@ -10,7 +10,6 @@ from .intmath import (
     gcd_ext,
     is_prime,
     kronecker,
-    mod_pow,
     sqrt_mod_prime,
     squarefree_part,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "is_fundamental_discriminant",
     "is_prime",
     "kronecker",
-    "mod_pow",
     "order_of_class",
     "prime_form",
     "scan",

@@ -1,15 +1,22 @@
-"""Append-only, line-delimited result cache for factorizations and class numbers.
+"""Result cache for factorizations and class numbers: an in-process memo
+over an optional append-only, line-delimited file.
+
+``lookup`` is the one path to a cached value: the memo, then the active file,
+then a fresh computation, written through to both.  The memo holds decoded
+values, at most ``MEMO_MAX`` of them, dropping the oldest first.  Callers
+check what they read from the file before it enters the memo.
 
 The file format is one JSON object per line: {"key": ..., "value": ..., "v": 1}.
 Keys are canonical strings ("factor:<n>" or "h:<disc>"); values are canonical
 decimal-string encodings so entries are diff-friendly and version-stable.
 Corrupt lines are skipped with a warning instead of aborting, which keeps a
-cache usable after a crash mid-write.
+cache usable after a crash mid-write; when a key occurs twice, the later line
+wins.
 
-The cache is opt-in: nothing in the library touches it unless a ``ResultCache``
+The file is opt-in: nothing in the library touches it unless a ``ResultCache``
 has been installed with ``activate()`` (the CLI does this when --cache or
-QUADCLASS_CACHE is given).  Cached values always equal fresh recomputation;
-``sample_keys`` supports the CLI's --verify-cache spot check.
+QUADCLASS_CACHE is given).  ``sample_keys`` supports the CLI's --verify-cache
+spot check.
 """
 
 from __future__ import annotations
@@ -19,19 +26,43 @@ import sys
 import threading
 
 CACHE_VERSION = 1
+MEMO_MAX = 1 << 18
 
 _active: "ResultCache | None" = None
 _active_lock = threading.Lock()
-
-
-def active() -> "ResultCache | None":
-    return _active
+_memo: dict = {}
+_memo_lock = threading.Lock()
 
 
 def activate(cache: "ResultCache | None") -> None:
     global _active
     with _active_lock:
         _active = cache
+
+
+def lookup(key: str, compute, read, write):
+    """The value cached under key.
+
+    Looks in the memo, then reads the active file with ``read(file)``, which
+    returns None for a missing or rejected entry, and last calls
+    ``compute()``.  The value is then memoized and, when a file is active,
+    stored there with ``write(file, value)``, so a memo hit also fills a file
+    that lacks the entry.
+    """
+    file = _active
+    value = _memo.get(key)
+    if value is None:
+        if file is not None:
+            value = read(file)
+        if value is None:
+            value = compute()
+        with _memo_lock:
+            if len(_memo) >= MEMO_MAX:
+                del _memo[next(iter(_memo))]
+            _memo[key] = value
+    if file is not None:
+        write(file, value)
+    return value
 
 
 def encode_factorization(sign: int, factors) -> str:
@@ -104,8 +135,10 @@ class ResultCache:
         return self._data.get(key)
 
     def _put(self, key: str, value: str) -> None:
+        """Store value under key unless it is already there; a different old
+        value is superseded by the appended line."""
         with self._lock:
-            if key in self._data:
+            if self._data.get(key) == value:
                 return
             self._data[key] = value
             line = json.dumps(

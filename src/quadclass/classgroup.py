@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,41 +44,9 @@ def is_fundamental_discriminant(
     return False
 
 
-@lru_cache(maxsize=1 << 18)
-def _count_forms_cached(disc: int, max_disc: int) -> int:
-    return qform.count_reduced(disc, max_disc)
-
-
 def class_number_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """Class number of the order of discriminant disc, by counting reduced forms."""
-    qform.validate_discriminant(disc)
-    # cap check comes before any cache lookup, so cache state never changes
-    # whether a call errors
-    if -disc > max_disc:
-        raise ResourceCapError(
-            f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
-        )
-    cache = result_cache.active()
-    if cache is None:
-        return _count_forms_cached(disc, max_disc)
-    hit = cache.get_h(disc)
-    if hit is not None:
-        return hit
-    h = _count_forms_cached(disc, max_disc)
-    cache.put_h(disc, h)
-    return h
-
-
-def _prime_array(n: int) -> np.ndarray:
-    """Primes below n."""
-    if n < 3:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
+    return qform.count_reduced(disc, max_disc)
 
 
 def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
@@ -87,25 +54,30 @@ def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
 
     The character kronecker(disc, .) is completely multiplicative, so its
     values on 1..|disc|-1 are filled in by sieving over prime powers rather
-    than evaluated k by k; the weighted sum itself is exact int64 work.
+    than evaluated k by k; the weighted sum itself is exact int64 work.  The
+    sieve meets every prime dividing disc, where it also checks that disc is
+    fundamental: no odd square divides it, and it is 1 mod 4 or 8, 12 mod 16.
     """
     qform.validate_discriminant(disc)
     if -disc > max_disc:
         raise ResourceCapError(
             f"|discriminant| {-disc} exceeds cap {max_disc}", detail=disc
         )
-    if not is_fundamental_discriminant(disc):
-        raise InputError(f"{disc} is not a fundamental discriminant")
+    not_fundamental = InputError(f"{disc} is not a fundamental discriminant")
+    if disc % 4 != 1 and disc % 16 not in (8, 12):
+        raise not_fundamental
     abs_d = -disc
     if abs_d == 3:
         return 1
     chi = np.ones(abs_d, dtype=np.int8)
     chi[0] = 0
-    for p in _prime_array(abs_d).tolist():
+    for p in intmath.primes_below(abs_d).tolist():
         e = intmath.kronecker(disc, p)
         if e == 1:
             continue
         if e == 0:
+            if p > 2 and disc % (p * p) == 0:
+                raise not_fundamental
             chi[p::p] = 0
             continue
         pk = p
@@ -134,21 +106,20 @@ class FieldClassNumber(NamedTuple):
     d_sf: int
 
 
-def class_number_checked(
-    disc: int,
-    max_disc: int = DEFAULT_DISC_CAP,
-    cross_check_limit: int = ANALYTIC_CROSS_CHECK_LIMIT,
-) -> int:
-    """Form-count class number, verified against the character sum when
-    |disc| <= cross_check_limit.  Disagreement is a hard error."""
-    h = class_number_forms(disc, max_disc)
-    if -disc <= cross_check_limit and is_fundamental_discriminant(disc):
-        ha = class_number_analytic(disc, max_disc)
+def _cross_checked(disc: int, h: int) -> int:
+    """h, once the character sum confirms it; trusted above the check limit."""
+    if -disc <= ANALYTIC_CROSS_CHECK_LIMIT:
+        ha = class_number_analytic(disc)
         if ha != h:
             raise InconsistencyError(
-                f"class number mismatch at disc {disc}: forms {h}, analytic {ha}"
+                f"class number mismatch at disc {disc}: {h}, analytic {ha}"
             )
     return h
+
+
+def _read_h(file: result_cache.ResultCache, disc: int) -> int | None:
+    h = file.get_h(disc)
+    return None if h is None else _cross_checked(disc, h)
 
 
 def class_number_of_field(
@@ -156,22 +127,29 @@ def class_number_of_field(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
     rng: random.Random | None = None,
-    cross_check_limit: int = ANALYTIC_CROSS_CHECK_LIMIT,
 ) -> FieldClassNumber:
     """Class number of Q(sqrt(d)) for any negative integer d.
 
     Normalizes through the square-free part and the fundamental discriminant,
-    so d may carry square factors (h(-343) is h of Q(sqrt(-7))).
+    so d may carry square factors (h(-343) is h of Q(sqrt(-7))).  The form
+    count, or a value read from the cache file, is cross-checked against the
+    character sum when |disc| <= ANALYTIC_CROSS_CHECK_LIMIT before it is
+    memoized, so each discriminant is checked at most once per process.
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
     d_sf = intmath.squarefree_part(d, budget, rng).d
-    disc = d_sf if d_sf % 4 == 1 else 4 * d_sf
+    disc = intmath.field_discriminant(d_sf)
     if -disc > max_disc:
         raise ResourceCapError(
             f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
         )
-    h = class_number_checked(disc, max_disc, cross_check_limit)
+    h = result_cache.lookup(
+        f"h:{disc}",
+        lambda: _cross_checked(disc, class_number_forms(disc, max_disc)),
+        read=lambda file: _read_h(file, disc),
+        write=lambda file, value: file.put_h(disc, value),
+    )
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
 
 

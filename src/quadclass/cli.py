@@ -252,22 +252,6 @@ def _family_doc(rep: families.FamilyReport) -> dict:
     }
 
 
-def _family_rows(rep: families.FamilyReport) -> list[dict]:
-    return [
-        {
-            "offset": m.offset,
-            "value": m.value,
-            "d_sf": m.d_sf,
-            "delta": m.disc,
-            "h": m.h,
-            "divisible": m.divisible,
-            "asserted": m.asserted,
-            "note": m.note,
-        }
-        for m in rep.members
-    ]
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -286,8 +270,7 @@ def cmd_classnum(args, config: RunConfig) -> int:
         d, config.max_disc, config.factor_budget, config.rng()
     )
     doc = {"d": str(d), "d_sf": str(res.d_sf), "delta": str(res.disc), "h": str(res.h)}
-    rows = [{"d": d, "d_sf": res.d_sf, "delta": res.disc, "h": res.h}]
-    _emit(config, doc, rows)
+    _emit(config, doc, [doc])
     return EXIT_OK
 
 
@@ -297,8 +280,7 @@ def cmd_squarefree(args, config: RunConfig) -> int:
         raise InputError("n must be nonzero")
     dec = intmath.squarefree_part(n, config.factor_budget, config.rng())
     doc = {"n": str(n), "d": str(dec.d), "t": str(dec.t)}
-    rows = [{"n": n, "d": dec.d, "t": dec.t}]
-    _emit(config, doc, rows)
+    _emit(config, doc, [doc])
     return EXIT_OK
 
 
@@ -339,16 +321,7 @@ def cmd_scan(args, config: RunConfig) -> int:
                 "h": str(r.four.h),
                 "divisible": r.four.divisible,
             }
-            rows.append(
-                {
-                    **base,
-                    "d": r.four.d,
-                    "t": r.four.t,
-                    "delta": r.four.disc,
-                    "h": r.four.h,
-                    "divisible": r.four.divisible,
-                }
-            )
+            rows.append({**base, **doc["four"]})
         else:
             rows.append({**base, "reason": r.reason or ""})
         rec_docs.append(doc)
@@ -370,6 +343,10 @@ def cmd_scan(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _without_check(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k != "check"}
+
+
 def cmd_check(args, config: RunConfig) -> int:
     if args.check_kind == "cohn":
         res = families.cohn_check(
@@ -383,16 +360,7 @@ def cmd_check(args, config: RunConfig) -> int:
             "divisible": res.divisible,
             "is_exception": res.is_exception,
         }
-        rows = [
-            {
-                "V": args.V,
-                "n": args.n,
-                "h": res.h,
-                "divisible": res.divisible,
-                "is_exception": res.is_exception,
-            }
-        ]
-        _emit(config, doc, rows)
+        _emit(config, doc, [_without_check(doc)])
         return EXIT_OK if res.divisible or res.is_exception else EXIT_FAILED_CHECK
     res = families.hoque_check(
         args.m, args.p, args.n, args.r, config.max_disc, config.factor_budget, config.rng()
@@ -408,19 +376,7 @@ def cmd_check(args, config: RunConfig) -> int:
         "divisible": res.divisible,
         "note": res.note,
     }
-    rows = [
-        {
-            "m": args.m,
-            "p": args.p,
-            "n": args.n,
-            "r": args.r,
-            "d_sf": res.d_sf,
-            "h": res.h,
-            "divisible": res.divisible,
-            "note": res.note,
-        }
-    ]
-    _emit(config, doc, rows)
+    _emit(config, doc, [_without_check(doc)])
     return EXIT_OK if res.divisible else EXIT_FAILED_CHECK
 
 
@@ -437,7 +393,8 @@ def cmd_family(args, config: RunConfig) -> int:
         rep = families.cor5_family(args.n, args.k, args.l, **kw)
     else:
         rep = families.cor7_family(args.p, args.k, args.t, **kw)
-    _emit(config, _family_doc(rep), _family_rows(rep))
+    doc = _family_doc(rep)
+    _emit(config, doc, doc["members"])
     return EXIT_OK if rep.all_asserted_pass else EXIT_FAILED_CHECK
 
 
@@ -460,10 +417,7 @@ def cmd_search(args, config: RunConfig) -> int:
     )
     doc = {"command": "search", "n": str(args.n), "offsets": offsets,
            "hits": [_family_doc(h) for h in hits]}
-    rows = []
-    for hit in hits:
-        for row in _family_rows(hit):
-            rows.append({"d": hit.base_d, **row})
+    rows = [{"d": hit["base_d"], **m} for hit in doc["hits"] for m in hit["members"]]
     _emit(config, doc, rows)
     return EXIT_OK
 
@@ -533,7 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from(args)
         if config.cache_path:
-            cache = result_cache.ResultCache(config.cache_path)
+            try:
+                cache = result_cache.ResultCache(config.cache_path)
+            except OSError as exc:
+                raise InputError(f"cannot open cache {config.cache_path}: {exc.strerror}") from exc
             result_cache.activate(cache)
         if config.verify_cache:
             if cache is None:

@@ -139,7 +139,7 @@ def _resolve_members(raw_members, max_disc, budget, rng, threads):
         if decomp is None:
             decomp = intmath.squarefree_part(value, budget, rng)
         d_sf = decomp.d
-        disc = d_sf if d_sf % 4 == 1 else 4 * d_sf
+        disc = intmath.field_discriminant(d_sf)
         if -disc > max_disc:
             raise ResourceCapError(
                 f"member at offset {offset} needs |discriminant| {-disc} over cap {max_disc}",
@@ -149,7 +149,7 @@ def _resolve_members(raw_members, max_disc, budget, rng, threads):
 
     def finish(item):
         offset, value, d_sf, disc, asserted, note, modulus = item
-        h = classgroup.class_number_checked(disc, max_disc)
+        h = classgroup.class_number_of_field(d_sf, max_disc, budget, rng).h
         return FamilyMember(
             offset=offset,
             value=value,
@@ -339,9 +339,11 @@ def search_successive(
         raise InputError(f"empty range: d_from {d_from} > d_to {d_to}")
     if d_to >= 0:
         raise InputError(f"the range must consist of negative d, got d_to={d_to}")
+    if not offsets:
+        raise InputError("need at least one offset")
     if any(o < 0 for o in offsets):
         raise InputError("offsets must be non-negative")
-    max_off = max(offsets, default=0)
+    max_off = max(offsets)
     if d_from + max_off >= 0:
         raise InputError(
             f"no d in range keeps d + offset negative; d_from={d_from}, max offset={max_off}"

@@ -1,9 +1,8 @@
 """Arbitrary-precision integer arithmetic substrate.
 
-Extended gcd, modular exponentiation, Miller-Rabin primality, trial-division
-plus Brent-rho factoring, square-free decomposition, fundamental
-discriminants, Tonelli-Shanks square roots modulo odd primes, and the
-Kronecker symbol.
+Extended gcd, a prime sieve, Miller-Rabin primality, trial-division plus
+Brent-rho factoring, square-free decomposition, fundamental discriminants,
+Tonelli-Shanks square roots modulo odd primes, and the Kronecker symbol.
 
 All operations are pure: the randomized subroutines (rho, the probabilistic
 primality rounds for huge inputs) draw from an explicitly passed
@@ -15,8 +14,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from . import cache as result_cache
 from .errors import InputError, ResourceCapError
@@ -51,15 +53,6 @@ def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_u, old_v = -old_r, -old_u, -old_v
     return old_r, old_u, old_v
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, for exp >= 0 and modulus >= 1."""
-    if modulus <= 0:
-        raise InputError(f"modulus must be >= 1, got {modulus}")
-    if exp < 0:
-        raise InputError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, modulus)
 
 
 def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -107,16 +100,22 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     return True
 
 
+def primes_below(n: int) -> np.ndarray:
+    """Primes below n, ascending, by the sieve of Eratosthenes."""
+    if n < 3:
+        return np.empty(0, dtype=np.int64)
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.nonzero(sieve)[0]
+
+
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
     """Primes below TRIAL_DIVISION_BOUND."""
-    bound = TRIAL_DIVISION_BOUND
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(bound) if sieve[i])
+    return tuple(primes_below(TRIAL_DIVISION_BOUND).tolist())
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
@@ -212,10 +211,31 @@ def _factor_impl(n: int, budget: int, rng: random.Random) -> Factorization:
     return Factorization(n=n, factors=factors, sign=sign)
 
 
-# Factorizations are canonical values, so one memo serves every budget/rng
-# combination; a hit costs no work, which keeps it inside any budget.
-_factor_memo: dict[int, Factorization] = {}
-_FACTOR_MEMO_MAX = 1 << 16
+def _is_factorization(n: int, sign: int, factors) -> bool:
+    """True iff sign * prod(p**e) == n with increasing primes p and e >= 1."""
+    limit = abs(n)
+    value = sign
+    prev = 1
+    for p, e in factors:
+        # p <= |n| and e <= bit length keep a bad entry from costing more
+        # than factoring n would
+        if not prev < p <= limit or not 1 <= e <= limit.bit_length() or not is_prime(p):
+            return False
+        value *= p**e
+        prev = p
+    return value == n
+
+
+def _read_factor(file: result_cache.ResultCache, n: int) -> Factorization | None:
+    """The factorization of n stored in the cache file, if it is one."""
+    entry = file.get_factor(n)
+    if entry is None:
+        return None
+    sign, factors = entry
+    if _is_factorization(n, sign, factors):
+        return Factorization(n=n, factors=factors, sign=sign)
+    print(f"warning: cache entry factor:{n} is wrong; recomputing", file=sys.stderr)
+    return None
 
 
 def factor(
@@ -227,35 +247,29 @@ def factor(
     """Factor n completely: trial division below 10^5, then Brent rho.
 
     ``budget`` caps the total number of rho iterations; exhausting it raises
-    ResourceCapError naming the unfactored cofactor.  Results are memoized
-    (and stored in the CLI result cache when one is active) since the value
-    is canonical; ``use_cache=False`` forces a fresh computation.
+    ResourceCapError naming the unfactored cofactor.  Since the value is
+    canonical, results are kept in the result cache (memo, and file when one
+    is active), and a hit costs no budget; ``use_cache=False`` forces a fresh
+    computation.
     """
     if n == 0:
         raise InputError("cannot factor 0")
-    real_budget = DEFAULT_FACTOR_BUDGET if budget is None else budget
-    real_rng = rng if rng is not None else random.Random(_DEFAULT_SEED)
+
+    def compute() -> Factorization:
+        return _factor_impl(
+            n,
+            DEFAULT_FACTOR_BUDGET if budget is None else budget,
+            rng if rng is not None else random.Random(_DEFAULT_SEED),
+        )
+
     if not use_cache:
-        return _factor_impl(n, real_budget, real_rng)
-    cache = result_cache.active()
-    memo_hit = _factor_memo.get(n)
-    if memo_hit is not None:
-        if cache is not None:
-            cache.put_factor(n, memo_hit.sign, memo_hit.factors)  # no-op when present
-        return memo_hit
-    if cache is not None:
-        raw = cache.get_factor(n)
-        if raw is not None:
-            result = Factorization(n=n, factors=raw[1], sign=raw[0])
-            if len(_factor_memo) < _FACTOR_MEMO_MAX:
-                _factor_memo[n] = result
-            return result
-    result = _factor_impl(n, real_budget, real_rng)
-    if len(_factor_memo) < _FACTOR_MEMO_MAX:
-        _factor_memo[n] = result
-    if cache is not None:
-        cache.put_factor(n, result.sign, result.factors)
-    return result
+        return compute()
+    return result_cache.lookup(
+        f"factor:{n}",
+        compute,
+        read=lambda file: _read_factor(file, n),
+        write=lambda file, fac: file.put_factor(n, fac.sign, fac.factors),
+    )
 
 
 @dataclass(frozen=True)
@@ -280,18 +294,21 @@ def squarefree_part(
     return SquarefreeDecomp(d=d, t=t)
 
 
+def field_discriminant(d_sf: int) -> int:
+    """Discriminant of Q(sqrt(d_sf)) for square-free d_sf: d_sf itself when
+    d_sf = 1 mod 4, else 4 d_sf.  The caller guarantees square-freeness."""
+    return d_sf if d_sf % 4 == 1 else 4 * d_sf
+
+
 def fundamental_discriminant(
     d: int, budget: int | None = None, rng: random.Random | None = None
 ) -> int:
-    """Discriminant of the maximal order of Q(sqrt(d)) for square-free d < 0.
-
-    d itself when d = 1 mod 4, else 4d.
-    """
+    """Discriminant of the maximal order of Q(sqrt(d)) for square-free d < 0."""
     if d >= 0:
         raise InputError(f"need d < 0, got {d}")
     if squarefree_part(d, budget, rng).t != 1:
         raise InputError(f"{d} is not square-free")
-    return d if d % 4 == 1 else 4 * d
+    return field_discriminant(d)
 
 
 def kronecker(a: int, n: int) -> int:

@@ -70,7 +70,7 @@ def _construct(
         raise InputError(f"witness construction needs gcd(2x, y) = 1, got x={x}, y={y}")
     dec = intmath.squarefree_part(y**n - x * x, budget, rng)
     d, t = dec.d, dec.t
-    disc = -d if (-d) % 4 == 1 else -4 * d
+    disc = intmath.field_discriminant(-d)
     if math.gcd(t, y) != 1:  # pragma: no cover - impossible when gcd(x, y) = 1
         raise InconsistencyError(f"gcd(t, y) != 1 for instance {inst}")
     beta = x * pow(t, -1, y) % y
@@ -110,7 +110,7 @@ def verify_instance(
             f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
         )
     f = raw.reduced()
-    h = classgroup.class_number_checked(disc, max_disc)
+    h = classgroup.class_number_of_field(-d, max_disc, budget, rng).h
     ident = qform.identity_form(disc)
     if f.power(inst.n) != ident:  # pragma: no cover - theory guarantees this
         raise InconsistencyError(f"witness^n not principal for instance {inst}")

@@ -37,14 +37,6 @@ def brute_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
     return out
 
 
-def naive_mod_pow(base: int, exp: int, modulus: int) -> int:
-    result = 1 % modulus
-    base %= modulus
-    for _ in range(exp):
-        result = result * base % modulus
-    return result
-
-
 def brute_legendre(a: int, p: int) -> int:
     """Legendre symbol by counting square roots mod an odd prime."""
     a %= p

@@ -61,8 +61,7 @@ def test_criterion_04_hoque_grid():
     checked = skipped = 0
     for m, p, n, r in product((3, 5), (5, 7, 11), (1, 2), (-2, 4)):
         value = -(3**m * p ** (2 * n) + r)
-        d_sf = intmath.squarefree_part(value).d
-        disc = d_sf if d_sf % 4 == 1 else 4 * d_sf
+        disc = intmath.field_discriminant(intmath.squarefree_part(value).d)
         if -disc > 10**8:
             skipped += 1
             continue
@@ -91,7 +90,7 @@ def test_criterion_06_witness_structural_suite():
                 if math.gcd(2 * x, y) != 1 or x * x >= y**n:
                     continue
                 d = intmath.squarefree_part(y**n - x * x).d
-                disc = -d if (-d) % 4 == 1 else -4 * d
+                disc = intmath.field_discriminant(-d)
                 if -disc > 10**8:
                     skipped += 1
                     continue

@@ -45,6 +45,10 @@ class TestClassNumberAnalytic:
             classgroup.class_number_analytic(-12)  # 4 * (-3), not fundamental
         with pytest.raises(InputError):
             classgroup.class_number_analytic(-100)
+        for disc in range(-3, -1000, -1):
+            if disc % 4 in (0, 1) and not classgroup.is_fundamental_discriminant(disc):
+                with pytest.raises(InputError):
+                    classgroup.class_number_analytic(disc)
 
     def test_matches_literal_sum(self):
         for disc in range(-3, -400, -1):

@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import quadclass
 from quadclass import cli
 from quadclass import cache as result_cache
 
@@ -171,8 +176,11 @@ class TestSearch:
         assert doc["hits"][0]["base_d"] == "-107"
 
     def test_bad_offsets(self, capsys):
-        code, _, _ = run(["search", "--n", "3", "--offsets", "0,x", "--from", "-10", "--to", "-1"], capsys)
-        assert code == 2
+        for offsets in ("0,x", ""):
+            code, _, _ = run(
+                ["search", "--n", "3", "--offsets", offsets, "--from", "-10", "--to", "-1"], capsys
+            )
+            assert code == 2, offsets
 
 
 class TestGroup:
@@ -193,6 +201,12 @@ class TestOutputFlags:
     def test_json_csv_conflict(self, capsys):
         code, _, err = run(["classnum", "--json", "--csv", "--", "-23"], capsys)
         assert code == 2
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty in-process memo, so a run reads its cache file."""
+    monkeypatch.setattr(result_cache, "_memo", {})
 
 
 class TestDeterminismAndCache:
@@ -257,6 +271,31 @@ class TestDeterminismAndCache:
         assert "corrupt cache line 1" in err
         assert json.loads(out)["h"] == "3"
 
+    def test_wrong_factor_entry_is_recomputed(self, capsys, tmp_path, fresh_memo):
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text('{"key":"factor:-20","value":"-1:2^1,5^1","v":1}\n')
+        code, out, err = run(["squarefree", "--n", "-20", "--json", "--cache", str(cache_file)], capsys)
+        assert code == 0
+        assert out == '{"d":"-5","n":"-20","t":"2"}\n'
+        assert "factor:-20" in err
+        with result_cache.ResultCache(str(cache_file)) as cache:
+            assert cache.get_factor(-20) == (-1, ((2, 2), (5, 1)))
+
+    def test_wrong_class_number_entry_fails_the_cross_check(self, capsys, tmp_path, fresh_memo):
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text('{"key":"h:-23","value":"5","v":1}\n')
+        code, out, err = run(["classnum", "--d", "-23", "--json", "--cache", str(cache_file)], capsys)
+        assert code == 1
+        assert out == ""
+        assert "consistency failure" in err
+
+    def test_cache_in_missing_directory_is_input_error(self, capsys, tmp_path):
+        cache_file = tmp_path / "missing" / "c.jsonl"
+        code, out, err = run(["classnum", "--d", "-23", "--cache", str(cache_file)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot open cache")
+
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_cache = tmp_path / "env.jsonl"
         flag_cache = tmp_path / "flag.jsonl"
@@ -284,18 +323,20 @@ class TestCacheEncoding:
         assert result_cache.decode_factorization(enc) == (1, ())
 
     def test_bad_encoding_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             result_cache.decode_factorization("junk")
 
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same quadclass as this process, installed or not
+        src = str(Path(quadclass.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "quadclass", "classnum", "--json", "--", "-23"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["h"] == "3"

@@ -205,9 +205,9 @@ class TestSearch:
             (member,) = hit.members
             assert member.h % 3 == 0
 
-    def test_empty_offsets_trivially_qualify(self):
-        hits = families.search_successive(3, [], -50, -1, max_hits=5)
-        assert [h.base_d for h in hits] == [-1, -2, -3, -4, -5]
+    def test_empty_offsets_rejected(self):
+        with pytest.raises(InputError):
+            families.search_successive(3, [], -50, -1, max_hits=5)
 
     def test_triple_smallest_hit(self):
         hits = families.search_successive(3, [0, 1, 4], -2000, -1, max_hits=1)

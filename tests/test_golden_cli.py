@@ -1,0 +1,75 @@
+"""CLI output against golden files.
+
+Every subcommand runs in table, CSV and JSON form, and each run must
+reproduce the stdout bytes and exit code stored in ``golden/cli.json``:
+without a cache, with a cold cache and with the warm cache the cold run left.
+
+The goldens were captured from ``python -m quadclass``.  Regenerate them,
+only for an intended output change, with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from quadclass import cache as result_cache
+from quadclass import cli
+
+GOLDEN = Path(__file__).with_name("golden") / "cli.json"
+
+COMMANDS = [
+    ["classnum", "--d", "-23"],
+    ["classnum", "--d", "-343"],
+    ["classnum", "--d", "-1000003", "--max-disc", "100"],
+    ["squarefree", "--n", "-242"],
+    ["witness", "--x", "2", "--y", "3", "--n", "3"],
+    ["witness", "--x", "2", "--y", "5", "--n", "3"],
+    ["scan", "--x", "2", "--n", "3", "--from", "3", "--to", "9"],
+    ["scan", "--x", "2", "--n", "3", "--from", "3", "--to", "9", "--max-disc", "300"],
+    ["scan", "--x", "1", "--n", "3", "--from", "2", "--to", "6", "--variant", "four"],
+    ["check", "cohn", "--V", "3", "--n", "5"],
+    ["check", "cohn", "--V", "5", "--n", "3"],
+    ["check", "hoque", "--m", "3", "--p", "5", "--n", "1", "--r", "4"],
+    ["family", "iizuka", "--n", "3", "--m", "1", "--l", "1"],
+    ["family", "cor5", "--n", "3", "--k", "3", "--l", "1"],
+    ["family", "cor7", "--p", "5", "--k", "1", "--t", "1"],
+    ["search", "--n", "3", "--offsets", "0,1", "--from", "-500", "--to", "-1", "--max-hits", "3"],
+    ["group", "--disc", "-84"],
+    ["group", "--disc", "-4"],
+]
+FORMATS = ([], ["--csv"], ["--json"])
+
+
+def _cases():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: " ".join(case["argv"]))
+def test_output_matches_golden(case, capsys, tmp_path, monkeypatch):
+    cache_file = str(tmp_path / "cache.jsonl")
+    for extra in ([], ["--cache", cache_file], ["--cache", cache_file]):
+        # an empty memo makes the warm run read the file, not the process memory
+        monkeypatch.setattr(result_cache, "_memo", {})
+        code = cli.main(case["argv"] + extra)
+        out = capsys.readouterr().out
+        assert (code, out.encode()) == (case["exit"], case["stdout"].encode()), extra
+
+
+def _capture() -> list[dict]:
+    cases = []
+    for argv in (cmd + fmt for cmd in COMMANDS for fmt in FORMATS):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadclass", *argv], capture_output=True, check=False
+        )
+        cases.append({"argv": argv, "exit": proc.returncode, "stdout": proc.stdout.decode()})
+    return cases
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_capture(), indent=1) + "\n", encoding="utf-8")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from quadclass import intmath
 from quadclass.errors import InputError, ResourceCapError
 
-from oracles import brute_legendre, naive_mod_pow, trial_factor
+from oracles import brute_legendre, trial_factor
 
 
 class TestGcdExt:
@@ -31,35 +31,6 @@ class TestGcdExt:
         assert u * a + v * b == g
         if g:
             assert a % g == 0 and b % g == 0
-
-
-class TestModPow:
-    def test_exp_zero(self):
-        assert intmath.mod_pow(5, 0, 7) == 1
-
-    def test_basic(self):
-        assert intmath.mod_pow(2, 10, 1000) == 24
-
-    def test_against_naive(self):
-        assert intmath.mod_pow(3, 242, 243) == naive_mod_pow(3, 242, 243)
-
-    def test_bad_modulus(self):
-        with pytest.raises(InputError):
-            intmath.mod_pow(2, 3, 0)
-        with pytest.raises(InputError):
-            intmath.mod_pow(2, 3, -5)
-        with pytest.raises(InputError):
-            intmath.mod_pow(2, -1, 5)
-
-    @given(
-        st.integers(-10**6, 10**6),
-        st.integers(0, 400),
-        st.integers(1, 10**6),
-    )
-    def test_matches_builtin_semantics(self, b, e, m):
-        r = intmath.mod_pow(b, e, m)
-        assert 0 <= r < m
-        assert r == naive_mod_pow(b, e, m)
 
 
 class TestIsPrime:
