@@ -95,16 +95,15 @@ class ResultCache:
 
     def _load(self) -> None:
         try:
-            fh = open(self.path, "r", encoding="utf-8")
+            fh = open(self.path, "rb")
         except FileNotFoundError:
             return
         with fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+            for lineno, raw in enumerate(fh, 1):
+                if not raw.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(raw.decode("utf-8"))
                     key, value = obj["key"], obj["value"]
                     if obj.get("v") != CACHE_VERSION:
                         raise ValueError("version mismatch")

@@ -6,8 +6,8 @@ the exact finite character sum
     h = w/(2|D|) * |sum_{k=1}^{|D|-1} kronecker(D, k) * k|
 
 for fundamental D, with w = 6, 4, 2 for D = -3, -4 and everything else.  The
-two must agree exactly; ``class_number_of_field`` cross-checks them on every
-call while |D| stays small enough for the sum to be cheap.
+two must agree exactly; ``class_number_of_field`` cross-checks them at most
+once per discriminant and process, while |D| <= ANALYTIC_CROSS_CHECK_LIMIT.
 """
 
 from __future__ import annotations
@@ -49,14 +49,54 @@ def class_number_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     return qform.count_reduced(disc, max_disc)
 
 
+# The Kronecker characters of the prime discriminants -4, 8 and -8, on k mod 8.
+_TWO_PART = {
+    -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int8),
+    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
+    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
+}
+# Block length of the character sum: no int64 temporary outgrows it.
+_STEP = 1 << 22
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """The Legendre symbol (k|p) for k = 0..p-1, p an odd prime."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[0] = 0
+    half = (p + 1) // 2
+    for lo in range(1, half, _STEP):
+        squares = np.arange(lo, min(half, lo + _STEP), dtype=np.int64)
+        squares *= squares
+        squares %= p
+        table[squares] = 1
+    return table
+
+
+def _tiled(table: np.ndarray, abs_d: int, block: int) -> tuple[np.ndarray, int]:
+    """The table, repeated up to min(period + block, abs_d) entries, and its
+    period: then each block lo..lo+block-1 of 0..abs_d-1 is one slice,
+    starting at lo % period."""
+    period = table.size
+    length = min(period + block, abs_d)
+    if length > period:
+        reps, extra = divmod(length, period)
+        table = np.concatenate((np.tile(table, reps), table[:extra]))
+    return table, period
+
+
 def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """Class number of a fundamental discriminant via the exact character sum.
 
-    The character kronecker(disc, .) is completely multiplicative, so its
-    values on 1..|disc|-1 are filled in by sieving over prime powers rather
-    than evaluated k by k; the weighted sum itself is exact int64 work.  The
-    sieve meets every prime dividing disc, where it also checks that disc is
-    fundamental: no odd square divides it, and it is 1 mod 4 or 8, 12 mod 16.
+    A fundamental disc is a product of prime discriminants: -4, 8 or -8 for
+    its 2-part, read off disc mod 16, and p* = +-p for each odd prime p
+    dividing it.  kronecker(disc, .) is then the product of their characters,
+    each periodic: a fixed table mod 8 for the 2-part and the Legendre symbol
+    (k|p) for odd p.  The odd part of disc is split by trial division, which
+    also checks that disc is fundamental (no odd square divides it), and the
+    tables are tiled over 0..|disc|-1 and multiplied block by block into the
+    weighted sum, which is exact int64 work.  Neither the form code nor
+    ``intmath.factor`` nor ``intmath.kronecker`` is used, so this stays an
+    independent route to h.
     """
     qform.validate_discriminant(disc)
     if -disc > max_disc:
@@ -64,33 +104,40 @@ def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
             f"|discriminant| {-disc} exceeds cap {max_disc}", detail=disc
         )
     not_fundamental = InputError(f"{disc} is not a fundamental discriminant")
-    if disc % 4 != 1 and disc % 16 not in (8, 12):
-        raise not_fundamental
     abs_d = -disc
+    if disc % 4 == 1:
+        tables = []
+        odd = abs_d
+    elif disc % 16 == 12:
+        tables = [_TWO_PART[-4]]
+        odd = abs_d // 4
+    elif disc % 16 == 8:
+        tables = [_TWO_PART[8 if (disc // 8) % 4 == 1 else -8]]
+        odd = abs_d // 8
+    else:
+        raise not_fundamental
     if abs_d == 3:
         return 1
-    chi = np.ones(abs_d, dtype=np.int8)
-    chi[0] = 0
-    for p in intmath.primes_below(abs_d).tolist():
-        e = intmath.kronecker(disc, p)
-        if e == 1:
-            continue
-        if e == 0:
-            if p > 2 and disc % (p * p) == 0:
+    block = min(_STEP, abs_d)
+    chars = [_tiled(t, abs_d, block) for t in tables]
+    p = 3
+    while p * p <= odd:
+        if odd % p == 0:
+            odd //= p
+            if odd % p == 0:
                 raise not_fundamental
-            chi[p::p] = 0
-            continue
-        pk = p
-        while pk < abs_d:
-            chi[pk::pk] *= -1
-            pk *= p
+            chars.append(_tiled(_legendre_table(p), abs_d, block))
+        p += 2
+    if odd > 1:
+        chars.append(_tiled(_legendre_table(odd), abs_d, block))
     total = 0
-    step = 1 << 22
-    for lo in range(0, abs_d, step):
-        hi = min(abs_d, lo + step)
-        total += int(
-            np.dot(np.arange(lo, hi, dtype=np.int64), chi[lo:hi].astype(np.int64))
-        )
+    for lo in range(0, abs_d, _STEP):
+        hi = min(abs_d, lo + _STEP)
+        chi = np.ones(hi - lo, dtype=np.int8)
+        for values, period in chars:
+            start = lo % period
+            chi *= values[start : start + hi - lo]
+        total += int(np.dot(np.arange(lo, hi, dtype=np.int64), chi.astype(np.int64)))
     w = 4 if disc == -4 else 2
     num = w * abs(total)
     if num == 0 or num % (2 * abs_d):

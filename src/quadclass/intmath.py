@@ -100,22 +100,16 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     return True
 
 
-def primes_below(n: int) -> np.ndarray:
-    """Primes below n, ascending, by the sieve of Eratosthenes."""
-    if n < 3:
-        return np.empty(0, dtype=np.int64)
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    """Primes below TRIAL_DIVISION_BOUND, by the sieve of Eratosthenes."""
+    n = TRIAL_DIVISION_BOUND
     sieve = np.ones(n, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0]
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    """Primes below TRIAL_DIVISION_BOUND."""
-    return tuple(primes_below(TRIAL_DIVISION_BOUND).tolist())
+    return tuple(np.nonzero(sieve)[0].tolist())
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:

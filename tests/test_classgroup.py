@@ -1,5 +1,6 @@
 import pytest
 
+from quadclass import cache as result_cache
 from quadclass import classgroup, intmath, qform
 from quadclass.errors import InconsistencyError, InputError, ResourceCapError
 from quadclass.qform import QuadForm
@@ -41,10 +42,16 @@ class TestClassNumberAnalytic:
         assert classgroup.class_number_analytic(disc) == h
 
     def test_rejects_non_fundamental(self):
-        with pytest.raises(InputError):
-            classgroup.class_number_analytic(-12)  # 4 * (-3), not fundamental
-        with pytest.raises(InputError):
-            classgroup.class_number_analytic(-100)
+        for disc in (
+            -12,  # 4 * (-3)
+            -100,
+            -7 * 997**2,  # large odd square
+            -8 * 3 * 997**2,  # odd square beside the 2-part 8
+            -1000012,  # 4 mod 16
+            -8 * 125002,  # 8 * m with m even
+        ):
+            with pytest.raises(InputError):
+                classgroup.class_number_analytic(disc)
         for disc in range(-3, -1000, -1):
             if disc % 4 in (0, 1) and not classgroup.is_fundamental_discriminant(disc):
                 with pytest.raises(InputError):
@@ -59,6 +66,43 @@ class TestClassNumberAnalytic:
         for disc in range(-3, -2001, -1):
             if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
                 assert classgroup.class_number_analytic(disc) == classgroup.class_number_forms(disc)
+
+    @pytest.mark.parametrize(
+        "disc",
+        [
+            -100003,  # |D| prime, 1 mod 4
+            -255255,  # 3 * 5 * 7 * 11 * 13 * 17
+            -1000007,  # 29 * 34483
+            -400004,  # 12 mod 16: 2-part -4
+            -2499668,  # 12 mod 16, 4 * prime
+            -600024,  # 8 mod 16 with D/8 = 1 mod 4: 2-part 8
+            -2000040,  # 8 mod 16 with D/8 = 3 mod 4: 2-part -8, five prime factors
+            -2400027,  # 3 * 7 * 23 * 4969
+        ],
+    )
+    def test_agrees_with_form_count_beyond_the_search(self, disc):
+        assert classgroup.class_number_analytic(disc) == qform.count_reduced(disc)
+
+    def test_independent_of_form_code_factoring_and_cache(self, monkeypatch, tmp_path):
+        expected = {-23: 3, -104: 6, -84: 4, -10007: qform.count_reduced(-10007)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the analytic oracle must not call this")
+
+        for module, name in [
+            (qform, "count_reduced"),
+            (qform, "enumerate_reduced"),
+            (intmath, "factor"),
+            (intmath, "kronecker"),
+            (result_cache, "lookup"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        path = tmp_path / "cache.jsonl"
+        with result_cache.ResultCache(str(path)) as file:
+            monkeypatch.setattr(result_cache, "_active", file)
+            for disc, h in expected.items():
+                assert classgroup.class_number_analytic(disc) == h
+        assert path.read_bytes() == b""
 
 
 class TestIsFundamental:

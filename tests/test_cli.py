@@ -271,6 +271,21 @@ class TestDeterminismAndCache:
         assert "corrupt cache line 1" in err
         assert json.loads(out)["h"] == "3"
 
+    def test_undecodable_line_skipped_with_warning(self, capsys, tmp_path, fresh_memo):
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_bytes(
+            b'{"key":"h:-23","value":"3","v":1}\n'
+            b"\xff\xfe garbage\n"
+            b'{"key":"factor:-23","value":"-1:23^1","v":1}\n'
+        )
+        code, out, err = run(["classnum", "--cache", str(cache_file), "--json", "--", "-23"], capsys)
+        assert code == 0
+        assert "corrupt cache line 2" in err
+        assert json.loads(out)["h"] == "3"
+        with result_cache.ResultCache(str(cache_file)) as cache:
+            assert cache.get_h(-23) == 3
+            assert cache.get_factor(-23) == (-1, ((23, 1),))
+
     def test_wrong_factor_entry_is_recomputed(self, capsys, tmp_path, fresh_memo):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"factor:-20","value":"-1:2^1,5^1","v":1}\n')
