@@ -10,8 +10,9 @@ The file format is one JSON object per line: {"key": ..., "value": ..., "v": 1}.
 Keys are canonical strings ("factor:<n>" or "h:<disc>"); values are canonical
 decimal-string encodings so entries are diff-friendly and version-stable.
 Corrupt lines are skipped with a warning instead of aborting, which keeps a
-cache usable after a crash mid-write; when a key occurs twice, the later line
-wins.
+cache usable after a crash mid-write, and the first append after a last line
+that lacks its newline starts a new line; when a key occurs twice, the later
+line wins.
 
 The file is opt-in: nothing in the library touches it unless a ``ResultCache``
 has been installed with ``activate()`` (the CLI does this when --cache or
@@ -65,6 +66,13 @@ def lookup(key: str, compute, read, write):
     return value
 
 
+def known(key: str, read) -> bool:
+    """Whether ``lookup`` would find key without computing: the memo holds
+    it, or ``read(file)`` returns a value from the active file."""
+    file = _active
+    return key in _memo or (file is not None and read(file) is not None)
+
+
 def encode_factorization(sign: int, factors) -> str:
     body = ",".join(f"{p}^{e}" for p, e in factors)
     return f"{'+' if sign > 0 else '-'}1:{body}"
@@ -90,6 +98,9 @@ class ResultCache:
         self.path = path
         self._data: dict[str, str] = {}
         self._lock = threading.Lock()
+        # a last line cut short, without its newline, must not absorb the
+        # first appended entry
+        self._torn = False
         self._load()
         self._fh = open(path, "a", encoding="utf-8")
 
@@ -98,6 +109,7 @@ class ResultCache:
             fh = open(self.path, "rb")
         except FileNotFoundError:
             return
+        raw = b""
         with fh:
             for lineno, raw in enumerate(fh, 1):
                 if not raw.strip():
@@ -116,6 +128,7 @@ class ResultCache:
                     )
                     continue
                 self._data[key] = value
+        self._torn = bool(raw) and not raw.endswith(b"\n")
 
     def close(self) -> None:
         with self._lock:
@@ -145,6 +158,9 @@ class ResultCache:
                 sort_keys=True,
                 separators=(",", ":"),
             )
+            if self._torn:
+                line = "\n" + line
+                self._torn = False
             self._fh.write(line + "\n")
             self._fh.flush()
 

@@ -174,6 +174,7 @@ def class_number_of_field(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
     rng: random.Random | None = None,
+    sieved: dict[int, int] | None = None,
 ) -> FieldClassNumber:
     """Class number of Q(sqrt(d)) for any negative integer d.
 
@@ -182,6 +183,8 @@ def class_number_of_field(
     count, or a value read from the cache file, is cross-checked against the
     character sum when |disc| <= ANALYTIC_CROSS_CHECK_LIMIT before it is
     memoized, so each discriminant is checked at most once per process.
+    The form count is taken from ``sieved`` (disc -> count, as made by
+    ``sieve_fields``) when it holds the disc.
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
@@ -191,13 +194,52 @@ def class_number_of_field(
         raise ResourceCapError(
             f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
         )
+
+    def count() -> int:
+        h = sieved.get(disc) if sieved else None
+        return _cross_checked(disc, class_number_forms(disc, max_disc) if h is None else h)
+
     h = result_cache.lookup(
         f"h:{disc}",
-        lambda: _cross_checked(disc, class_number_forms(disc, max_disc)),
+        count,
         read=lambda file: _read_h(file, disc),
         write=lambda file, value: file.put_h(disc, value),
     )
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
+
+
+def sieve_fields(
+    values,
+    max_disc: int = DEFAULT_DISC_CAP,
+    budget: int | None = None,
+    rng: random.Random | None = None,
+) -> dict[int, int]:
+    """Form counts, disc -> count, for the fields Q(sqrt(v)) of the given
+    negative values whose h neither the memo nor the cache file holds, as far
+    as ``qform.count_reduced_sieved`` counts them together.
+
+    Pass only values whose fields the caller looks up anyway, for each
+    value's factorization is cached here, and pass the result to
+    ``class_number_of_field`` as ``sieved``: the counts then go through the
+    same cross-check, memo and file as a fresh count, so the memo and the
+    file get the same entries as without the sieve.  Values that are all too
+    small for the sieve cost nothing.  A value over max_disc, or one whose
+    square-free part cannot be found within the budget, is left out, so
+    ``class_number_of_field`` meets it, and raises, as without the sieve.
+    """
+    values = [v for v in values if -v <= max_disc]
+    # |disc| <= 4|v|, and the sieve starts at the numpy form count's threshold
+    if not values or -4 * min(values) < qform._NUMPY_MIN_DISC:
+        return {}
+    discs = set()
+    for v in values:
+        try:
+            disc = intmath.field_discriminant(intmath.squarefree_part(v, budget, rng).d)
+        except ResourceCapError:
+            continue
+        if not result_cache.known(f"h:{disc}", read=lambda file: file.get_h(disc)):
+            discs.add(disc)
+    return qform.count_reduced_sieved(discs, max_disc)
 
 
 def order_of_class(

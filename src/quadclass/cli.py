@@ -55,7 +55,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-disc", type=int, default=DEFAULT_DISC_CAP,
                         help="enumeration cap on |discriminant|")
     parser.add_argument("--factor-budget", type=int, default=DEFAULT_FACTOR_BUDGET,
-                        help="iteration budget for the randomized factoring stage")
+                        help="budget for the randomized factoring stage: one unit per step "
+                             "per started 64 bits of the number split")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized subroutines (fixed seed = reproducible run)")
     parser.add_argument("--threads", type=int, default=1, help="worker pool size")

@@ -9,7 +9,11 @@ Builders for three constructions and a brute-force search:
   Q(sqrt(d + 2k - 1)).
 * cor7_family: d = 1 - 3^(3k) p^(6t), the triple (d, d+1, d+3) for
   divisibility by 3.
-* search_successive: exhaustive scan for offset patterns at small |d|.
+* search_successive: exhaustive scan for offset patterns at small |d|.  It
+  works in chunks of consecutive d; the fields of a chunk's first offset
+  with |disc| >= 2^18 are counted together by the windowed sieve
+  (``classgroup.sieve_fields``), the rest one at a time, and every hit is
+  recounted on its own before it is reported.
 
 Members are flagged ``asserted`` only when an unconditional theorem backs
 them (cohn_check / hoque_check shapes); members that rely on "parameters
@@ -330,8 +334,12 @@ def search_successive(
     every offset o.
 
     By default the scan starts at the end nearest zero, so the first hits are
-    the minimal exemplars.  Every hit is re-verified with a fresh, cache-free
-    form count before being reported.
+    the minimal exemplars.  The class numbers a chunk of d needs and neither
+    the memo nor the cache file holds are counted together by the windowed
+    sieve when they are large enough; the answers and the cache entries are
+    the same as when each is counted alone.  Every hit is re-verified with a
+    fresh, cache-free form count before being reported.  ``threads`` maps
+    the d of a chunk over a thread pool.
     """
     if n < 3:
         raise InputError(f"n must be >= 3, got {n}")
@@ -351,16 +359,30 @@ def search_successive(
     if max_hits < 1:
         return []
 
-    def qualifies(d: int) -> bool:
+    def qualifies(d: int, sieved: dict[int, int]) -> bool:
         # d near zero may push d + offset out of the imaginary range; such d
         # cannot qualify and are skipped rather than rejected.
         if d + max_off >= 0:
             return False
         for o in offsets:
-            h, _, _ = classgroup.class_number_of_field(d + o, max_disc, budget, rng)
+            h, _, _ = classgroup.class_number_of_field(d + o, max_disc, budget, rng, sieved)
             if h % n:
                 return False
         return True
+
+    def collect_hits(block: list[int]) -> list[FamilyReport]:
+        # Every d that can qualify looks up its first offset's field, so
+        # sieving those fields together adds no memo or cache entry.
+        firsts = [d + offsets[0] for d in block if d + max_off < 0]
+        sieved = classgroup.sieve_fields(firsts, max_disc, budget, rng)
+        flags = ordered_parallel(lambda d: qualifies(d, sieved), block, threads)
+        out = []
+        for d, ok in zip(block, flags):
+            if len(hits) + len(out) >= max_hits:
+                break
+            if ok:
+                out.append(_hit_report(d, n, offsets, max_disc, budget, rng))
+        return out
 
     order = range(d_to, d_from - 1, -1) if smallest_first else range(d_from, d_to + 1)
     hits: list[FamilyReport] = []
@@ -370,26 +392,12 @@ def search_successive(
         block.append(d)
         if len(block) < chunk:
             continue
-        hits.extend(_collect_hits(block, qualifies, n, offsets, max_disc, budget, rng, threads, max_hits - len(hits)))
+        hits.extend(collect_hits(block))
         block = []
         if len(hits) >= max_hits:
             return hits
-    hits.extend(_collect_hits(block, qualifies, n, offsets, max_disc, budget, rng, threads, max_hits - len(hits)))
+    hits.extend(collect_hits(block))
     return hits
-
-
-def _collect_hits(block, qualifies, n, offsets, max_disc, budget, rng, threads, room):
-    if room <= 0 or not block:
-        return []
-    flags = ordered_parallel(qualifies, block, threads)
-    out = []
-    for d, ok in zip(block, flags):
-        if not ok:
-            continue
-        out.append(_hit_report(d, n, offsets, max_disc, budget, rng))
-        if len(out) >= room:
-            break
-    return out
 
 
 def _hit_report(d, n, offsets, max_disc, budget, rng) -> FamilyReport:

@@ -24,7 +24,7 @@ from . import cache as result_cache
 from .errors import InputError, ResourceCapError
 
 TRIAL_DIVISION_BOUND = 10**5
-DEFAULT_FACTOR_BUDGET = 4_000_000  # rho iterations; generous for ~80-bit composites
+DEFAULT_FACTOR_BUDGET = 4_000_000  # rho steps on 64-bit words; generous for ~80-bit composites
 _DEFAULT_SEED = 0x5EED
 
 # Fixed Miller-Rabin witness set, deterministic for n below this bound
@@ -116,10 +116,12 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     """Brent-cycle rho with batched gcds.
 
     Returns (nontrivial factor or None, remaining budget).  n must be odd,
-    composite and > 1.  Each advance of the iteration counts one unit of
-    budget.
+    composite and > 1.  Each advance of the iteration costs one unit of
+    budget per started 64 bits of n, so the budget bounds the work of a
+    step, not only the count of steps.
     """
     batch = 128
+    cost = -(-n.bit_length() // 64)
     while budget > 0:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -129,7 +131,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-            budget -= r
+            budget -= r * cost
             k = 0
             while k < r and g == 1 and budget > 0:
                 ys = y
@@ -137,7 +139,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
                 for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
-                budget -= steps
+                budget -= steps * cost
                 g = math.gcd(q, n)
                 k += batch
             r *= 2
@@ -146,7 +148,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             g = 1
             while g == 1 and budget > 0:
                 ys = (ys * ys + c) % n
-                budget -= 1
+                budget -= cost
                 g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, budget
@@ -240,11 +242,12 @@ def factor(
 ) -> Factorization:
     """Factor n completely: trial division below 10^5, then Brent rho.
 
-    ``budget`` caps the total number of rho iterations; exhausting it raises
-    ResourceCapError naming the unfactored cofactor.  Since the value is
-    canonical, results are kept in the result cache (memo, and file when one
-    is active), and a hit costs no budget; ``use_cache=False`` forces a fresh
-    computation.
+    ``budget`` caps the rho work: each iteration costs one unit per started
+    64 bits of the cofactor it splits, so operands of up to 64 bits pay one
+    unit.  Exhausting it raises ResourceCapError naming the unfactored
+    cofactor.  Since the value is canonical, results are kept in the result
+    cache (memo, and file when one is active), and a hit costs no budget;
+    ``use_cache=False`` forces a fresh computation.
     """
     if n == 0:
         raise InputError("cannot factor 0")

@@ -6,6 +6,12 @@ ideal classes of the imaginary quadratic order of the same discriminant;
 Gauss composition is the group law.  Reduction picks the unique canonical
 representative per class (|b| <= a <= c, b >= 0 at the boundaries), so class
 arithmetic is plain value arithmetic on reduced triples.
+
+Class numbers are counts of reduced forms, taken two ways.  ``count_reduced``
+counts one discriminant: for each b it splits (b^2 + |disc|)/4 into a*c.
+``count_reduced_sieved`` counts many nearby discriminants at once (the
+fields of one search chunk): one pass over the (a, b) pairs places each
+form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
 """
 
 from __future__ import annotations
@@ -204,6 +210,104 @@ def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """len(enumerate_reduced(disc)) without materializing the forms."""
     count, _ = _reduced_forms(disc, collect=False, max_disc=max_disc)
     return count
+
+
+def count_reduced_sieved(discs, max_disc: int = DEFAULT_DISC_CAP) -> dict[int, int]:
+    """count_reduced(disc) for those of the given discs that the windowed
+    sieve counts together; the others are left out, for count_reduced.
+
+    The discs are split by |disc| mod 4, and each class into clusters whose
+    values lie at most sqrt(|disc|) above the cluster's least, so that a
+    cluster's pass visits about as many forms as (a, b) pairs.  A cluster of at least two values,
+    all with _NUMPY_MIN_DISC <= |disc| <= max_disc, is counted in one pass by
+    ``_window_counts``.
+    """
+    by_class: dict[int, list[int]] = {0: [], 3: []}
+    for disc in set(discs):
+        validate_discriminant(disc)
+        if _NUMPY_MIN_DISC <= -disc <= max_disc and -disc < _NUMPY_MAX_DISC:
+            by_class[-disc % 4].append(-disc)
+    out: dict[int, int] = {}
+    for values in by_class.values():
+        values.sort()
+        clusters: list[list[int]] = []
+        for x in values:
+            if clusters and x - clusters[-1][0] <= math.isqrt(x):
+                clusters[-1].append(x)
+            else:
+                clusters.append([x])
+        for cluster in clusters:
+            if len(cluster) < 2:
+                continue
+            lo = cluster[0]
+            counts = _window_counts(lo, cluster[-1])
+            for x in cluster:
+                out[-x] = int(counts[x - lo])
+    return out
+
+
+# (a, b) pairs per numpy block of the windowed sieve; bounds its temporaries.
+_SIEVE_BLOCK = 1 << 12
+
+
+def _window_counts(lo: int, hi: int) -> np.ndarray:
+    """Numbers of primitive reduced forms of discriminant -X for X = lo..hi,
+    lo = 0 or 3 (mod 4), in one pass over the (a, b) pairs.
+
+    X = 4ac - b^2 fixes the parity of b: odd for X = 3 (mod 4), even for
+    X = 0 (mod 4); entries of X in the other classes stay 0.  For each pair
+    0 <= b <= a <= sqrt(hi/3) of that parity, the least X >= max(lo, 4a^2 - b^2)
+    with X = -b^2 (mod 4a) gives c = (X + b^2)/(4a) >= a, and X steps by 4a
+    up to hi.  A primitive form counts twice when 0 < b < a < c, because
+    (a, -b, c) is then reduced too.  The pairs go through numpy as blocks of
+    rows a by columns b of about _SIEVE_BLOCK entries.
+    """
+    parity = lo & 1
+    width = hi - lo
+    a_max = math.isqrt(hi // 3)
+    b_all = np.arange(parity, a_max + 1, 2, dtype=np.int64)
+    counts = np.zeros(width + 1, dtype=np.int64)
+    first = 1
+    while first <= a_max:
+        # rows * (first + rows) / 2 <= _SIEVE_BLOCK entries
+        rows = max(1, (math.isqrt(first * first + 8 * _SIEVE_BLOCK) - first) // 2)
+        last = min(a_max, first + rows - 1)
+        a = np.arange(first, last + 1, dtype=np.int64)[:, None]
+        # 4a^2 - b^2 <= hi needs b^2 >= 4 first^2 - hi
+        least = 4 * first * first - hi
+        skip = (math.isqrt(least - 1) + 2 - parity) // 2 if least > 0 else 0
+        b = b_all[skip : (last - parity) // 2 + 1]
+        bb = b * b
+        a4 = 4 * a
+        if 4 * last * last <= lo:  # then max(lo, 4a^2 - b^2) = lo throughout
+            x = (-lo - bb) % a4
+        else:
+            start = np.maximum(a4 * a - bb, lo)
+            x = (-bb - start) % a4
+            x += start - lo
+        keep = x <= width  # x holds X - lo
+        keep &= b <= a
+        flat = np.flatnonzero(keep)
+        if flat.size:
+            row, col = np.divmod(flat, b.size)
+            counts += _tally(lo, hi, row + first, b[col], x.ravel()[flat] + lo)
+        first = last + 1
+    return counts
+
+
+def _tally(lo: int, hi: int, a, b, x) -> np.ndarray:
+    """Counts of the forms (a, b, c) of discriminant -X, X = x, x + 4a, ...
+    <= hi, by X - lo: one per primitive form, two when 0 < b < a < c."""
+    a4 = 4 * a
+    if 4 * a[0] <= hi - lo:  # a ascends: only the first rows step
+        steps = (hi - x) // a4 + 1
+        a, b, a4, x = (np.repeat(v, steps) for v in (a, b, a4, x))
+        x += a4 * (np.arange(x.size) - np.repeat(np.cumsum(steps) - steps, steps))
+    c = (x + b * b) // a4
+    primitive = np.gcd(np.gcd(a, b), c) == 1
+    twice = primitive & (b > 0) & (b < a) & (a < c)
+    width = hi - lo + 1
+    return np.bincount(x[primitive] - lo, minlength=width) + np.bincount(x[twice] - lo, minlength=width)
 
 
 def prime_form(disc: int, q: int, rng=None) -> QuadForm | None:

@@ -286,6 +286,20 @@ class TestDeterminismAndCache:
             assert cache.get_h(-23) == 3
             assert cache.get_factor(-23) == (-1, ((23, 1),))
 
+    def test_append_after_a_torn_last_line(self, capsys, tmp_path, fresh_memo):
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text('{"key":"h:-23","value":"3","v":1}')  # no newline
+        for _ in range(2):
+            result_cache._memo.clear()
+            code, out, err = run(["classnum", "--d", "-104", "--json", "--cache", str(cache_file)], capsys)
+            assert code == 0
+            assert err == ""
+            assert json.loads(out)["h"] == "6"
+        with result_cache.ResultCache(str(cache_file)) as cache:
+            assert cache.get_h(-23) == 3
+            assert cache.get_h(-104) == 6
+        assert cache_file.read_text().startswith('{"key":"h:-23","value":"3","v":1}\n{')
+
     def test_wrong_factor_entry_is_recomputed(self, capsys, tmp_path, fresh_memo):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"factor:-20","value":"-1:2^1,5^1","v":1}\n')
@@ -325,6 +339,25 @@ class TestDeterminismAndCache:
         _, a, _ = run(base, capsys)
         _, b, _ = run(base + ["--threads", "4"], capsys)
         assert a == b
+
+
+class TestCaps:
+    def test_rho_budget_is_charged_by_operand_size(self):
+        # 3^1001 - 4 leaves a cofactor of hundreds of bits after trial
+        # division; each rho step on it costs one budget unit per 64 bits,
+        # so the default budget runs out in seconds, not hours
+        src = str(Path(quadclass.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadclass", "witness", "--x", "2", "--y", "3", "--n", "1001"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "unfactored cofactor" in proc.stderr
 
 
 class TestCacheEncoding:

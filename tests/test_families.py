@@ -1,6 +1,7 @@
 import pytest
 
-from quadclass import classgroup, families
+from quadclass import cache as result_cache
+from quadclass import classgroup, cli, families, qform
 from quadclass.errors import InputError, ResourceCapError
 
 
@@ -246,3 +247,88 @@ class TestSearch:
 
     def test_max_hits_zero(self):
         assert families.search_successive(3, [0], -30, -1, max_hits=0) == []
+
+
+class TestSearchSieve:
+    """search_successive counts a chunk's large fields with qform's windowed
+    sieve; without it every field is counted on its own, as before."""
+
+    WINDOW = (-1_000_150, -1_000_001)
+
+    @pytest.fixture
+    def sieve_calls(self, monkeypatch):
+        calls = []
+        real = qform._window_counts
+
+        def counting(lo, hi):
+            calls.append((lo, hi))
+            return real(lo, hi)
+
+        monkeypatch.setattr(qform, "_window_counts", counting)
+        return calls
+
+    def search_from_cold_memo(self, monkeypatch):
+        monkeypatch.setattr(result_cache, "_memo", {})
+        lo, hi = self.WINDOW
+        hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6, threads=1)
+        return hits, dict(result_cache._memo)
+
+    def test_deep_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
+        hits, memo = self.search_from_cold_memo(monkeypatch)
+        assert sieve_calls, "the deep window should reach the sieve"
+        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
+        reference, reference_memo = self.search_from_cold_memo(monkeypatch)
+        assert hits == reference
+        assert len(hits) > 5
+        # the sieve adds no memo entry and changes none
+        assert memo == reference_memo
+
+    def test_near_window_skips_the_planning(self, monkeypatch, sieve_calls):
+        calls = []
+        real = classgroup.intmath.squarefree_part
+        monkeypatch.setattr(
+            classgroup.intmath, "squarefree_part", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+
+        def count_calls():
+            calls.clear()
+            monkeypatch.setattr(result_cache, "_memo", {})
+            families.search_successive(3, [0, 1, 4], -9100, -9001, max_hits=100)
+            return len(calls)
+
+        planned = count_calls()
+        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
+        assert planned == count_calls()
+        assert not sieve_calls
+
+    def test_cache_file_gets_the_same_entries(self, monkeypatch, tmp_path, capsys):
+        lo, hi = self.WINDOW
+        args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
+                "--max-hits", "1000", "--json"]
+
+        def run(path):
+            monkeypatch.setattr(result_cache, "_memo", {})
+            assert cli.main(args + ["--cache", str(path)]) == 0
+            return capsys.readouterr().out, sorted(path.read_text().splitlines())
+
+        sieved_out, sieved_lines = run(tmp_path / "sieved.jsonl")
+        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
+        plain_out, plain_lines = run(tmp_path / "plain.jsonl")
+        assert sieved_out == plain_out
+        assert sieved_lines == plain_lines
+        assert sum('"key":"h:' in line for line in plain_lines) > 100
+
+    def test_warm_cache_entries_are_not_sieved(self, monkeypatch, tmp_path, capsys, sieve_calls):
+        lo, hi = self.WINDOW
+        args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
+                "--cache", str(tmp_path / "c.jsonl")]
+        monkeypatch.setattr(result_cache, "_memo", {})
+        assert cli.main(args) == 0
+        cold = len(sieve_calls)
+        monkeypatch.setattr(result_cache, "_memo", {})
+        assert cli.main(args) == 0
+        assert cold and len(sieve_calls) == cold
+
+    def test_value_over_the_cap_still_raises(self):
+        with pytest.raises(ResourceCapError):
+            families.search_successive(3, [0, 1, 4], -1_000_150, -1_000_001, max_disc=10**6)

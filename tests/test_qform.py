@@ -137,6 +137,63 @@ class TestEnumerate:
             qform.enumerate_reduced(4)
 
 
+class TestWindowedSieve:
+    """qform._window_counts and count_reduced_sieved against per-disc routes."""
+
+    @staticmethod
+    def window(lo, hi):
+        counts = qform._window_counts(lo, hi)
+        return {x: int(counts[x - lo]) for x in range(lo, hi + 1, 4)}
+
+    @pytest.mark.parametrize("lo,hi", [(3, 599), (4, 600), (1003, 1403), (1500, 1900)])
+    def test_matches_brute_force(self, lo, hi):
+        for x, count in self.window(lo, hi).items():
+            assert count == len(brute_reduced_forms(-x)), x
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (qform._NUMPY_MIN_DISC - 201, qform._NUMPY_MIN_DISC + 199),  # 3 mod 4
+            (qform._NUMPY_MIN_DISC - 200, qform._NUMPY_MIN_DISC + 200),  # 0 mod 4
+            (999_903, 1_000_103),
+            (1_000_000, 1_000_200),
+            (3_999_903, 4_000_027),
+            (4_000_000, 4_000_124),
+        ],
+    )
+    def test_matches_count_reduced(self, lo, hi):
+        got = self.window(lo, hi)
+        # non-fundamental discriminants are counted too
+        assert any(x % 9 == 0 or x % 16 in (0, 12) for x in got)
+        for x, count in got.items():
+            assert count == qform.count_reduced(-x), x
+
+    def test_steps_c_in_windows_wider_than_4a(self):
+        # a single X, and a window wide enough that small a take several c
+        assert self.window(300_007, 300_007) == {300_007: qform.count_reduced(-300_007)}
+        for x, count in self.window(300_000, 302_000).items():
+            if x % 100 == 0:
+                assert count == qform.count_reduced(-x), x
+
+    def test_sieved_counts_only_clusters_above_the_threshold(self):
+        big = qform._NUMPY_MIN_DISC + 3  # 3 mod 4
+        cluster = [-big, -(big + 4), -(big + 40)]
+        lone = -(big + 10_000)  # more than sqrt(|disc|) away
+        small = [-1003, -1007]  # below the numpy threshold
+        over = [-(10**6 + 3), -(10**6 + 7)]  # over max_disc
+        got = qform.count_reduced_sieved(cluster + [lone] + small + over, max_disc=10**6)
+        assert got == {d: qform.count_reduced(d) for d in cluster}
+
+    def test_sieved_counts_split_by_class(self):
+        big = 1_000_000
+        discs = [-big, -(big + 3), -(big + 4), -(big + 7)]
+        assert qform.count_reduced_sieved(discs) == {d: qform.count_reduced(d) for d in discs}
+
+    def test_sieved_rejects_bad_discriminants(self):
+        with pytest.raises(InputError):
+            qform.count_reduced_sieved([-1_000_001, -1_000_005])
+
+
 class TestIdentityInverse:
     def test_identity_values(self):
         assert qform.identity_form(-4) == QuadForm(1, 0, 1)
