@@ -278,6 +278,42 @@ class ClassGroupInfo:
     generators: tuple[QuadForm, ...]
 
 
+def _element_orders(forms: list[QuadForm], h: int) -> dict[QuadForm, int]:
+    """Order of every class, forms being all h reduced forms of one disc.
+
+    Walks the cyclic subgroup of each class whose order is not yet known:
+    f, f^2, f^3, ... until the identity comes back after n = ord(f) steps,
+    and records ord(f^k) = n / gcd(k, n) for every power met.  The phi(n)
+    generators of <f> are all unseen before its walk, so the walks make at
+    most h * max(n / phi(n)) compositions in all (n | h; under 4.82 h for
+    h <= 10^4).  A walk that leaves the enumerated forms, runs h steps
+    without closing or closes at an n not dividing h, and a class met with
+    two different orders, raise InconsistencyError.
+    """
+    known = set(forms)
+    ident = qform.identity_form(forms[0].discriminant)
+    orders: dict[QuadForm, int] = {}
+    for f in forms:
+        if f in orders:
+            continue
+        powers = [f]
+        while powers[-1] != ident:
+            if len(powers) == h:
+                raise InconsistencyError(f"power(f, {h}) is not principal for f = {f}")
+            g = powers[-1].compose(f)
+            if g not in known:
+                raise InconsistencyError(f"{g} is not a reduced form of disc {ident.discriminant}")
+            powers.append(g)
+        n = len(powers)
+        if h % n:
+            raise InconsistencyError(f"class {f} has order {n}, which does not divide h = {h}")
+        for k, g in enumerate(powers, 1):
+            order = n // math.gcd(k, n)
+            if orders.setdefault(g, order) != order:
+                raise InconsistencyError(f"class {g} met with orders {orders[g]} and {order}")
+    return orders
+
+
 def _exact_log(value: int, p: int) -> int:
     """e with p**e == value; the inputs here are always exact powers."""
     e = 0
@@ -317,9 +353,13 @@ def group_structure(
 ) -> ClassGroupInfo:
     """Elementary divisors and matching generators of the form class group.
 
-    Element orders give the Sylow invariant profile by counting; generators
-    are then picked greedily (largest remaining invariant first) and verified
-    by explicit subgroup growth, so the certificate is self-checking.
+    Element orders come from one walk per cyclic subgroup: composing f, f^2,
+    ... until the identity returns gives ord(f) and, through
+    ord(f^k) = ord(f) / gcd(k, ord(f)), the order of every power met, in
+    fewer than 4.82 h compositions for h <= 10^4.  The orders give the Sylow
+    invariant profile by counting; generators are then picked greedily
+    (largest remaining invariant first) and verified by explicit subgroup
+    growth, so the certificate is self-checking.
     """
     forms = qform.enumerate_reduced(disc, max_disc)
     h = len(forms)
@@ -329,7 +369,7 @@ def group_structure(
         )
     if h == 1:
         return ClassGroupInfo(disc, 1, (), ())
-    orders = {f: order_of_class(f, h, budget, rng) for f in forms}
+    orders = _element_orders(forms, h)
     hfac = intmath.factor(h, budget, rng)
 
     # Sylow exponent profile per prime, from element-order counts alone.

@@ -85,6 +85,7 @@ def cohn_check(
         raise InputError(f"V must be odd and >= 3, got {V}")
     if n < 3 or n % 2 == 0:
         raise InputError(f"n must be odd and >= 3, got {n}")
+    intmath.check_power(V, n, "V^n")
     h, _, _ = classgroup.class_number_of_field(1 - V**n, max_disc, budget, rng)
     return CohnResult(h=h, divisible=h % n == 0, is_exception=(V, n) == (3, 5))
 
@@ -111,6 +112,8 @@ def hoque_check(
         raise InputError(f"n must be positive, got {n}")
     if r not in (-2, 4):
         raise InputError(f"r must be -2 or 4, got {r}")
+    intmath.check_power(3, m, "3^m")
+    intmath.check_power(p, 2 * n, "p^(2n)")
     value = -(3**m * p ** (2 * n) + r)
     h, _, d_sf = classgroup.class_number_of_field(value, max_disc, budget, rng)
     note = "p divisible by 3: outside the stated hypotheses" if p % 3 == 0 else ""
@@ -202,7 +205,10 @@ def iizuka_family(
         raise InputError(f"n must be odd and >= 3, got {n}")
     if m < 1 or l < 1:
         raise InputError(f"m and l must be positive, got m={m}, l={l}")
-    big = math.factorial(m + 1) ** (n * l)
+    intmath.check_power(m + 1, m + 1, "(m+1)!")  # (m+1)! <= (m+1)^(m+1)
+    fact = math.factorial(m + 1)
+    intmath.check_power(fact, n * n * l, "(1 - ((m+1)!)^(nl))^n")
+    big = fact ** (n * l)
     y = big - 1
     base_d = (1 - big) ** n
     raw = []
@@ -259,8 +265,11 @@ def cor5_family(
         raise InputError(f"k must be >= 2 (k = 1 degenerates to d = 0), got {k}")
     if l < 1:
         raise InputError(f"l must be positive, got {l}")
-    y = math.factorial(k) ** l - 1
-    base_d = (k - 1) ** 2 + (1 - math.factorial(k) ** l) ** n
+    intmath.check_power(k, k, "k!")  # k! <= k^k
+    fact = math.factorial(k)
+    intmath.check_power(fact, n * l, "(1 - (k!)^l)^n")
+    y = fact**l - 1
+    base_d = (k - 1) ** 2 + (1 - fact**l) ** n
     m_off = 2 * k - 1
     if base_d + m_off >= 0:
         raise InputError(
@@ -298,6 +307,8 @@ def cor7_family(
         raise InputError(f"p must be an odd prime > 3, got {p}")
     if k < 1 or t < 1:
         raise InputError(f"k and t must be positive, got k={k}, t={t}")
+    intmath.check_power(3, 3 * k, "3^(3k)")
+    intmath.check_power(p, 6 * t, "p^(6t)")
     V = 3**k * p ** (2 * t)
     base_d = 1 - V**3
     raw = [

@@ -33,6 +33,12 @@ _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_RANDOM_ROUNDS = 40
 
+# Largest power, in bits, that a family or witness builds before factoring
+# it.  ``factor`` refuses numbers too long for str() (4300 decimal digits,
+# about 14300 bits, by default) anyway; this keeps hopeless powers from
+# being built at all.
+MAX_POWER_BITS = 1 << 16
+
 
 def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
     """Extended Euclid: (g, u, v) with u*a + v*b = g = gcd(a, b) and g >= 0.
@@ -247,7 +253,9 @@ def factor(
     unit.  Exhausting it raises ResourceCapError naming the unfactored
     cofactor.  Since the value is canonical, results are kept in the result
     cache (memo, and file when one is active), and a hit costs no budget;
-    ``use_cache=False`` forces a fresh computation.
+    ``use_cache=False`` forces a fresh computation.  A cached n must fit in
+    str() (``sys.get_int_max_str_digits()`` decimal digits); a longer one
+    raises ResourceCapError naming its bit length.
     """
     if n == 0:
         raise InputError("cannot factor 0")
@@ -261,12 +269,28 @@ def factor(
 
     if not use_cache:
         return compute()
+    digits = sys.get_int_max_str_digits()
+    # 10**digits has over 3.3 * digits bits: shorter n skip the exact test
+    if digits and n.bit_length() > 3 * digits and abs(n) >= 10**digits:
+        raise ResourceCapError(
+            f"cannot factor a {n.bit_length()}-bit number: more than {digits} decimal digits",
+            detail=n.bit_length(),
+        )
     return result_cache.lookup(
         f"factor:{n}",
         compute,
         read=lambda file: _read_factor(file, n),
         write=lambda file, fac: file.put_factor(n, fac.sign, fac.factors),
     )
+
+
+def check_power(base: int, exponent: int, what: str) -> None:
+    """Raise ResourceCapError before base**exponent is built when its bound
+    exponent * bit_length(base) exceeds MAX_POWER_BITS; |base| <= 1 passes."""
+    if abs(base) > 1 and exponent * base.bit_length() > MAX_POWER_BITS:
+        raise ResourceCapError(
+            f"{what} would have more than {MAX_POWER_BITS} bits", detail=what
+        )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ class Instance:
             raise InputError(f"x and y must be positive, got x={self.x}, y={self.y}")
         if self.n < 3 or self.n % 2 == 0:
             raise InputError(f"n must be odd and >= 3, got {self.n}")
+        intmath.check_power(self.y, self.n, "y^n")
         if self.x * self.x >= self.y**self.n:
             raise InputError(
                 f"need x^2 < y^n for an imaginary field, got x={self.x}, y={self.y}, n={self.n}"
@@ -154,9 +155,10 @@ class ScanRecord:
 def _scan_standard(x, n, y, max_disc, budget, rng):
     if math.gcd(2 * x, y) != 1:
         return ScanRecord(y=y, status="skipped", reason="gcd(2x, y) != 1")
-    if x * x >= y**n:
-        return ScanRecord(y=y, status="skipped", reason="x^2 >= y^n")
     try:
+        intmath.check_power(y, n, "y^n")
+        if x * x >= y**n:
+            return ScanRecord(y=y, status="skipped", reason="x^2 >= y^n")
         report = verify_instance(Instance(x, y, n), max_disc, budget, rng)
     except QuadclassError as exc:
         return ScanRecord(y=y, status="error", reason=str(exc))
@@ -166,9 +168,10 @@ def _scan_standard(x, n, y, max_disc, budget, rng):
 def _scan_four(x, n, y, max_disc, budget, rng):
     if math.gcd(x, y) != 1:
         return ScanRecord(y=y, status="skipped", reason="gcd(x, y) != 1")
-    if x * x >= 4 * y**n:
-        return ScanRecord(y=y, status="skipped", reason="x^2 >= 4y^n")
     try:
+        intmath.check_power(y, n, "y^n")
+        if x * x >= 4 * y**n:
+            return ScanRecord(y=y, status="skipped", reason="x^2 >= 4y^n")
         value = x * x - 4 * y**n
         h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget, rng)
         t = intmath.squarefree_part(value, budget, rng).t

@@ -215,3 +215,78 @@ class TestGroupStructure:
     def test_structure_cap(self):
         with pytest.raises(ResourceCapError):
             classgroup.group_structure(-104, structure_cap=2)
+
+
+class TestCyclicWalk:
+    def test_walked_orders_equal_order_of_class(self):
+        for disc in range(-3, -3001, -1):
+            if disc % 4 not in (0, 1):
+                continue
+            forms = qform.enumerate_reduced(disc)
+            h = len(forms)
+            orders = classgroup._element_orders(forms, h)
+            assert orders == {f: classgroup.order_of_class(f, h) for f in forms}
+
+    def test_order_not_dividing_h_raises(self):
+        # as order_of_class does for a wrong multiple of the order
+        with pytest.raises(InconsistencyError, match="does not divide"):
+            classgroup._element_orders(qform.enumerate_reduced(-23), 4)
+
+    @pytest.mark.parametrize(
+        "disc,h,divisors,generators",
+        [
+            (-4873699, 552, (552,), ("(5,-1,243685)",)),
+            (-4689835, 496, (2, 2, 124), ("(79,79,14861)", "(5,5,234493)", "(7,-5,167495)")),
+            (-3835384, 496, (4, 124), ("(365,-286,2683)", "(5,-4,191770)")),
+            (-2905687, 525, (525,), ("(2,-1,363211)",)),
+        ],
+    )
+    def test_same_structure_as_the_powering_ladder(self, disc, h, divisors, generators):
+        # expected values were produced by the per-class powering ladder
+        info = classgroup.group_structure(disc)
+        assert info.h == h
+        assert info.elementary_divisors == divisors
+        assert tuple(str(g) for g in info.generators) == generators
+
+    @staticmethod
+    def faulty_compose(kind, forms, compose):
+        """A QuadForm.compose that returns a wrong reduced form."""
+        if kind == "other-disc":
+            return lambda f, g: QuadForm(1, 1, 1)
+        if kind == "never-closes":
+            return lambda f, g: f
+        if kind == "always-identity":
+            return lambda f, g: qform.identity_form(f.discriminant)
+        # the reduced form after the true product, in canonical order
+        return lambda f, g: forms[(forms.index(compose(f, g)) + 1) % len(forms)]
+
+    @pytest.mark.parametrize(
+        "kind,match",
+        [
+            ("other-disc", "not a reduced form"),
+            ("never-closes", "not principal"),
+            ("always-identity", None),
+            ("next-form", None),
+        ],
+    )
+    @pytest.mark.parametrize("disc", [-23, -84, -231, -1391, -4873699])
+    def test_wrong_compose_raises(self, monkeypatch, kind, match, disc):
+        forms = qform.enumerate_reduced(disc)
+        wrong = self.faulty_compose(kind, forms, QuadForm.compose)
+        monkeypatch.setattr(QuadForm, "compose", wrong)
+        with pytest.raises(InconsistencyError, match=match):
+            classgroup.group_structure(disc)
+
+    def test_compose_calls_bounded(self, monkeypatch):
+        calls = 0
+        compose = QuadForm.compose
+
+        def counted(f, g):
+            nonlocal calls
+            calls += 1
+            return compose(f, g)
+
+        monkeypatch.setattr(QuadForm, "compose", counted)
+        info = classgroup.group_structure(-4873699)
+        assert info.h == 552
+        assert 0 < calls <= 6 * info.h

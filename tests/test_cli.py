@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -358,6 +359,25 @@ class TestCaps:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "unfactored cofactor" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # (1 - (21!)^300)^3: built, but too long for factor's cache key
+            (["family", "iizuka", "--n", "3", "--m", "20", "--l", "100"], "19641-bit number"),
+            # powers refused before they are built
+            (["witness", "--x", "1", "--y", "3", "--n", "4000001"], "y^n would have"),
+            (["check", "cohn", "--V", "3", "--n", "2000001"], "V^n would have"),
+            (["family", "iizuka", "--n", "3", "--m", "20", "--l", "200000"], "would have"),
+        ],
+    )
+    def test_huge_operands_exit_three_promptly(self, argv, message, capsys):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource cap:") and message in err
 
 
 class TestCacheEncoding:

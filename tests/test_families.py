@@ -112,6 +112,25 @@ class TestIizuka:
             # (24!^3 shapes are too big for the default cap anyway)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: families.cohn_check(3, 2000001),
+        lambda: families.hoque_check(1000001, 5, 1, 4),
+        lambda: families.hoque_check(3, 5, 10**6, 4),
+        lambda: families.iizuka_family(3, 20, 200000),
+        lambda: families.iizuka_family(3, 10**6, 1),
+        lambda: families.cor5_family(3, 10**6, 1),
+        lambda: families.cor5_family(3, 5, 10**6),
+        lambda: families.cor7_family(5, 10**6, 1),
+        lambda: families.cor7_family(5, 1, 10**6),
+    ],
+)
+def test_oversized_powers_are_refused_before_they_are_built(build):
+    with pytest.raises(ResourceCapError, match="would have more than"):
+        build()
+
+
 class TestCor5:
     def test_below_threshold_example(self):
         rep = families.cor5_family(3, 3, 1)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from quadclass import classgroup, witness
-from quadclass.errors import InputError
+from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 from quadclass.witness import Instance
 
@@ -186,3 +186,14 @@ class TestScan:
         assert errs, "expected at least one capped record"
         for r in errs:
             assert "cap" in r.reason
+
+    @pytest.mark.parametrize("variant", ["standard", "four"])
+    def test_oversized_power_is_an_error_record(self, variant):
+        # 1^1000001 is built as before; 3^1000001 is not built
+        by_y = {r.y: r for r in witness.scan(1, 1000001, 1, 3, variant=variant)}
+        assert by_y[1].status != "error"
+        assert by_y[3].status == "error" and "y^n would have more than" in by_y[3].reason
+
+    def test_oversized_instance_is_capped(self):
+        with pytest.raises(ResourceCapError):
+            Instance(1, 3, 4000001)
