@@ -10,7 +10,8 @@ error; 3 resource cap exceeded.
 
 Math-valued fields in JSON are always decimal strings, regardless of size,
 so the schema does not depend on magnitudes.  The QUADCLASS_CACHE environment
-variable overrides --cache.  A fixed --seed makes runs byte-identical.
+variable overrides --cache.  Every command runs sequentially, so a fixed
+--seed makes runs byte-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class RunConfig:
     seed: int = 0
     cache_path: str | None = None
     output: str = "table"  # table | json | csv
-    threads: int = 1
     verify_cache: bool = False
 
     def rng(self) -> random.Random:
@@ -59,7 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "per started 64 bits of the number split")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized subroutines (fixed seed = reproducible run)")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
     parser.add_argument("--cache", metavar="PATH", default=None,
                         help="append-only result cache file (QUADCLASS_CACHE overrides)")
     parser.add_argument("--verify-cache", action="store_true",
@@ -152,15 +151,14 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         raise InputError("--json and --csv are mutually exclusive")
     output = "json" if args.json else "csv" if args.csv else "table"
     cache_path = os.environ.get("QUADCLASS_CACHE") or args.cache
-    if args.max_disc < 1 or args.factor_budget < 1 or args.threads < 1:
-        raise InputError("caps, budget and threads must be positive")
+    if args.max_disc < 1 or args.factor_budget < 1:
+        raise InputError("caps and budget must be positive")
     return RunConfig(
         max_disc=args.max_disc,
         factor_budget=args.factor_budget,
         seed=args.seed,
         cache_path=cache_path,
         output=output,
-        threads=args.threads,
         verify_cache=args.verify_cache,
     )
 
@@ -302,7 +300,6 @@ def cmd_scan(args, config: RunConfig) -> int:
         max_disc=config.max_disc,
         budget=config.factor_budget,
         rng=config.rng(),
-        threads=config.threads,
     )
     rec_docs = []
     rows = []
@@ -386,7 +383,6 @@ def cmd_family(args, config: RunConfig) -> int:
         max_disc=config.max_disc,
         budget=config.factor_budget,
         rng=config.rng(),
-        threads=config.threads,
     )
     if args.family_kind == "iizuka":
         rep = families.iizuka_family(args.n, args.m, args.l, **kw)
@@ -414,7 +410,6 @@ def cmd_search(args, config: RunConfig) -> int:
         max_disc=config.max_disc,
         budget=config.factor_budget,
         rng=config.rng(),
-        threads=config.threads,
     )
     doc = {"command": "search", "n": str(args.n), "offsets": offsets,
            "hits": [_family_doc(h) for h in hits]}

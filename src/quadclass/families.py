@@ -10,10 +10,11 @@ Builders for three constructions and a brute-force search:
 * cor7_family: d = 1 - 3^(3k) p^(6t), the triple (d, d+1, d+3) for
   divisibility by 3.
 * search_successive: exhaustive scan for offset patterns at small |d|.  It
-  works in chunks of consecutive d; the fields of a chunk's first offset
+  works in chunks of 64 consecutive d; the fields of a chunk's first offset
   with |disc| >= 2^18 are counted together by the windowed sieve
   (``classgroup.sieve_fields``), the rest one at a time, and every hit is
-  recounted on its own before it is reported.
+  recounted on its own before it is reported.  Every builder and the search
+  run sequentially; the search's ``threads`` keyword accepts only 1.
 
 Members are flagged ``asserted`` only when an unconditional theorem backs
 them (cohn_check / hoque_check shapes); members that rely on "parameters
@@ -23,15 +24,18 @@ are ineffective and small parameters genuinely fail.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import classgroup, intmath, qform
-from ._util import ordered_parallel
 from .errors import InputError, InconsistencyError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP
+
+# The window of first-offset fields that ``classgroup.sieve_fields`` counts together.
+_SEARCH_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ def _squarefree_part_of_power(base: int, n: int, budget, rng) -> intmath.Squaref
     return intmath.SquarefreeDecomp(d=d, t=t)
 
 
-def _resolve_members(raw_members, max_disc, budget, rng, threads):
+def _resolve_members(raw_members, max_disc, budget, rng):
     """Attach (d_sf, disc, h, divisible) to prepared member stubs.
 
     Stage one computes every member's discriminant (cheap factoring) and
@@ -154,21 +158,22 @@ def _resolve_members(raw_members, max_disc, budget, rng, threads):
             )
         staged.append((offset, value, d_sf, disc, asserted, note, modulus))
 
-    def finish(item):
-        offset, value, d_sf, disc, asserted, note, modulus = item
+    members = []
+    for offset, value, d_sf, disc, asserted, note, modulus in staged:
         h = classgroup.class_number_of_field(d_sf, max_disc, budget, rng).h
-        return FamilyMember(
-            offset=offset,
-            value=value,
-            d_sf=d_sf,
-            disc=disc,
-            h=h,
-            divisible=h % modulus == 0,
-            asserted=asserted,
-            note=note,
+        members.append(
+            FamilyMember(
+                offset=offset,
+                value=value,
+                d_sf=d_sf,
+                disc=disc,
+                h=h,
+                divisible=h % modulus == 0,
+                asserted=asserted,
+                note=note,
+            )
         )
-
-    return tuple(ordered_parallel(finish, staged, threads))
+    return tuple(members)
 
 
 def _finish_report(kind, parameters, base_d, members):
@@ -189,7 +194,6 @@ def iizuka_family(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
 ) -> FamilyReport:
     """Members base_d + x^2 for x = 0..m, with base_d = (1 - ((m+1)!)^(nl))^n.
 
@@ -238,7 +242,7 @@ def iizuka_family(
                 f"conditional: x = {x} member needs y above an ineffective threshold"
             )
         raw.append((x * x, value, decomp, asserted, note, n))
-    members = _resolve_members(raw, max_disc, budget, rng, threads)
+    members = _resolve_members(raw, max_disc, budget, rng)
     return _finish_report(
         "iizuka_squares", {"n": n, "m": m, "l": l, "y": y}, base_d, members
     )
@@ -251,7 +255,6 @@ def cor5_family(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
 ) -> FamilyReport:
     """Pair d and d + (2k - 1) with d = (k-1)^2 + (1 - (k!)^l)^n.
 
@@ -282,7 +285,7 @@ def cor5_family(
         if not gcd_ok:
             note = f"gcd(2x, y) != 1 for x = {x}: outside the construction's hypotheses"
         raw.append((offset, base_d + offset, None, False, note, n))
-    members = _resolve_members(raw, max_disc, budget, rng, threads)
+    members = _resolve_members(raw, max_disc, budget, rng)
     return _finish_report(
         "cor5_pair", {"n": n, "k": k, "l": l, "y": y, "m": m_off}, base_d, members
     )
@@ -295,7 +298,6 @@ def cor7_family(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
 ) -> FamilyReport:
     """Triple (d, d+1, d+3) with d = 1 - 3^(3k) p^(6t), divisibility by 3.
 
@@ -325,7 +327,7 @@ def cor7_family(
         ),
         (3, base_d + 3, None, False, "conditional: x = 2 member needs V above an ineffective threshold", 3),
     ]
-    members = _resolve_members(raw, max_disc, budget, rng, threads)
+    members = _resolve_members(raw, max_disc, budget, rng)
     return _finish_report("cor7_triple", {"p": p, "k": k, "t": t}, base_d, members)
 
 
@@ -349,9 +351,15 @@ def search_successive(
     the memo nor the cache file holds are counted together by the windowed
     sieve when they are large enough; the answers and the cache entries are
     the same as when each is counted alone.  Every hit is re-verified with a
-    fresh, cache-free form count before being reported.  ``threads`` maps
-    the d of a chunk over a thread pool.
+    fresh, cache-free form count before being reported.
+
+    The search runs in order on the calling thread.  ``threads`` must be 1
+    and any other value raises InputError; the keyword is kept only because
+    ``benchmark/worker.py`` passes ``threads=1``, and it goes when the
+    benchmark next changes.
     """
+    if threads != 1:
+        raise InputError(f"threads must be 1, got {threads}")
     if n < 3:
         raise InputError(f"n must be >= 3, got {n}")
     if d_from > d_to:
@@ -381,34 +389,23 @@ def search_successive(
                 return False
         return True
 
-    def collect_hits(block: list[int]) -> list[FamilyReport]:
+    order = range(d_to, d_from - 1, -1) if smallest_first else range(d_from, d_to + 1)
+    hits: list[FamilyReport] = []
+    for start in itertools.count(0, _SEARCH_CHUNK):
+        block = order[start : start + _SEARCH_CHUNK]
+        if not block:
+            return hits
         # Every d that can qualify looks up its first offset's field, so
         # sieving those fields together adds no memo or cache entry.
         firsts = [d + offsets[0] for d in block if d + max_off < 0]
         sieved = classgroup.sieve_fields(firsts, max_disc, budget, rng)
-        flags = ordered_parallel(lambda d: qualifies(d, sieved), block, threads)
-        out = []
-        for d, ok in zip(block, flags):
-            if len(hits) + len(out) >= max_hits:
-                break
-            if ok:
-                out.append(_hit_report(d, n, offsets, max_disc, budget, rng))
-        return out
-
-    order = range(d_to, d_from - 1, -1) if smallest_first else range(d_from, d_to + 1)
-    hits: list[FamilyReport] = []
-    chunk = max(64, threads * 16)
-    block: list[int] = []
-    for d in order:
-        block.append(d)
-        if len(block) < chunk:
-            continue
-        hits.extend(collect_hits(block))
-        block = []
-        if len(hits) >= max_hits:
-            return hits
-    hits.extend(collect_hits(block))
-    return hits
+        # The whole block is checked before any hit is reported, so a run's
+        # memo and cache entries do not depend on where max_hits stops it.
+        found = [d for d in block if qualifies(d, sieved)]
+        for d in found:
+            hits.append(_hit_report(d, n, offsets, max_disc, budget, rng))
+            if len(hits) >= max_hits:
+                return hits
 
 
 def _hit_report(d, n, offsets, max_disc, budget, rng) -> FamilyReport:

@@ -170,14 +170,13 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
     sign: int
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
+def _cofactor_text(v: int) -> str:
+    """v in full when it has at most 60 digits, else its bit length and last
+    12 digits (no str() of the whole number)."""
+    if v < 10**60:
+        return str(v)
+    return f"of {v.bit_length()} bits ending in ...{v % 10**12:012d}"
 
 
 def _factor_impl(n: int, budget: int, rng: random.Random) -> Factorization:
@@ -200,7 +199,8 @@ def _factor_impl(n: int, budget: int, rng: random.Random) -> Factorization:
             f, budget = _brent_rho(v, rng, budget)
             if f is None:
                 raise ResourceCapError(
-                    f"factoring budget exhausted; unfactored cofactor {v}", detail=v
+                    f"factoring budget exhausted; unfactored cofactor {_cofactor_text(v)}",
+                    detail=v,
                 )
             stack.append(f)
             stack.append(v // f)
@@ -251,7 +251,8 @@ def factor(
     ``budget`` caps the rho work: each iteration costs one unit per started
     64 bits of the cofactor it splits, so operands of up to 64 bits pay one
     unit.  Exhausting it raises ResourceCapError naming the unfactored
-    cofactor.  Since the value is canonical, results are kept in the result
+    cofactor: in full up to 60 digits, else by its bit length and last 12
+    digits.  Since the value is canonical, results are kept in the result
     cache (memo, and file when one is active), and a hit costs no budget;
     ``use_cache=False`` forces a fresh computation.  A cached n must fit in
     str() (``sys.get_int_max_str_digits()`` decimal digits); a longer one

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from . import classgroup, qform
 from . import intmath
-from ._util import ordered_parallel
 from .errors import InconsistencyError, InputError, QuadclassError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP, QuadForm
 
@@ -190,7 +189,6 @@ def scan(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
     rng: random.Random | None = None,
-    threads: int = 1,
 ) -> list[ScanRecord]:
     """One record per y in [y_from, y_to]: witness reports (standard variant),
     divisibility-only records (four variant), or skip/error markers.
@@ -206,9 +204,9 @@ def scan(
         raise InputError(f"n must be odd and >= 3, got {n}")
     worker = _scan_standard if variant == "standard" else _scan_four
 
-    def run_one(y):
-        if y < 1:
-            return ScanRecord(y=y, status="skipped", reason="y < 1")
-        return worker(x, n, y, max_disc, budget, rng)
-
-    return ordered_parallel(run_one, range(y_from, y_to + 1), threads)
+    return [
+        worker(x, n, y, max_disc, budget, rng)
+        if y >= 1
+        else ScanRecord(y=y, status="skipped", reason="y < 1")
+        for y in range(y_from, y_to + 1)
+    ]

@@ -335,11 +335,26 @@ class TestDeterminismAndCache:
         assert env_cache.exists()
         assert not flag_cache.exists()
 
-    def test_threads_do_not_change_output(self, capsys):
-        base = ["scan", "--x", "2", "--n", "3", "--from", "3", "--to", "21", "--json"]
-        _, a, _ = run(base, capsys)
-        _, b, _ = run(base + ["--threads", "4"], capsys)
-        assert a == b
+    def test_threads_flag_is_rejected(self, capsys):
+        argv = ["scan", "--x", "2", "--n", "3", "--from", "3", "--to", "21", "--threads", "4"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+    def test_import_loads_no_thread_pool(self):
+        src = str(Path(quadclass.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quadclass; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCaps:

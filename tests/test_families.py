@@ -247,10 +247,10 @@ class TestSearch:
         # both directions find the same set, in opposite orders
         assert [h.base_d for h in large] == [h.base_d for h in reversed(small)]
 
-    def test_threads_deterministic(self):
-        a = families.search_successive(3, [0, 1], -400, -1, max_hits=3, threads=1)
-        b = families.search_successive(3, [0, 1], -400, -1, max_hits=3, threads=4)
-        assert a == b
+    @pytest.mark.parametrize("threads", [0, 2, 4])
+    def test_threads_other_than_one_rejected(self, threads):
+        with pytest.raises(InputError, match="threads must be 1"):
+            families.search_successive(3, [0, 1], -400, -1, max_hits=3, threads=threads)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -289,7 +289,7 @@ class TestSearchSieve:
     def search_from_cold_memo(self, monkeypatch):
         monkeypatch.setattr(result_cache, "_memo", {})
         lo, hi = self.WINDOW
-        hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6, threads=1)
+        hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
         return hits, dict(result_cache._memo)
 
     def test_deep_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):

@@ -88,6 +88,27 @@ class TestFactor:
         assert str(n) in str(exc.value)
         assert exc.value.detail == n
 
+    def test_long_cofactor_message_is_bounded(self, monkeypatch):
+        # 10^4300 - 1 keeps a composite cofactor of about 4290 digits after
+        # trial division.  One Miller-Rabin round takes seconds to show that
+        # it is composite, so the test gives that answer directly.
+        monkeypatch.setattr(intmath, "is_prime", lambda v, rng=None: False)
+        with pytest.raises(ResourceCapError) as exc:
+            intmath.factor(10**4300 - 1, budget=10)
+        v = exc.value.detail
+        message = str(exc.value)
+        assert v.bit_length() > 14000
+        assert len(message) < 120
+        assert "unfactored cofactor" in message
+        assert f"{v.bit_length()} bits" in message
+        assert message.endswith(f"{v % 10**12:012d}")
+
+    @pytest.mark.parametrize("v", [10**60 - 1, 10**60])
+    def test_cofactor_printed_in_full_up_to_60_digits(self, v):
+        text = intmath._cofactor_text(v)
+        assert (text == str(v)) == (v < 10**60)
+        assert len(text) < 70
+
     def test_rho_path(self):
         # composite with no factor below the trial-division bound
         p, q = 1000003, 1000033

@@ -170,11 +170,6 @@ class TestScan:
         records = witness.scan(3, 3, 3, 3, variant="four")
         assert records[0].status == "skipped" and "gcd" in records[0].reason
 
-    def test_threads_deterministic(self):
-        a = witness.scan(2, 3, 3, 25, threads=1)
-        b = witness.scan(2, 3, 3, 25, threads=4)
-        assert a == b
-
     def test_bad_variant(self):
         with pytest.raises(InputError):
             witness.scan(2, 3, 3, 9, variant="five")
