@@ -23,6 +23,7 @@ spot check.
 from __future__ import annotations
 
 import json
+import random
 import sys
 import threading
 
@@ -190,8 +191,10 @@ class ResultCache:
     def put_h(self, disc: int, h: int) -> None:
         self._put(f"h:{disc}", str(h))
 
-    def sample_keys(self, count: int, rng) -> list[str]:
+    def sample_keys(self, count: int) -> list[str]:
+        """count keys, or all when there are no more, drawn by a fixed-seed
+        generator so the same file always gives the same sample."""
         keys = sorted(self._data)
         if len(keys) <= count:
             return keys
-        return sorted(rng.sample(keys, count))
+        return sorted(random.Random(0).sample(keys, count))

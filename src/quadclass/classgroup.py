@@ -13,7 +13,6 @@ once per discriminant and process, while |D| <= ANALYTIC_CROSS_CHECK_LIMIT.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,18 +28,16 @@ DEFAULT_STRUCTURE_CAP = 10**4
 ANALYTIC_CROSS_CHECK_LIMIT = 20_000
 
 
-def is_fundamental_discriminant(
-    disc: int, budget: int | None = None, rng: random.Random | None = None
-) -> bool:
+def is_fundamental_discriminant(disc: int, budget: int | None = None) -> bool:
     """True iff disc < 0 is the discriminant of a maximal imaginary order."""
     if disc >= 0:
         return False
     r = disc % 4
     if r == 1:
-        return intmath.squarefree_part(disc, budget, rng).t == 1
+        return intmath.squarefree_part(disc, budget).t == 1
     if r == 0:
         q = disc // 4
-        return q % 4 in (2, 3) and intmath.squarefree_part(q, budget, rng).t == 1
+        return q % 4 in (2, 3) and intmath.squarefree_part(q, budget).t == 1
     return False
 
 
@@ -173,7 +170,6 @@ def class_number_of_field(
     d: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
     sieved: dict[int, int] | None = None,
 ) -> FieldClassNumber:
     """Class number of Q(sqrt(d)) for any negative integer d.
@@ -188,7 +184,7 @@ def class_number_of_field(
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
-    d_sf = intmath.squarefree_part(d, budget, rng).d
+    d_sf = intmath.squarefree_part(d, budget).d
     disc = intmath.field_discriminant(d_sf)
     if -disc > max_disc:
         raise ResourceCapError(
@@ -212,7 +208,6 @@ def sieve_fields(
     values,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> dict[int, int]:
     """Form counts, disc -> count, for the fields Q(sqrt(v)) of the given
     negative values whose h neither the memo nor the cache file holds, as far
@@ -234,7 +229,7 @@ def sieve_fields(
     discs = set()
     for v in values:
         try:
-            disc = intmath.field_discriminant(intmath.squarefree_part(v, budget, rng).d)
+            disc = intmath.field_discriminant(intmath.squarefree_part(v, budget).d)
         except ResourceCapError:
             continue
         if not result_cache.known(f"h:{disc}", read=lambda file: file.get_h(disc)):
@@ -242,9 +237,7 @@ def sieve_fields(
     return qform.count_reduced_sieved(discs, max_disc)
 
 
-def order_of_class(
-    f: QuadForm, h: int, budget: int | None = None, rng: random.Random | None = None
-) -> int:
+def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:
     """Multiplicative order of the class [f], given a multiple h of it.
 
     Factors h and strips primes while the corresponding power stays
@@ -257,7 +250,7 @@ def order_of_class(
     if f.power(h) != ident:
         raise InconsistencyError(f"power(f, {h}) is not principal; {h} is not a multiple of the order")
     m = h
-    for p, _ in intmath.factor(h, budget, rng).factors:
+    for p, _ in intmath.factor(h, budget).factors:
         while m % p == 0 and f.power(m // p) == ident:
             m //= p
     return m
@@ -349,7 +342,6 @@ def group_structure(
     max_disc: int = DEFAULT_DISC_CAP,
     structure_cap: int = DEFAULT_STRUCTURE_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> ClassGroupInfo:
     """Elementary divisors and matching generators of the form class group.
 
@@ -370,7 +362,7 @@ def group_structure(
     if h == 1:
         return ClassGroupInfo(disc, 1, (), ())
     orders = _element_orders(forms, h)
-    hfac = intmath.factor(h, budget, rng)
+    hfac = intmath.factor(h, budget)
 
     # Sylow exponent profile per prime, from element-order counts alone.
     exps_by_prime = {

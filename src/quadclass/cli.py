@@ -10,8 +10,9 @@ error; 3 resource cap exceeded.
 
 Math-valued fields in JSON are always decimal strings, regardless of size,
 so the schema does not depend on magnitudes.  The QUADCLASS_CACHE environment
-variable overrides --cache.  Every command runs sequentially, so a fixed
---seed makes runs byte-identical.
+variable overrides --cache.  Every command runs sequentially and each
+factorization draws from its own fixed-seed generator, so repeated runs are
+byte-identical, with or without a cache.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 
@@ -40,13 +40,9 @@ EXIT_CAP = 3
 class RunConfig:
     max_disc: int = DEFAULT_DISC_CAP
     factor_budget: int = DEFAULT_FACTOR_BUDGET
-    seed: int = 0
     cache_path: str | None = None
     output: str = "table"  # table | json | csv
     verify_cache: bool = False
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -55,10 +51,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-disc", type=int, default=DEFAULT_DISC_CAP,
                         help="enumeration cap on |discriminant|")
     parser.add_argument("--factor-budget", type=int, default=DEFAULT_FACTOR_BUDGET,
-                        help="budget for the randomized factoring stage: one unit per step "
+                        help="budget for the rho factoring stage: one unit per step "
                              "per started 64 bits of the number split")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subroutines (fixed seed = reproducible run)")
     parser.add_argument("--cache", metavar="PATH", default=None,
                         help="append-only result cache file (QUADCLASS_CACHE overrides)")
     parser.add_argument("--verify-cache", action="store_true",
@@ -156,7 +150,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         max_disc=args.max_disc,
         factor_budget=args.factor_budget,
-        seed=args.seed,
         cache_path=cache_path,
         output=output,
         verify_cache=args.verify_cache,
@@ -265,9 +258,7 @@ def _required_value(positional, flagged, what: str) -> int:
 
 def cmd_classnum(args, config: RunConfig) -> int:
     d = _required_value(args.d, args.d_flag, "d")
-    res = classgroup.class_number_of_field(
-        d, config.max_disc, config.factor_budget, config.rng()
-    )
+    res = classgroup.class_number_of_field(d, config.max_disc, config.factor_budget)
     doc = {"d": str(d), "d_sf": str(res.d_sf), "delta": str(res.disc), "h": str(res.h)}
     _emit(config, doc, [doc])
     return EXIT_OK
@@ -277,7 +268,7 @@ def cmd_squarefree(args, config: RunConfig) -> int:
     n = _required_value(args.n, args.n_flag, "n")
     if n == 0:
         raise InputError("n must be nonzero")
-    dec = intmath.squarefree_part(n, config.factor_budget, config.rng())
+    dec = intmath.squarefree_part(n, config.factor_budget)
     doc = {"n": str(n), "d": str(dec.d), "t": str(dec.t)}
     _emit(config, doc, [doc])
     return EXIT_OK
@@ -285,7 +276,7 @@ def cmd_squarefree(args, config: RunConfig) -> int:
 
 def cmd_witness(args, config: RunConfig) -> int:
     inst = witness.Instance(args.x, args.y, args.n)
-    rep = witness.verify_instance(inst, config.max_disc, config.factor_budget, config.rng())
+    rep = witness.verify_instance(inst, config.max_disc, config.factor_budget)
     _emit(config, _witness_doc(rep), [_witness_row(rep)])
     return EXIT_OK if rep.n_divides_h else EXIT_FAILED_CHECK
 
@@ -299,7 +290,6 @@ def cmd_scan(args, config: RunConfig) -> int:
         variant=args.variant,
         max_disc=config.max_disc,
         budget=config.factor_budget,
-        rng=config.rng(),
     )
     rec_docs = []
     rows = []
@@ -347,9 +337,7 @@ def _without_check(doc: dict) -> dict:
 
 def cmd_check(args, config: RunConfig) -> int:
     if args.check_kind == "cohn":
-        res = families.cohn_check(
-            args.V, args.n, config.max_disc, config.factor_budget, config.rng()
-        )
+        res = families.cohn_check(args.V, args.n, config.max_disc, config.factor_budget)
         doc = {
             "check": "cohn",
             "V": str(args.V),
@@ -361,7 +349,7 @@ def cmd_check(args, config: RunConfig) -> int:
         _emit(config, doc, [_without_check(doc)])
         return EXIT_OK if res.divisible or res.is_exception else EXIT_FAILED_CHECK
     res = families.hoque_check(
-        args.m, args.p, args.n, args.r, config.max_disc, config.factor_budget, config.rng()
+        args.m, args.p, args.n, args.r, config.max_disc, config.factor_budget
     )
     doc = {
         "check": "hoque",
@@ -379,11 +367,7 @@ def cmd_check(args, config: RunConfig) -> int:
 
 
 def cmd_family(args, config: RunConfig) -> int:
-    kw = dict(
-        max_disc=config.max_disc,
-        budget=config.factor_budget,
-        rng=config.rng(),
-    )
+    kw = dict(max_disc=config.max_disc, budget=config.factor_budget)
     if args.family_kind == "iizuka":
         rep = families.iizuka_family(args.n, args.m, args.l, **kw)
     elif args.family_kind == "cor5":
@@ -409,7 +393,6 @@ def cmd_search(args, config: RunConfig) -> int:
         smallest_first=not args.largest_first,
         max_disc=config.max_disc,
         budget=config.factor_budget,
-        rng=config.rng(),
     )
     doc = {"command": "search", "n": str(args.n), "offsets": offsets,
            "hits": [_family_doc(h) for h in hits]}
@@ -420,9 +403,7 @@ def cmd_search(args, config: RunConfig) -> int:
 
 def cmd_group(args, config: RunConfig) -> int:
     disc = _required_value(args.disc, args.disc_flag, "disc")
-    info = classgroup.group_structure(
-        disc, config.max_disc, budget=config.factor_budget, rng=config.rng()
-    )
+    info = classgroup.group_structure(disc, config.max_disc, budget=config.factor_budget)
     doc = {
         "delta": str(info.discriminant),
         "h": str(info.h),
@@ -441,22 +422,28 @@ def cmd_group(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _entry_matches(cache: result_cache.ResultCache, key: str, config: RunConfig) -> bool:
+    """Whether the entry under key equals a fresh computation; a key whose
+    argument is no integer, or one that is no valid input, does not match."""
+    kind, _, arg = key.partition(":")
+    try:
+        value = int(arg)
+    except ValueError:
+        return False
+    try:
+        if kind == "factor":
+            fresh = intmath.factor(value, config.factor_budget, use_cache=False)
+            return cache.get_factor(value) == (fresh.sign, fresh.factors)
+        if kind == "h":
+            return cache.get_h(value) == qform.count_reduced(value, config.max_disc)
+    except InputError:
+        return False
+    return True
+
+
 def _run_verify_cache(cache: result_cache.ResultCache, config: RunConfig) -> int:
     """Recompute a sample of cache entries from scratch and compare."""
-    mismatches = []
-    for key in cache.sample_keys(16, config.rng()):
-        kind, _, arg = key.partition(":")
-        if kind == "factor":
-            n = int(arg)
-            fresh = intmath.factor(n, config.factor_budget, config.rng(), use_cache=False)
-            stored = cache.get_factor(n)
-            if stored != (fresh.sign, fresh.factors):
-                mismatches.append(key)
-        elif kind == "h":
-            disc = int(arg)
-            fresh_h = qform.count_reduced(disc, config.max_disc)
-            if cache.get_h(disc) != fresh_h:
-                mismatches.append(key)
+    mismatches = [key for key in cache.sample_keys(16) if not _entry_matches(cache, key, config)]
     if mismatches:
         print(f"cache verification FAILED for: {', '.join(mismatches)}", file=sys.stderr)
         return EXIT_FAILED_CHECK

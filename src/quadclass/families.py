@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,7 +76,6 @@ def cohn_check(
     n: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> CohnResult:
     """n | h(1 - V^n) for odd V, n >= 3, with the single exception (V, n) = (3, 5).
 
@@ -90,7 +88,7 @@ def cohn_check(
     if n < 3 or n % 2 == 0:
         raise InputError(f"n must be odd and >= 3, got {n}")
     intmath.check_power(V, n, "V^n")
-    h, _, _ = classgroup.class_number_of_field(1 - V**n, max_disc, budget, rng)
+    h, _, _ = classgroup.class_number_of_field(1 - V**n, max_disc, budget)
     return CohnResult(h=h, divisible=h % n == 0, is_exception=(V, n) == (3, 5))
 
 
@@ -101,7 +99,6 @@ def hoque_check(
     r: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> HoqueResult:
     """3 | h(square-free part of -(3^m p^(2n) + r)) for odd m > 1, odd p, r in {-2, 4}.
 
@@ -119,14 +116,14 @@ def hoque_check(
     intmath.check_power(3, m, "3^m")
     intmath.check_power(p, 2 * n, "p^(2n)")
     value = -(3**m * p ** (2 * n) + r)
-    h, _, d_sf = classgroup.class_number_of_field(value, max_disc, budget, rng)
+    h, _, d_sf = classgroup.class_number_of_field(value, max_disc, budget)
     note = "p divisible by 3: outside the stated hypotheses" if p % 3 == 0 else ""
     return HoqueResult(d_sf=d_sf, h=h, divisible=h % 3 == 0, note=note)
 
 
-def _squarefree_part_of_power(base: int, n: int, budget, rng) -> intmath.SquarefreeDecomp:
+def _squarefree_part_of_power(base: int, n: int, budget) -> intmath.SquarefreeDecomp:
     """Square-free decomposition of base**n without expanding the power."""
-    fac = intmath.factor(base, budget, rng)
+    fac = intmath.factor(base, budget)
     d = fac.sign if n % 2 else 1
     t = 1
     for p, e in fac.factors:
@@ -137,7 +134,7 @@ def _squarefree_part_of_power(base: int, n: int, budget, rng) -> intmath.Squaref
     return intmath.SquarefreeDecomp(d=d, t=t)
 
 
-def _resolve_members(raw_members, max_disc, budget, rng):
+def _resolve_members(raw_members, max_disc, budget):
     """Attach (d_sf, disc, h, divisible) to prepared member stubs.
 
     Stage one computes every member's discriminant (cheap factoring) and
@@ -148,7 +145,7 @@ def _resolve_members(raw_members, max_disc, budget, rng):
         if value >= 0:
             raise InputError(f"member at offset {offset} has non-negative value {value}")
         if decomp is None:
-            decomp = intmath.squarefree_part(value, budget, rng)
+            decomp = intmath.squarefree_part(value, budget)
         d_sf = decomp.d
         disc = intmath.field_discriminant(d_sf)
         if -disc > max_disc:
@@ -160,7 +157,7 @@ def _resolve_members(raw_members, max_disc, budget, rng):
 
     members = []
     for offset, value, d_sf, disc, asserted, note, modulus in staged:
-        h = classgroup.class_number_of_field(d_sf, max_disc, budget, rng).h
+        h = classgroup.class_number_of_field(d_sf, max_disc, budget).h
         members.append(
             FamilyMember(
                 offset=offset,
@@ -193,7 +190,6 @@ def iizuka_family(
     l: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> FamilyReport:
     """Members base_d + x^2 for x = 0..m, with base_d = (1 - ((m+1)!)^(nl))^n.
 
@@ -219,7 +215,7 @@ def iizuka_family(
     for x in range(0, m + 1):
         value = base_d + x * x
         if x == 0:
-            decomp = _squarefree_part_of_power(1 - big, n, budget, rng)
+            decomp = _squarefree_part_of_power(1 - big, n, budget)
             asserted = False
             note = (
                 "base member: equals (1 - V^n)^n with even V = ((m+1)!)^l; "
@@ -242,7 +238,7 @@ def iizuka_family(
                 f"conditional: x = {x} member needs y above an ineffective threshold"
             )
         raw.append((x * x, value, decomp, asserted, note, n))
-    members = _resolve_members(raw, max_disc, budget, rng)
+    members = _resolve_members(raw, max_disc, budget)
     return _finish_report(
         "iizuka_squares", {"n": n, "m": m, "l": l, "y": y}, base_d, members
     )
@@ -254,7 +250,6 @@ def cor5_family(
     l: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> FamilyReport:
     """Pair d and d + (2k - 1) with d = (k-1)^2 + (1 - (k!)^l)^n.
 
@@ -285,7 +280,7 @@ def cor5_family(
         if not gcd_ok:
             note = f"gcd(2x, y) != 1 for x = {x}: outside the construction's hypotheses"
         raw.append((offset, base_d + offset, None, False, note, n))
-    members = _resolve_members(raw, max_disc, budget, rng)
+    members = _resolve_members(raw, max_disc, budget)
     return _finish_report(
         "cor5_pair", {"n": n, "k": k, "l": l, "y": y, "m": m_off}, base_d, members
     )
@@ -297,7 +292,6 @@ def cor7_family(
     t: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> FamilyReport:
     """Triple (d, d+1, d+3) with d = 1 - 3^(3k) p^(6t), divisibility by 3.
 
@@ -305,7 +299,7 @@ def cor7_family(
     is -(3^(3k) p^(6t) - 2), the r = -2 shape, unconditional when 3k is odd
     (k odd).  Offset 3 is 2^2 - V^3: conditional.
     """
-    if p <= 3 or p % 2 == 0 or not intmath.is_prime(p, rng):
+    if p <= 3 or p % 2 == 0 or not intmath.is_prime(p):
         raise InputError(f"p must be an odd prime > 3, got {p}")
     if k < 1 or t < 1:
         raise InputError(f"k and t must be positive, got k={k}, t={t}")
@@ -327,7 +321,7 @@ def cor7_family(
         ),
         (3, base_d + 3, None, False, "conditional: x = 2 member needs V above an ineffective threshold", 3),
     ]
-    members = _resolve_members(raw, max_disc, budget, rng)
+    members = _resolve_members(raw, max_disc, budget)
     return _finish_report("cor7_triple", {"p": p, "k": k, "t": t}, base_d, members)
 
 
@@ -340,7 +334,6 @@ def search_successive(
     smallest_first: bool = True,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
     threads: int = 1,
 ) -> list[FamilyReport]:
     """All d in [d_from, d_to] (up to max_hits) with n | h(Q(sqrt(d + o))) for
@@ -384,7 +377,7 @@ def search_successive(
         if d + max_off >= 0:
             return False
         for o in offsets:
-            h, _, _ = classgroup.class_number_of_field(d + o, max_disc, budget, rng, sieved)
+            h, _, _ = classgroup.class_number_of_field(d + o, max_disc, budget, sieved)
             if h % n:
                 return False
         return True
@@ -398,21 +391,21 @@ def search_successive(
         # Every d that can qualify looks up its first offset's field, so
         # sieving those fields together adds no memo or cache entry.
         firsts = [d + offsets[0] for d in block if d + max_off < 0]
-        sieved = classgroup.sieve_fields(firsts, max_disc, budget, rng)
+        sieved = classgroup.sieve_fields(firsts, max_disc, budget)
         # The whole block is checked before any hit is reported, so a run's
         # memo and cache entries do not depend on where max_hits stops it.
         found = [d for d in block if qualifies(d, sieved)]
         for d in found:
-            hits.append(_hit_report(d, n, offsets, max_disc, budget, rng))
+            hits.append(_hit_report(d, n, offsets, max_disc, budget))
             if len(hits) >= max_hits:
                 return hits
 
 
-def _hit_report(d, n, offsets, max_disc, budget, rng) -> FamilyReport:
+def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
     members = []
     for o in offsets:
         value = d + o
-        h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget, rng)
+        h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget)
         fresh = qform.count_reduced(disc, max_disc)  # bypasses every cache
         if fresh != h or h % n:
             raise InconsistencyError(

@@ -4,10 +4,11 @@ Extended gcd, a prime sieve, Miller-Rabin primality, trial-division plus
 Brent-rho factoring, square-free decomposition, fundamental discriminants,
 Tonelli-Shanks square roots modulo odd primes, and the Kronecker symbol.
 
-All operations are pure: the randomized subroutines (rho, the probabilistic
-primality rounds for huge inputs) draw from an explicitly passed
-``random.Random``, defaulting to a fixed seed so repeated calls with the same
-arguments give the same answers.
+All operations are pure functions of their arguments: each factorization
+draws its rho parameters from its own fixed-seed generator, and each
+primality test above 3.3e24 draws its extra rounds from another, so an
+answer and the budget it spends never depend on earlier calls or on what
+the cache holds.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
     return True
 
 
-def is_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic (fixed witness set) for n below ~3.3e24, which covers all
     of [0, 2^64).  Above that, 40 extra random rounds bring the error
-    probability under 4**-40; the rounds draw from ``rng`` (fixed seed when
-    omitted, so results are reproducible).
+    probability under 4**-40; the rounds draw from a generator with a fixed
+    seed made for this call, so the answer depends on n alone.
     """
     if n < 2:
         return False
@@ -98,8 +99,7 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
         if _mr_composite_witness(a, d, s, n):
             return False
     if n >= _MR_DETERMINISTIC_LIMIT:
-        if rng is None:
-            rng = random.Random(_DEFAULT_SEED)
+        rng = random.Random(_DEFAULT_SEED)
         for _ in range(_MR_RANDOM_ROUNDS):
             if _mr_composite_witness(rng.randrange(2, n - 1), d, s, n):
                 return False
@@ -179,7 +179,8 @@ def _cofactor_text(v: int) -> str:
     return f"of {v.bit_length()} bits ending in ...{v % 10**12:012d}"
 
 
-def _factor_impl(n: int, budget: int, rng: random.Random) -> Factorization:
+def _factor_impl(n: int, budget: int) -> Factorization:
+    rng = random.Random(_DEFAULT_SEED)
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts: dict[int, int] = {}
@@ -193,7 +194,7 @@ def _factor_impl(n: int, budget: int, rng: random.Random) -> Factorization:
         stack = [m]
         while stack:
             v = stack.pop()
-            if is_prime(v, rng):
+            if is_prime(v):
                 counts[v] = counts.get(v, 0) + 1
                 continue
             f, budget = _brent_rho(v, rng, budget)
@@ -243,12 +244,13 @@ def _read_factor(file: result_cache.ResultCache, n: int) -> Factorization | None
 def factor(
     n: int,
     budget: int | None = None,
-    rng: random.Random | None = None,
     use_cache: bool = True,
 ) -> Factorization:
     """Factor n completely: trial division below 10^5, then Brent rho.
 
-    ``budget`` caps the rho work: each iteration costs one unit per started
+    Rho draws from a generator with a fixed seed made for this call, so the
+    factorization, and whether it fits the budget, depend on (n, budget)
+    alone.  ``budget`` caps the rho work: each iteration costs one unit per started
     64 bits of the cofactor it splits, so operands of up to 64 bits pay one
     unit.  Exhausting it raises ResourceCapError naming the unfactored
     cofactor: in full up to 60 digits, else by its bit length and last 12
@@ -262,11 +264,7 @@ def factor(
         raise InputError("cannot factor 0")
 
     def compute() -> Factorization:
-        return _factor_impl(
-            n,
-            DEFAULT_FACTOR_BUDGET if budget is None else budget,
-            rng if rng is not None else random.Random(_DEFAULT_SEED),
-        )
+        return _factor_impl(n, DEFAULT_FACTOR_BUDGET if budget is None else budget)
 
     if not use_cache:
         return compute()
@@ -302,11 +300,9 @@ class SquarefreeDecomp:
     t: int
 
 
-def squarefree_part(
-    n: int, budget: int | None = None, rng: random.Random | None = None
-) -> SquarefreeDecomp:
+def squarefree_part(n: int, budget: int | None = None) -> SquarefreeDecomp:
     """Split n as d * t**2 with d square-free (sign carried by d)."""
-    fac = factor(n, budget, rng)
+    fac = factor(n, budget)
     d = fac.sign
     t = 1
     for p, e in fac.factors:
@@ -322,13 +318,11 @@ def field_discriminant(d_sf: int) -> int:
     return d_sf if d_sf % 4 == 1 else 4 * d_sf
 
 
-def fundamental_discriminant(
-    d: int, budget: int | None = None, rng: random.Random | None = None
-) -> int:
+def fundamental_discriminant(d: int, budget: int | None = None) -> int:
     """Discriminant of the maximal order of Q(sqrt(d)) for square-free d < 0."""
     if d >= 0:
         raise InputError(f"need d < 0, got {d}")
-    if squarefree_part(d, budget, rng).t != 1:
+    if squarefree_part(d, budget).t != 1:
         raise InputError(f"{d} is not square-free")
     return field_discriminant(d)
 
@@ -366,12 +360,12 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod_prime(a: int, p: int, rng: random.Random | None = None) -> int | None:
+def sqrt_mod_prime(a: int, p: int) -> int | None:
     """Square root of a modulo an odd prime p, or None when a is a nonresidue.
 
     Tonelli-Shanks; the returned root is canonicalized to min(r, p - r).
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p, rng):
+    if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InputError(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:

@@ -310,7 +310,7 @@ def _tally(lo: int, hi: int, a, b, x) -> np.ndarray:
     return np.bincount(x[primitive] - lo, minlength=width) + np.bincount(x[twice] - lo, minlength=width)
 
 
-def prime_form(disc: int, q: int, rng=None) -> QuadForm | None:
+def prime_form(disc: int, q: int) -> QuadForm | None:
     """A form (q, B, C) of discriminant disc with 0 <= B < 2q, or None when q
     is inert (kronecker(disc, q) = -1).
 
@@ -320,7 +320,7 @@ def prime_form(disc: int, q: int, rng=None) -> QuadForm | None:
     which has the same order.
     """
     validate_discriminant(disc)
-    if q < 2 or not intmath.is_prime(q, rng):
+    if q < 2 or not intmath.is_prime(q):
         raise InputError(f"q must be prime, got {q}")
     if q == 2:
         rem = disc % 8
@@ -340,7 +340,7 @@ def prime_form(disc: int, q: int, rng=None) -> QuadForm | None:
         ks = intmath.kronecker(disc, q)
         if ks == -1:
             return None
-        r = intmath.sqrt_mod_prime(disc % q, q, rng)
+        r = intmath.sqrt_mod_prime(disc % q, q)
         if r is None:  # pragma: no cover - kronecker said residue
             raise InconsistencyError(f"no sqrt of {disc} mod {q} despite kronecker 1")
         candidates = [

@@ -12,7 +12,6 @@ only divisibility (no witness form) is recorded.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import classgroup, qform
@@ -61,14 +60,12 @@ class WitnessReport:
     alpha_n_principal: bool
 
 
-def _construct(
-    inst: Instance, budget: int | None, rng: random.Random | None
-) -> tuple[int, int, int, QuadForm]:
+def _construct(inst: Instance, budget: int | None) -> tuple[int, int, int, QuadForm]:
     """(d, t, disc, raw norm-y form) for a valid instance."""
     x, y, n = inst.x, inst.y, inst.n
     if math.gcd(2 * x, y) != 1:
         raise InputError(f"witness construction needs gcd(2x, y) = 1, got x={x}, y={y}")
-    dec = intmath.squarefree_part(y**n - x * x, budget, rng)
+    dec = intmath.squarefree_part(y**n - x * x, budget)
     d, t = dec.d, dec.t
     disc = intmath.field_discriminant(-d)
     if math.gcd(t, y) != 1:  # pragma: no cover - impossible when gcd(x, y) = 1
@@ -89,11 +86,9 @@ def _construct(
     return d, t, disc, QuadForm(y, b, num // (4 * y))
 
 
-def alpha_form(
-    inst: Instance, budget: int | None = None, rng: random.Random | None = None
-) -> QuadForm:
+def alpha_form(inst: Instance, budget: int | None = None) -> QuadForm:
     """Reduced norm-y witness form for the instance."""
-    _, _, _, raw = _construct(inst, budget, rng)
+    _, _, _, raw = _construct(inst, budget)
     return raw.reduced()
 
 
@@ -101,20 +96,19 @@ def verify_instance(
     inst: Instance,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> WitnessReport:
     """Full certificate: class number, witness order, principality of the n-th power."""
-    d, t, disc, raw = _construct(inst, budget, rng)
+    d, t, disc, raw = _construct(inst, budget)
     if -disc > max_disc:
         raise ResourceCapError(
             f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
         )
     f = raw.reduced()
-    h = classgroup.class_number_of_field(-d, max_disc, budget, rng).h
+    h = classgroup.class_number_of_field(-d, max_disc, budget).h
     ident = qform.identity_form(disc)
     if f.power(inst.n) != ident:  # pragma: no cover - theory guarantees this
         raise InconsistencyError(f"witness^n not principal for instance {inst}")
-    order = classgroup.order_of_class(f, h, budget, rng)
+    order = classgroup.order_of_class(f, h, budget)
     if inst.n % order:  # pragma: no cover - order divides n once f^n is principal
         raise InconsistencyError(f"witness order {order} does not divide n={inst.n}")
     return WitnessReport(
@@ -151,20 +145,20 @@ class ScanRecord:
     four: FourVariantRecord | None = None
 
 
-def _scan_standard(x, n, y, max_disc, budget, rng):
+def _scan_standard(x, n, y, max_disc, budget):
     if math.gcd(2 * x, y) != 1:
         return ScanRecord(y=y, status="skipped", reason="gcd(2x, y) != 1")
     try:
         intmath.check_power(y, n, "y^n")
         if x * x >= y**n:
             return ScanRecord(y=y, status="skipped", reason="x^2 >= y^n")
-        report = verify_instance(Instance(x, y, n), max_disc, budget, rng)
+        report = verify_instance(Instance(x, y, n), max_disc, budget)
     except QuadclassError as exc:
         return ScanRecord(y=y, status="error", reason=str(exc))
     return ScanRecord(y=y, status="ok", witness=report)
 
 
-def _scan_four(x, n, y, max_disc, budget, rng):
+def _scan_four(x, n, y, max_disc, budget):
     if math.gcd(x, y) != 1:
         return ScanRecord(y=y, status="skipped", reason="gcd(x, y) != 1")
     try:
@@ -172,8 +166,8 @@ def _scan_four(x, n, y, max_disc, budget, rng):
         if x * x >= 4 * y**n:
             return ScanRecord(y=y, status="skipped", reason="x^2 >= 4y^n")
         value = x * x - 4 * y**n
-        h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget, rng)
-        t = intmath.squarefree_part(value, budget, rng).t
+        h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget)
+        t = intmath.squarefree_part(value, budget).t
     except QuadclassError as exc:
         return ScanRecord(y=y, status="error", reason=str(exc))
     rec = FourVariantRecord(d=-d_sf, t=t, disc=disc, h=h, divisible=h % n == 0)
@@ -188,7 +182,6 @@ def scan(
     variant: str = "standard",
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    rng: random.Random | None = None,
 ) -> list[ScanRecord]:
     """One record per y in [y_from, y_to]: witness reports (standard variant),
     divisibility-only records (four variant), or skip/error markers.
@@ -205,7 +198,7 @@ def scan(
     worker = _scan_standard if variant == "standard" else _scan_four
 
     return [
-        worker(x, n, y, max_disc, budget, rng)
+        worker(x, n, y, max_disc, budget)
         if y >= 1
         else ScanRecord(y=y, status="skipped", reason="y < 1")
         for y in range(y_from, y_to + 1)

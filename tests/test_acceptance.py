@@ -161,7 +161,7 @@ def test_criterion_09_form_group_property_suite():
 
 
 def test_criterion_10_determinism(capsys, tmp_path):
-    argv = ["family", "cor7", "--p", "5", "--k", "1", "--t", "1", "--json", "--seed", "42"]
+    argv = ["family", "cor7", "--p", "5", "--k", "1", "--t", "1", "--json"]
 
     def run(extra):
         code = cli.main(argv + extra)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -211,7 +212,7 @@ def fresh_memo(monkeypatch):
 
 
 class TestDeterminismAndCache:
-    ARGS = ["family", "cor7", "--p", "5", "--k", "1", "--t", "1", "--json", "--seed", "42"]
+    ARGS = ["family", "cor7", "--p", "5", "--k", "1", "--t", "1", "--json"]
 
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(self.ARGS, capsys)
@@ -334,6 +335,50 @@ class TestDeterminismAndCache:
         assert code == 0
         assert env_cache.exists()
         assert not flag_cache.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("factor:abc", "+1:"), ("h:-23x", "3"), ("h:5", "1"), ("factor:0", "+1:")],
+    )
+    def test_verify_cache_reports_a_malformed_key(self, capsys, tmp_path, fresh_memo, key, value):
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(json.dumps({"key": key, "value": value, "v": 1}) + "\n")
+        code, out, err = run(
+            ["classnum", "--d", "-23", "--cache", str(cache_file), "--verify-cache"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"cache verification FAILED for: {key}\n"
+
+    def test_budget_verdicts_do_not_depend_on_the_cache(self, capsys, tmp_path, fresh_memo):
+        # At this budget some of the y^9 - 4 fit the rho budget and some do
+        # not; a warm cache skips the factorizations it holds, which must not
+        # change whether a later one fits.
+        argv = ["scan", "--x", "2", "--n", "9", "--from", "25", "--to", "55", "--json",
+                "--factor-budget", "3200"]
+        cached = argv + ["--cache", str(tmp_path / "cache.jsonl")]
+        results = []
+        for args in (argv, cached, cached):
+            result_cache._memo.clear()
+            code, out, _ = run(args, capsys)
+            results.append((code, out))
+        assert results[0] == results[1] == results[2]
+        assert "factoring budget exhausted" in results[0][1]
+
+    def test_seed_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classnum", "--seed", "1", "--", "-23"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_no_public_callable_takes_rng(self):
+        takes_rng = [
+            name
+            for name in quadclass.__all__
+            if inspect.isfunction(obj := getattr(quadclass, name))
+            and "rng" in inspect.signature(obj).parameters
+        ]
+        assert takes_rng == []
 
     def test_threads_flag_is_rejected(self, capsys):
         argv = ["scan", "--x", "2", "--n", "3", "--from", "3", "--to", "21", "--threads", "4"]

@@ -92,7 +92,7 @@ class TestFactor:
         # 10^4300 - 1 keeps a composite cofactor of about 4290 digits after
         # trial division.  One Miller-Rabin round takes seconds to show that
         # it is composite, so the test gives that answer directly.
-        monkeypatch.setattr(intmath, "is_prime", lambda v, rng=None: False)
+        monkeypatch.setattr(intmath, "is_prime", lambda v: False)
         with pytest.raises(ResourceCapError) as exc:
             intmath.factor(10**4300 - 1, budget=10)
         v = exc.value.detail
@@ -112,7 +112,7 @@ class TestFactor:
     def test_rho_path(self):
         # composite with no factor below the trial-division bound
         p, q = 1000003, 1000033
-        f = intmath.factor(p * q, budget=10**7, rng=random.Random(3))
+        f = intmath.factor(p * q, budget=10**7)
         assert f.factors == ((p, 1), (q, 1))
 
     @given(st.integers(-10**9, 10**9).filter(lambda n: n != 0))

@@ -35,7 +35,7 @@ class TestAlphaForm:
     def test_hand_example(self):
         # 3^3 - 2^2 = 23: raw form (3,5,4), reduced (2,1,3)
         inst = Instance(2, 3, 3)
-        d, t, disc, raw = witness._construct(inst, None, None)
+        d, t, disc, raw = witness._construct(inst, None)
         assert (d, t, disc) == (23, 1, -23)
         assert raw == QuadForm(3, 5, 4)
         assert witness.alpha_form(inst) == QuadForm(2, 1, 3)
@@ -43,7 +43,7 @@ class TestAlphaForm:
     def test_even_disc_case(self):
         # 5^3 - 2^2 = 121 = 1 * 11^2: disc -4, witness principal
         inst = Instance(2, 5, 3)
-        d, t, disc, raw = witness._construct(inst, None, None)
+        d, t, disc, raw = witness._construct(inst, None)
         assert (d, t, disc) == (1, 11, -4)
         assert raw == QuadForm(5, 4, 1)
         assert witness.alpha_form(inst) == QuadForm(1, 0, 1)
@@ -62,7 +62,7 @@ class TestAlphaForm:
 
     def test_raw_form_has_leading_coefficient_y(self):
         for x, y, n in [(1, 3, 3), (2, 3, 3), (1, 7, 3), (2, 7, 5), (3, 11, 3)]:
-            _, _, disc, raw = witness._construct(Instance(x, y, n), None, None)
+            _, _, disc, raw = witness._construct(Instance(x, y, n), None)
             assert raw.a == y
             assert raw.discriminant == disc
             assert 0 <= raw.b < 2 * y
@@ -107,7 +107,7 @@ class TestVerifyInstance:
         # replacing beta by y - beta flips the class to its inverse
         for x, y, n in [(2, 3, 3), (1, 3, 3), (2, 7, 3), (1, 7, 5)]:
             inst = Instance(x, y, n)
-            d, t, disc, raw = witness._construct(inst, None, None)
+            d, t, disc, raw = witness._construct(inst, None)
             beta = x * pow(t, -1, y) % y
             beta_conj = (y - beta) % y
             if disc % 2:
