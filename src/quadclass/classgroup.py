@@ -240,9 +240,10 @@ def sieve_fields(
 def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:
     """Multiplicative order of the class [f], given a multiple h of it.
 
-    Factors h and strips primes while the corresponding power stays
-    principal.  Raises InconsistencyError if h is not actually a multiple of
-    the order (e.g. a wrong class number was supplied).
+    h may be a class number, or the n of a witness whose n-th power is
+    principal.  Factors h and strips primes while the corresponding power
+    stays principal.  Raises InconsistencyError if h is not actually a
+    multiple of the order (e.g. a wrong class number was supplied).
     """
     if h < 1:
         raise InputError(f"h must be positive, got {h}")
@@ -271,40 +272,47 @@ class ClassGroupInfo:
     generators: tuple[QuadForm, ...]
 
 
-def _element_orders(forms: list[QuadForm], h: int) -> dict[QuadForm, int]:
-    """Order of every class, forms being all h reduced forms of one disc.
+def _element_orders(
+    forms: list[QuadForm], h: int
+) -> tuple[dict[QuadForm, int], dict[QuadForm, tuple[list[QuadForm], int]]]:
+    """Order and walk place of every class, forms being all h reduced forms
+    of one disc.
 
     Walks the cyclic subgroup of each class whose order is not yet known:
-    f, f^2, f^3, ... until the identity comes back after n = ord(f) steps,
-    and records ord(f^k) = n / gcd(k, n) for every power met.  The phi(n)
-    generators of <f> are all unseen before its walk, so the walks make at
-    most h * max(n / phi(n)) compositions in all (n | h; under 4.82 h for
-    h <= 10^4).  A walk that leaves the enumerated forms, runs h steps
-    without closing or closes at an n not dividing h, and a class met with
-    two different orders, raise InconsistencyError.
+    f, f^2, f^3, ... until the identity comes back after n = ord(f) steps.
+    Each class g met is recorded at its place (walk, k), g = walk[k-1] =
+    f^k, which gives ord(g) = n / gcd(k, n) and g^j = walk[(k*j - 1) % n]
+    with no further composition.  The phi(n) generators of <f> are all
+    unseen before its walk, so the walks make at most h * max(n / phi(n))
+    compositions in all (n | h; under 4.82 h for h <= 10^4).  A walk that
+    leaves the enumerated forms, runs h steps without closing or closes at
+    an n not dividing h, and a class met with two different orders, raise
+    InconsistencyError.
     """
     known = set(forms)
     ident = qform.identity_form(forms[0].discriminant)
     orders: dict[QuadForm, int] = {}
+    places: dict[QuadForm, tuple[list[QuadForm], int]] = {}
     for f in forms:
         if f in orders:
             continue
-        powers = [f]
-        while powers[-1] != ident:
-            if len(powers) == h:
+        walk = [f]
+        while walk[-1] != ident:
+            if len(walk) == h:
                 raise InconsistencyError(f"power(f, {h}) is not principal for f = {f}")
-            g = powers[-1].compose(f)
+            g = walk[-1].compose(f)
             if g not in known:
                 raise InconsistencyError(f"{g} is not a reduced form of disc {ident.discriminant}")
-            powers.append(g)
-        n = len(powers)
+            walk.append(g)
+        n = len(walk)
         if h % n:
             raise InconsistencyError(f"class {f} has order {n}, which does not divide h = {h}")
-        for k, g in enumerate(powers, 1):
+        for k, g in enumerate(walk, 1):
             order = n // math.gcd(k, n)
             if orders.setdefault(g, order) != order:
                 raise InconsistencyError(f"class {g} met with orders {orders[g]} and {order}")
-    return orders
+            places.setdefault(g, (walk, k))
+    return orders, places
 
 
 def _exact_log(value: int, p: int) -> int:
@@ -350,8 +358,10 @@ def group_structure(
     ord(f^k) = ord(f) / gcd(k, ord(f)), the order of every power met, in
     fewer than 4.82 h compositions for h <= 10^4.  The orders give the Sylow
     invariant profile by counting; generators are then picked greedily
-    (largest remaining invariant first) and verified by explicit subgroup
-    growth, so the certificate is self-checking.
+    (largest remaining invariant first): f of order target is taken when
+    none of f, ..., f^(target-1), read from its walk, lies in the subgroup
+    generated so far.  Subgroup growth by composition then checks that the
+    generators exhaust the group, so the certificate is self-checking.
     """
     forms = qform.enumerate_reduced(disc, max_disc)
     h = len(forms)
@@ -361,7 +371,7 @@ def group_structure(
         )
     if h == 1:
         return ClassGroupInfo(disc, 1, (), ())
-    orders = _element_orders(forms, h)
+    orders, places = _element_orders(forms, h)
     hfac = intmath.factor(h, budget)
 
     # Sylow exponent profile per prime, from element-order counts alone.
@@ -385,25 +395,17 @@ def group_structure(
     gens_desc: list[QuadForm] = []
     by_order_desc = sorted(forms, key=lambda f: (-orders[f], f))
     for target in divisors_desc:
-        found = None
         for f in by_order_desc:
             if orders[f] != target:
                 continue
-            # order of f's image in G/subgroup: smallest k | target with f^k inside
-            quotient_order = None
-            for k in _sorted_divisors(target):
-                if f.power(k) in subgroup:
-                    quotient_order = k
-                    break
-            if quotient_order == target:
-                found = f
+            # f^j = walk[(k*j - 1) % n] for j = 0..target-1: 1, f, ..., f^(target-1)
+            walk, k = places[f]
+            powers = [walk[(k * j - 1) % len(walk)] for j in range(target)]
+            if subgroup.isdisjoint(powers[1:]):
                 break
-        if found is None:  # pragma: no cover - counting profile guarantees one
+        else:  # pragma: no cover - counting profile guarantees one
             raise InconsistencyError(f"no generator of quotient order {target} found")
-        gens_desc.append(found)
-        powers = [ident]
-        for _ in range(target - 1):
-            powers.append(powers[-1].compose(found))
+        gens_desc.append(f)
         subgroup = {s.compose(p) for s in subgroup for p in powers}
     if len(subgroup) != h:  # pragma: no cover
         raise InconsistencyError("generated subgroup does not exhaust the class group")
@@ -411,13 +413,3 @@ def group_structure(
     divisors = tuple(reversed(divisors_desc))
     generators = tuple(reversed(gens_desc))
     return ClassGroupInfo(disc, h, divisors, generators)
-
-
-def _sorted_divisors(n: int) -> list[int]:
-    divs = []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            divs.append(i)
-            if i != n // i:
-                divs.append(n // i)
-    return sorted(divs)

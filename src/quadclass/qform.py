@@ -132,9 +132,6 @@ class QuadForm:
                 base = base.compose(base)
         return result
 
-    __mul__ = compose
-    __pow__ = power
-
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
     """Smallest x >= 0 with a*x = b (mod m), plus the solution period m/gcd."""

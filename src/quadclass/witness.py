@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import classgroup, qform
-from . import intmath
+from . import classgroup, intmath
 from .errors import InconsistencyError, InputError, QuadclassError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP, QuadForm
 
@@ -97,7 +96,12 @@ def verify_instance(
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
 ) -> WitnessReport:
-    """Full certificate: class number, witness order, principality of the n-th power."""
+    """Full certificate: class number, and the witness order found from n.
+
+    The order comes from ``order_of_class(f, n)``, which raises when f^n is
+    not principal; it divides h by Lagrange, and a class number it does not
+    divide (e.g. a wrong cached value) raises InconsistencyError.
+    """
     d, t, disc, raw = _construct(inst, budget)
     if -disc > max_disc:
         raise ResourceCapError(
@@ -105,12 +109,9 @@ def verify_instance(
         )
     f = raw.reduced()
     h = classgroup.class_number_of_field(-d, max_disc, budget).h
-    ident = qform.identity_form(disc)
-    if f.power(inst.n) != ident:  # pragma: no cover - theory guarantees this
-        raise InconsistencyError(f"witness^n not principal for instance {inst}")
-    order = classgroup.order_of_class(f, h, budget)
-    if inst.n % order:  # pragma: no cover - order divides n once f^n is principal
-        raise InconsistencyError(f"witness order {order} does not divide n={inst.n}")
+    order = classgroup.order_of_class(f, inst.n, budget)
+    if h % order:
+        raise InconsistencyError(f"witness order {order} does not divide h = {h} at disc {disc}")
     return WitnessReport(
         instance=inst,
         d=d,

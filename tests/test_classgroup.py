@@ -224,8 +224,21 @@ class TestCyclicWalk:
                 continue
             forms = qform.enumerate_reduced(disc)
             h = len(forms)
-            orders = classgroup._element_orders(forms, h)
+            orders, _ = classgroup._element_orders(forms, h)
             assert orders == {f: classgroup.order_of_class(f, h) for f in forms}
+
+    @pytest.mark.parametrize("disc", [-84, -231, -1391, -20055, -20124])
+    def test_walk_indexed_powers_equal_power(self, disc):
+        # non-cyclic groups, (2, 2, 30) and (4, 16) among them, so many classes
+        # sit inside another class's walk
+        forms = qform.enumerate_reduced(disc)
+        orders, places = classgroup._element_orders(forms, len(forms))
+        assert set(places) == set(forms)
+        for g in forms:
+            walk, k = places[g]
+            assert walk[k - 1] == g
+            for j in range(1, orders[g] + 1):
+                assert walk[(k * j - 1) % len(walk)] == g.power(j)
 
     def test_order_not_dividing_h_raises(self):
         # as order_of_class does for a wrong multiple of the order
@@ -286,7 +299,12 @@ class TestCyclicWalk:
             calls += 1
             return compose(f, g)
 
+        def no_power(f, k):
+            raise AssertionError("group_structure reads powers from its walks")
+
         monkeypatch.setattr(QuadForm, "compose", counted)
+        monkeypatch.setattr(QuadForm, "power", no_power)
         info = classgroup.group_structure(-4873699)
         assert info.h == 552
-        assert 0 < calls <= 6 * info.h
+        # the walk (h - 1) and the subgroup growth (h), nothing else
+        assert 0 < calls <= 2.5 * info.h

@@ -320,6 +320,17 @@ class TestDeterminismAndCache:
         assert out == ""
         assert "consistency failure" in err
 
+    def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
+        # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a
+        # cached h = 7 above the analytic limit is read without a cross-check
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text('{"key":"h:-759371","v":1,"value":"7"}\n')
+        argv = ["witness", "--x", "2", "--y", "15", "--n", "5", "--cache", str(cache_file)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "consistency failure: witness order 5 does not divide h = 7" in err
+
     def test_cache_in_missing_directory_is_input_error(self, capsys, tmp_path):
         cache_file = tmp_path / "missing" / "c.jsonl"
         code, out, err = run(["classnum", "--d", "-23", "--cache", str(cache_file)], capsys)

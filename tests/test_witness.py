@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quadclass import classgroup, witness
+from quadclass import classgroup, intmath, witness
 from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 from quadclass.witness import Instance
@@ -86,6 +86,19 @@ class TestVerifyInstance:
         rep = witness.verify_instance(Instance(1, 5, 3))
         assert rep.d == 31 and rep.disc == -31 and rep.h == 3
         assert rep.n_divides_h
+
+    def test_order_is_found_from_n_not_from_h(self, monkeypatch):
+        factored = []
+        factor = intmath.factor
+
+        def recorded(n, *args, **kwargs):
+            factored.append(n)
+            return factor(n, *args, **kwargs)
+
+        monkeypatch.setattr(intmath, "factor", recorded)
+        rep = witness.verify_instance(Instance(2, 15, 5))
+        assert (rep.h, rep.alpha_order) == (325, 5)
+        assert 5 in factored and 325 not in factored
 
     def test_structural_invariants_small_sweep(self):
         for n in (3, 5):
