@@ -217,17 +217,15 @@ def sieve_fields(
     value's factorization is cached here, and pass the result to
     ``class_number_of_field`` as ``sieved``: the counts then go through the
     same cross-check, memo and file as a fresh count, so the memo and the
-    file get the same entries as without the sieve.  Values that are all too
-    small for the sieve cost nothing.  A value over max_disc, or one whose
-    square-free part cannot be found within the budget, is left out, so
-    ``class_number_of_field`` meets it, and raises, as without the sieve.
+    file get the same entries as without the sieve.  A value over max_disc,
+    or one whose square-free part cannot be found within the budget, is left
+    out, so ``class_number_of_field`` meets it, and raises, as without the
+    sieve.
     """
-    values = [v for v in values if -v <= max_disc]
-    # |disc| <= 4|v|, and the sieve starts at the numpy form count's threshold
-    if not values or -4 * min(values) < qform._NUMPY_MIN_DISC:
-        return {}
     discs = set()
     for v in values:
+        if -v > max_disc:
+            continue
         try:
             disc = intmath.field_discriminant(intmath.squarefree_part(v, budget).d)
         except ResourceCapError:

@@ -11,10 +11,10 @@ Builders for three constructions and a brute-force search:
   divisibility by 3.
 * search_successive: exhaustive scan for offset patterns at small |d|.  It
   works in chunks of 64 consecutive d; the fields of a chunk's first offset
-  with |disc| >= 2^18 are counted together by the windowed sieve
-  (``classgroup.sieve_fields``), the rest one at a time, and every hit is
-  recounted on its own before it is reported.  Every builder and the search
-  run sequentially; the search's ``threads`` keyword accepts only 1.
+  are counted together by the windowed sieve (``classgroup.sieve_fields``),
+  and every hit is recounted on its own before it is reported.  Every
+  builder and the search run sequentially; the search's ``threads`` keyword
+  accepts only 1.
 
 Members are flagged ``asserted`` only when an unconditional theorem backs
 them (cohn_check / hoque_check shapes); members that rely on "parameters
@@ -342,9 +342,9 @@ def search_successive(
     By default the scan starts at the end nearest zero, so the first hits are
     the minimal exemplars.  The class numbers a chunk of d needs and neither
     the memo nor the cache file holds are counted together by the windowed
-    sieve when they are large enough; the answers and the cache entries are
-    the same as when each is counted alone.  Every hit is re-verified with a
-    fresh, cache-free form count before being reported.
+    sieve; the answers and the cache entries are the same as when each is
+    counted alone.  Every hit is re-verified with a fresh, cache-free form
+    count before being reported.
 
     The search runs in order on the calling thread.  ``threads`` must be 1
     and any other value raises InputError; the keyword is kept only because

@@ -180,31 +180,38 @@ def _cofactor_text(v: int) -> str:
 
 
 def _factor_impl(n: int, budget: int) -> Factorization:
-    rng = random.Random(_DEFAULT_SEED)
     sign = -1 if n < 0 else 1
     m = abs(n)
     counts: dict[int, int] = {}
+    stack: list[int] = []
     for p in _small_primes():
         if p * p > m:
+            # no prime below p divides m, so m is 1 or prime
+            if m > 1:
+                counts[m] = 1
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    if m > 1:
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                counts[v] = counts.get(v, 0) + 1
-                continue
-            f, budget = _brent_rho(v, rng, budget)
-            if f is None:
-                raise ResourceCapError(
-                    f"factoring budget exhausted; unfactored cofactor {_cofactor_text(v)}",
-                    detail=v,
-                )
-            stack.append(f)
-            stack.append(v // f)
+    else:
+        if m > 1:
+            stack.append(m)
+    rng = None
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            counts[v] = counts.get(v, 0) + 1
+            continue
+        if rng is None:
+            rng = random.Random(_DEFAULT_SEED)
+        f, budget = _brent_rho(v, rng, budget)
+        if f is None:
+            raise ResourceCapError(
+                f"factoring budget exhausted; unfactored cofactor {_cofactor_text(v)}",
+                detail=v,
+            )
+        stack.append(f)
+        stack.append(v // f)
     factors = tuple(sorted(counts.items()))
     check = sign
     for p, e in factors:

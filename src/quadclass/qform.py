@@ -215,14 +215,14 @@ def count_reduced_sieved(discs, max_disc: int = DEFAULT_DISC_CAP) -> dict[int, i
 
     The discs are split by |disc| mod 4, and each class into clusters whose
     values lie at most sqrt(|disc|) above the cluster's least, so that a
-    cluster's pass visits about as many forms as (a, b) pairs.  A cluster of at least two values,
-    all with _NUMPY_MIN_DISC <= |disc| <= max_disc, is counted in one pass by
-    ``_window_counts``.
+    cluster's pass visits about as many forms as (a, b) pairs.  A cluster of
+    at least two values, all with |disc| <= max_disc, is counted in one pass
+    by ``_window_counts``.
     """
     by_class: dict[int, list[int]] = {0: [], 3: []}
     for disc in set(discs):
         validate_discriminant(disc)
-        if _NUMPY_MIN_DISC <= -disc <= max_disc and -disc < _NUMPY_MAX_DISC:
+        if -disc <= max_disc and -disc < _NUMPY_MAX_DISC:
             by_class[-disc % 4].append(-disc)
     out: dict[int, int] = {}
     for values in by_class.values():

@@ -1,7 +1,7 @@
 import pytest
 
 from quadclass import cache as result_cache
-from quadclass import classgroup, cli, families, qform
+from quadclass import classgroup, cli, families, intmath, qform
 from quadclass.errors import InputError, ResourceCapError
 
 
@@ -286,39 +286,42 @@ class TestSearchSieve:
         monkeypatch.setattr(qform, "_window_counts", counting)
         return calls
 
-    def search_from_cold_memo(self, monkeypatch):
+    NEAR_WINDOW = (-9200, -9001)
+
+    @staticmethod
+    def search_from_cold_memo(monkeypatch, window):
         monkeypatch.setattr(result_cache, "_memo", {})
-        lo, hi = self.WINDOW
+        lo, hi = window
         hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
         return hits, dict(result_cache._memo)
 
     def test_deep_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
-        hits, memo = self.search_from_cold_memo(monkeypatch)
+        hits, memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert sieve_calls, "the deep window should reach the sieve"
         monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
-        reference, reference_memo = self.search_from_cold_memo(monkeypatch)
+        reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert hits == reference
         assert len(hits) > 5
         # the sieve adds no memo entry and changes none
         assert memo == reference_memo
 
-    def test_near_window_skips_the_planning(self, monkeypatch, sieve_calls):
-        calls = []
-        real = classgroup.intmath.squarefree_part
+    def test_near_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
+        factored = []
+        real = intmath._factor_impl
         monkeypatch.setattr(
-            classgroup.intmath, "squarefree_part", lambda *a, **k: calls.append(a) or real(*a, **k)
+            intmath, "_factor_impl", lambda *a, **k: factored.append(a) or real(*a, **k)
         )
-
-        def count_calls():
-            calls.clear()
-            monkeypatch.setattr(result_cache, "_memo", {})
-            families.search_successive(3, [0, 1, 4], -9100, -9001, max_hits=100)
-            return len(calls)
-
-        planned = count_calls()
+        hits, memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
+        assert sieve_calls, "the near window should reach the sieve"
+        sieved_factored = len(factored)
+        factored.clear()
         monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
-        assert planned == count_calls()
-        assert not sieve_calls
+        reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
+        assert hits == reference
+        assert len(hits) > 5
+        assert memo == reference_memo
+        # the sieve factors only values the search looks up anyway
+        assert sieved_factored == len(factored) > 0
 
     def test_cache_file_gets_the_same_entries(self, monkeypatch, tmp_path, capsys):
         lo, hi = self.WINDOW

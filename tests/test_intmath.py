@@ -1,5 +1,7 @@
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,6 +116,25 @@ class TestFactor:
         p, q = 1000003, 1000033
         f = intmath.factor(p * q, budget=10**7)
         assert f.factors == ((p, 1), (q, 1))
+
+    @pytest.mark.parametrize("q", [100_003, 999_983, 1_000_003, 2**31 - 1, 9_999_999_967])
+    @pytest.mark.parametrize("s", [1, -2, 12, 99_991, 2**10 * 3**3])
+    def test_prime_cofactor_above_the_trial_bound(self, s, q):
+        assert intmath.is_prime(q)
+        f = intmath.factor(s * q, use_cache=False)
+        assert list(f.factors) == trial_factor(s * q)
+        assert f.sign == (1 if s > 0 else -1)
+
+    @given(st.integers(-(10**9) + 1, 10**9 - 1).filter(lambda n: n != 0))
+    def test_below_1e9_needs_no_primality_test_or_rng(self, n):
+        # trial division reaches p^2 > cofactor, so what is left is prime
+        def unused(*args):
+            raise AssertionError("not needed below 10^9")
+
+        with mock.patch.object(intmath, "is_prime", unused), \
+                mock.patch.object(intmath, "random", SimpleNamespace(Random=unused)):
+            f = intmath.factor(n, use_cache=False)
+        assert list(f.factors) == trial_factor(n)
 
     @given(st.integers(-10**9, 10**9).filter(lambda n: n != 0))
     def test_reassembles_and_primes_certified(self, n):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -153,6 +154,8 @@ class TestWindowedSieve:
     @pytest.mark.parametrize(
         "lo,hi",
         [
+            (5_603, 5_999),
+            (5_600, 6_000),
             (qform._NUMPY_MIN_DISC - 201, qform._NUMPY_MIN_DISC + 199),  # 3 mod 4
             (qform._NUMPY_MIN_DISC - 200, qform._NUMPY_MIN_DISC + 200),  # 0 mod 4
             (999_903, 1_000_103),
@@ -175,14 +178,40 @@ class TestWindowedSieve:
             if x % 100 == 0:
                 assert count == qform.count_reduced(-x), x
 
-    def test_sieved_counts_only_clusters_above_the_threshold(self):
+    def test_sieved_counts_clusters_of_any_size(self):
         big = qform._NUMPY_MIN_DISC + 3  # 3 mod 4
         cluster = [-big, -(big + 4), -(big + 40)]
         lone = -(big + 10_000)  # more than sqrt(|disc|) away
-        small = [-1003, -1007]  # below the numpy threshold
+        small = [-1003, -1007]  # below the numpy form count's threshold
         over = [-(10**6 + 3), -(10**6 + 7)]  # over max_disc
         got = qform.count_reduced_sieved(cluster + [lone] + small + over, max_disc=10**6)
-        assert got == {d: qform.count_reduced(d) for d in cluster}
+        assert got == {d: qform.count_reduced(d) for d in cluster + small}
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (3, 600),
+            (4, 600),
+            (19_801, 20_200),  # across ANALYTIC_CROSS_CHECK_LIMIT = 20000
+            (qform._NUMPY_MIN_DISC - 400, qform._NUMPY_MIN_DISC - 1),
+        ],
+    )
+    def test_sieved_small_windows_match_count_reduced(self, lo, hi):
+        values = [x for x in range(lo, hi + 1) if x % 4 in (0, 3)]
+        got = qform.count_reduced_sieved([-x for x in values])
+        assert got == {d: qform.count_reduced(d) for d in got}
+        # from X = 16 on, each value is within sqrt(X) of its class neighbour,
+        # so only the last value of a class can be a cluster on its own
+        assert set(got) >= {-x for x in values if 16 <= x <= hi - 8}
+
+    def test_sieved_clusters_spread_below_the_threshold(self):
+        starts = (20, 300, 5_000, 19_990, 60_000, 200_000, qform._NUMPY_MIN_DISC - 600)
+        discs = [
+            -x for s in starts for x in range(s, s + math.isqrt(s) + 1) if x % 4 in (0, 3)
+        ]
+        got = qform.count_reduced_sieved(discs)
+        assert got == {d: qform.count_reduced(d) for d in discs if d in got}
+        assert len(got) >= len(discs) - 2 * len(starts)
 
     def test_sieved_counts_split_by_class(self):
         big = 1_000_000
