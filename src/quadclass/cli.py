@@ -52,7 +52,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="enumeration cap on |discriminant|")
     parser.add_argument("--factor-budget", type=int, default=DEFAULT_FACTOR_BUDGET,
                         help="budget for the rho factoring stage: one unit per step "
-                             "per started 64 bits of the number split")
+                             "per started 64 bits of the number split; a primality test "
+                             "above ~3.3e24 is charged its worst case first")
     parser.add_argument("--cache", metavar="PATH", default=None,
                         help="append-only result cache file (QUADCLASS_CACHE overrides)")
     parser.add_argument("--verify-cache", action="store_true",

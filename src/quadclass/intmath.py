@@ -179,6 +179,20 @@ def _cofactor_text(v: int) -> str:
     return f"of {v.bit_length()} bits ending in ...{v % 10**12:012d}"
 
 
+def _budget_exhausted(v: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"factoring budget exhausted; unfactored cofactor {_cofactor_text(v)}", detail=v
+    )
+
+
+def _primality_cost(v: int) -> int:
+    """Budget units charged before ``is_prime(v)`` for v above the
+    deterministic limit: every Miller-Rabin round of the worst case, each a
+    modular power of bits squarings costing one unit per started 64 bits."""
+    bits = v.bit_length()
+    return (len(_MR_BASES) + _MR_RANDOM_ROUNDS) * bits * -(-bits // 64)
+
+
 def _factor_impl(n: int, budget: int) -> Factorization:
     sign = -1 if n < 0 else 1
     m = abs(n)
@@ -199,6 +213,10 @@ def _factor_impl(n: int, budget: int) -> Factorization:
     rng = None
     while stack:
         v = stack.pop()
+        if v >= _MR_DETERMINISTIC_LIMIT:
+            budget -= _primality_cost(v)
+            if budget < 0:
+                raise _budget_exhausted(v)
         if is_prime(v):
             counts[v] = counts.get(v, 0) + 1
             continue
@@ -206,10 +224,7 @@ def _factor_impl(n: int, budget: int) -> Factorization:
             rng = random.Random(_DEFAULT_SEED)
         f, budget = _brent_rho(v, rng, budget)
         if f is None:
-            raise ResourceCapError(
-                f"factoring budget exhausted; unfactored cofactor {_cofactor_text(v)}",
-                detail=v,
-            )
+            raise _budget_exhausted(v)
         stack.append(f)
         stack.append(v // f)
     factors = tuple(sorted(counts.items()))
@@ -259,7 +274,10 @@ def factor(
     factorization, and whether it fits the budget, depend on (n, budget)
     alone.  ``budget`` caps the rho work: each iteration costs one unit per started
     64 bits of the cofactor it splits, so operands of up to 64 bits pay one
-    unit.  Exhausting it raises ResourceCapError naming the unfactored
+    unit.  A primality test on a cofactor above ~3.3e24 is charged first, at
+    its worst case of 52 Miller-Rabin rounds of bits * ceil(bits / 64) units
+    each, so the default budget covers cofactors of up to about 2,200 bits.
+    Exhausting it raises ResourceCapError naming the unfactored
     cofactor: in full up to 60 digits, else by its bit length and last 12
     digits.  Since the value is canonical, results are kept in the result
     cache (memo, and file when one is active), and a hit costs no budget;

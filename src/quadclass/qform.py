@@ -9,6 +9,9 @@ arithmetic is plain value arithmetic on reduced triples.
 
 Class numbers are counts of reduced forms, taken two ways.  ``count_reduced``
 counts one discriminant: for each b it splits (b^2 + |disc|)/4 into a*c.
+Above 2^18 numpy tests a block of b at a time, and only against the a that
+no inert prime divides (about a quarter of them near |disc| = 1e6-1e8),
+since a | (b^2 + |disc|)/4 needs b^2 = disc (mod 4a).
 ``count_reduced_sieved`` counts many nearby discriminants at once (the
 fields of one search chunk): one pass over the (a, b) pairs places each
 form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
@@ -26,7 +29,7 @@ from . import intmath
 
 DEFAULT_DISC_CAP = 10**8
 
-# Below this |disc| the per-b numpy round trip costs more than a plain loop.
+# Below this |disc| the numpy divisor scan costs more than a plain loop.
 _NUMPY_MIN_DISC = 1 << 18
 # Guard for the int64 kernel; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
@@ -156,7 +159,11 @@ def _reduced_forms(disc: int, collect: bool, max_disc: int) -> tuple[int, list[Q
     """Count (and optionally collect) all primitive reduced forms of disc.
 
     Walks b over the admissible parity class and splits (b^2 - disc)/4 into
-    a*c divisor pairs; numpy does the divisibility scan for large |disc|.
+    a*c divisor pairs with b <= a <= c.  For 2^18 <= |disc| < 2^61 numpy
+    finds the pairs (``_divisor_pairs_np``): a residue filter drops every a
+    that an inert prime divides, and the rest are tested against a block of
+    b rows at a time.  A primitive pair counts once, twice when
+    0 < b < a < c, because (a, -b, c) is then reduced too.
     """
     validate_discriminant(disc)
     abs_d = -disc
@@ -164,35 +171,90 @@ def _reduced_forms(disc: int, collect: bool, max_disc: int) -> tuple[int, list[Q
         raise ResourceCapError(
             f"|discriminant| {abs_d} exceeds enumeration cap {max_disc}", detail=disc
         )
-    use_np = _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC
+    if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
+        pairs = _divisor_pairs_np(abs_d)
+    else:
+        pairs = _divisor_pairs(abs_d)
     forms: list[QuadForm] | None = [] if collect else None
     count = 0
-    b = abs_d & 1
-    while 3 * b * b <= abs_d:
-        m = (b * b + abs_d) // 4
-        lo = b if b > 1 else 1
-        hi = math.isqrt(m)
-        if hi >= lo:
-            if use_np:
-                arr = np.arange(lo, hi + 1, dtype=np.int64)
-                divisors = arr[m % arr == 0].tolist()
-            else:
-                divisors = [a for a in range(lo, hi + 1) if m % a == 0]
-            for a in divisors:
-                c = m // a
-                if math.gcd(math.gcd(a, b), c) != 1:
-                    continue
-                count += 1
-                if forms is not None:
-                    forms.append(QuadForm(a, b, c))
-                if 0 < b < a < c:
-                    count += 1
-                    if forms is not None:
-                        forms.append(QuadForm(a, -b, c))
-        b += 2
+    for a, b, c in pairs:
+        if math.gcd(math.gcd(a, b), c) != 1:
+            continue
+        count += 1
+        if forms is not None:
+            forms.append(QuadForm(a, b, c))
+        if 0 < b < a < c:
+            count += 1
+            if forms is not None:
+                forms.append(QuadForm(a, -b, c))
     if forms is not None:
         forms.sort()
     return count, forms
+
+
+def _divisor_pairs(abs_d: int):
+    """The triples (a, b, c), b >= 0, with 4ac - b^2 = abs_d and b <= a <= c,
+    by trial division of each (b^2 + abs_d)/4."""
+    b = abs_d & 1
+    while 3 * b * b <= abs_d:
+        m = (b * b + abs_d) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a == 0:
+                yield a, b, m // a
+        b += 2
+
+
+# b rows times candidate a per numpy block of _divisor_pairs_np.
+_PAIR_BLOCK = 1 << 14
+
+
+def _usable_a(abs_d: int, a_max: int) -> np.ndarray:
+    """The a in [1, a_max] that can divide some (b^2 + abs_d)/4, ascending.
+
+    a | (b^2 + abs_d)/4 needs b^2 = -abs_d (mod 4a), so no prime p inert in
+    the discriminant -abs_d divides a: no odd p with (-abs_d | p) = -1
+    (Euler's criterion, for p below the trial-division bound), and no 2
+    when abs_d = 3 (mod 8), where every (b^2 + abs_d)/4 is odd.
+    """
+    usable = np.ones(a_max + 1, dtype=bool)
+    usable[0] = False
+    if abs_d % 8 == 3:
+        usable[2::2] = False
+    r = -abs_d
+    for p in intmath._small_primes()[1:]:
+        if p > a_max:
+            break
+        if pow(r % p, (p - 1) // 2, p) == p - 1:
+            usable[p::p] = False
+    return np.flatnonzero(usable)
+
+
+def _divisor_pairs_np(abs_d: int):
+    """``_divisor_pairs`` in numpy: each block tests about _PAIR_BLOCK
+    (b, a) cells, the rows m_b = (b^2 + abs_d)/4 of a run of b against the
+    usable a in [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.
+    """
+    a_max = math.isqrt(abs_d // 3)  # 3 a^2 <= abs_d; also the largest b
+    cand = _usable_a(abs_d, a_max)
+    b = abs_d & 1
+    while b <= a_max:
+        first = int(np.searchsorted(cand, max(b, 1)))
+        if first == cand.size:
+            break  # no usable a >= b remains
+        rows = max(1, _PAIR_BLOCK // (cand.size - first))
+        b_row = np.arange(b, min(b + 2 * rows, a_max + 1), 2, dtype=np.int64)
+        b_last = int(b_row[-1])
+        last = int(np.searchsorted(cand, math.isqrt((b_last * b_last + abs_d) // 4), side="right"))
+        a = cand[first:last]
+        m = (b_row * b_row + abs_d) // 4
+        hits = np.flatnonzero(m[:, None] % a == 0)
+        if hits.size:
+            row, col = np.divmod(hits, a.size)
+            a, b_hit, m = a[col], b_row[row], m[row]
+            keep = (a >= b_hit) & (a * a <= m)
+            a, b_hit, m = a[keep], b_hit[keep], m[keep]
+            yield from zip(a.tolist(), b_hit.tolist(), (m // a).tolist())
+        b += 2 * rows
 
 
 def enumerate_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> list[QuadForm]:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from types import SimpleNamespace
 from unittest import mock
 
@@ -104,6 +105,28 @@ class TestFactor:
         assert "unfactored cofactor" in message
         assert f"{v.bit_length()} bits" in message
         assert message.endswith(f"{v % 10**12:012d}")
+
+    def test_budget_bounds_the_primality_test(self):
+        # the same number, unstubbed: one Miller-Rabin round on its cofactor
+        # takes seconds, so the budget must refuse the test before it runs
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError) as exc:
+            intmath.factor(10**4300 - 1, budget=10)
+        assert time.perf_counter() - start < 2
+        assert "factoring budget exhausted; unfactored cofactor of 14101 bits" in str(exc.value)
+
+    def test_primality_test_is_charged_its_worst_case(self):
+        # 2^127 - 1 is prime and above the deterministic Miller-Rabin limit:
+        # 52 rounds of 127 * 2 units
+        p = 2**127 - 1
+        cost = 52 * 127 * 2
+        assert intmath.factor(p, budget=cost, use_cache=False).factors == ((p, 1),)
+        with pytest.raises(ResourceCapError) as exc:
+            intmath.factor(p, budget=cost - 1, use_cache=False)
+        assert exc.value.detail == p
+        # below the limit a prime cofactor costs nothing
+        q = 2**61 - 1
+        assert intmath.factor(q, budget=0, use_cache=False).factors == ((q, 1),)
 
     @pytest.mark.parametrize("v", [10**60 - 1, 10**60])
     def test_cofactor_printed_in_full_up_to_60_digits(self, v):

@@ -113,19 +113,51 @@ class TestEnumerate:
             if disc % 4 in (0, 1):
                 assert qform.count_reduced(disc) == len(qform.enumerate_reduced(disc))
 
-    def test_numpy_kernel_agrees_with_python(self):
-        # straddle the kernel switch threshold
-        for disc in (-qform._NUMPY_MIN_DISC, -qform._NUMPY_MIN_DISC - 3, -300000, -299999):
-            if disc % 4 not in (0, 1):
-                continue
-            n_np, forms_np = qform._reduced_forms(disc, True, 10**8)
-            saved = qform._NUMPY_MIN_DISC
-            try:
-                qform._NUMPY_MIN_DISC = 1 << 62  # force the pure-int path
-                n_py, forms_py = qform._reduced_forms(disc, True, 10**8)
-            finally:
-                qform._NUMPY_MIN_DISC = saved
-            assert n_np == n_py and forms_np == forms_py
+    # a seeded sample of |disc| in [2^18, 1e7], 15 of each class mod 4
+    KERNEL_SAMPLE = [
+        4 * k + r
+        for r in (0, 3)
+        for k in random.Random(20 + r).sample(range(qform._NUMPY_MIN_DISC // 4, 10**7 // 4), 15)
+    ]
+
+    @pytest.mark.parametrize(
+        "abs_d",
+        [
+            # straddle the kernel switch threshold
+            qform._NUMPY_MIN_DISC,
+            qform._NUMPY_MIN_DISC + 3,
+            300_000,
+            299_999,
+            # -262672 is a non-residue modulo every odd p <= 31: few a survive
+            262_672,
+            # 4*3*5*7*11*13*17*19: every small odd p ramifies, none is filtered
+            19_399_380,
+            # 9 * 100003: non-fundamental, 3^2 divides the discriminant
+            900_027,
+        ]
+        + KERNEL_SAMPLE,
+    )
+    def test_numpy_kernel_agrees_with_python(self, abs_d, monkeypatch):
+        disc = -abs_d
+        n_np, forms_np = qform._reduced_forms(disc, True, 10**8)
+        monkeypatch.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int path
+        n_py, forms_py = qform._reduced_forms(disc, True, 10**8)
+        assert n_np == n_py and forms_np == forms_py
+
+    def test_residue_filter(self):
+        # -262672 is a non-residue modulo every odd prime up to 31
+        usable = qform._usable_a(262_672, 295).tolist()
+        assert all(a % p for a in usable for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+        # every odd prime up to 19 divides 19399380: none of them is filtered
+        assert {3, 5, 7, 9, 11, 13, 15, 17, 19} <= set(qform._usable_a(19_399_380, 2542).tolist())
+        # |disc| = 3 (mod 8): every (b^2 + |disc|)/4 is odd
+        assert all(a % 2 for a in qform._usable_a(10**6 + 3, 577).tolist())
+
+    @pytest.mark.parametrize("lo", [10_000_003, 10_000_000, 90_000_003, 90_000_000])
+    def test_count_matches_the_windowed_sieve(self, lo):
+        # two independent routes on a two-value cluster
+        discs = [-lo, -(lo + 4)]
+        assert qform.count_reduced_sieved(discs) == {d: qform.count_reduced(d) for d in discs}
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
