@@ -113,16 +113,17 @@ class TestEnumerate:
             if disc % 4 in (0, 1):
                 assert qform.count_reduced(disc) == len(qform.enumerate_reduced(disc))
 
-    # a seeded sample of |disc| in [2^18, 1e7], 15 of each class mod 4
-    KERNEL_SAMPLE = [
-        4 * k + r
-        for r in (0, 3)
-        for k in random.Random(20 + r).sample(range(qform._NUMPY_MIN_DISC // 4, 10**7 // 4), 15)
-    ]
+    @staticmethod
+    def assert_numpy_kernel_agrees(abs_d, monkeypatch):
+        disc = -abs_d
+        n_np, forms_np = qform._reduced_forms(disc, True, 10**8)
+        with monkeypatch.context() as m:
+            m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int path
+            n_py, forms_py = qform._reduced_forms(disc, True, 10**8)
+        assert n_np == n_py and forms_np == forms_py, abs_d
 
-    @pytest.mark.parametrize(
-        "abs_d",
-        [
+    def test_numpy_kernel_agrees_with_python(self, monkeypatch):
+        for abs_d in (
             # straddle the kernel switch threshold
             qform._NUMPY_MIN_DISC,
             qform._NUMPY_MIN_DISC + 3,
@@ -134,15 +135,19 @@ class TestEnumerate:
             19_399_380,
             # 9 * 100003: non-fundamental, 3^2 divides the discriminant
             900_027,
-        ]
-        + KERNEL_SAMPLE,
-    )
-    def test_numpy_kernel_agrees_with_python(self, abs_d, monkeypatch):
-        disc = -abs_d
-        n_np, forms_np = qform._reduced_forms(disc, True, 10**8)
-        monkeypatch.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int path
-        n_py, forms_py = qform._reduced_forms(disc, True, 10**8)
-        assert n_np == n_py and forms_np == forms_py
+        ):
+            self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
+
+    # a seeded sample of |disc| in [2^18, 1e7], 15 of each class mod 4
+    KERNEL_SAMPLE = [
+        4 * k + r
+        for r in (0, 3)
+        for k in random.Random(20 + r).sample(range(qform._NUMPY_MIN_DISC // 4, 10**7 // 4), 15)
+    ]
+
+    @pytest.mark.parametrize("abs_d", KERNEL_SAMPLE)
+    def test_numpy_kernel_agrees_with_python_on_a_sample(self, abs_d, monkeypatch):
+        self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
 
     def test_residue_filter(self):
         # -262672 is a non-residue modulo every odd prime up to 31
