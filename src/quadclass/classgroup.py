@@ -166,11 +166,21 @@ def _read_h(file: result_cache.ResultCache, disc: int) -> int | None:
     return None if h is None else _cross_checked(disc, h)
 
 
+def _lookup_h(disc: int, count) -> int:
+    """h(disc) from the memo or the cache file, else ``count()``; a value
+    read or counted is cross-checked, then memoized and filed."""
+    return result_cache.lookup(
+        f"h:{disc}",
+        lambda: _cross_checked(disc, count()),
+        read=lambda file: _read_h(file, disc),
+        write=lambda file, value: file.put_h(disc, value),
+    )
+
+
 def class_number_of_field(
     d: int,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-    sieved: dict[int, int] | None = None,
 ) -> FieldClassNumber:
     """Class number of Q(sqrt(d)) for any negative integer d.
 
@@ -179,8 +189,7 @@ def class_number_of_field(
     count, or a value read from the cache file, is cross-checked against the
     character sum when |disc| <= ANALYTIC_CROSS_CHECK_LIMIT before it is
     memoized, so each discriminant is checked at most once per process.
-    The form count is taken from ``sieved`` (disc -> count, as made by
-    ``sieve_fields``) when it holds the disc.
+    A count that ``sieve_fields`` filed is found in the memo like any other.
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
@@ -190,17 +199,7 @@ def class_number_of_field(
         raise ResourceCapError(
             f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
         )
-
-    def count() -> int:
-        h = sieved.get(disc) if sieved else None
-        return _cross_checked(disc, class_number_forms(disc, max_disc) if h is None else h)
-
-    h = result_cache.lookup(
-        f"h:{disc}",
-        count,
-        read=lambda file: _read_h(file, disc),
-        write=lambda file, value: file.put_h(disc, value),
-    )
+    h = _lookup_h(disc, lambda: class_number_forms(disc, max_disc))
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
 
 
@@ -208,19 +207,19 @@ def sieve_fields(
     values,
     max_disc: int = DEFAULT_DISC_CAP,
     budget: int | None = None,
-) -> dict[int, int]:
-    """Form counts, disc -> count, for the fields Q(sqrt(v)) of the given
-    negative values whose h neither the memo nor the cache file holds, as far
-    as ``qform.count_reduced_sieved`` counts them together.
+) -> None:
+    """Count together the fields Q(sqrt(v)) of the given negative values
+    whose h neither the memo nor the cache file holds, as far as
+    ``qform.count_reduced_sieved`` counts them together, and file each count
+    as ``class_number_of_field`` files a fresh one: cross-checked, memoized
+    and written to the active cache file.
 
     Pass only values whose fields the caller looks up anyway, for each
-    value's factorization is cached here, and pass the result to
-    ``class_number_of_field`` as ``sieved``: the counts then go through the
-    same cross-check, memo and file as a fresh count, so the memo and the
-    file get the same entries as without the sieve.  A value over max_disc,
-    or one whose square-free part cannot be found within the budget, is left
-    out, so ``class_number_of_field`` meets it, and raises, as without the
-    sieve.
+    value's factorization and each field's h is cached here: the memo and
+    the file then get the same entries as without the sieve.  A value over
+    max_disc, or one whose square-free part cannot be found within the
+    budget, is left out, so ``class_number_of_field`` meets it, and raises,
+    as without the sieve.
     """
     discs = set()
     for v in values:
@@ -232,7 +231,8 @@ def sieve_fields(
             continue
         if not result_cache.known(f"h:{disc}", read=lambda file: file.get_h(disc)):
             discs.add(disc)
-    return qform.count_reduced_sieved(discs, max_disc)
+    for disc, h in qform.count_reduced_sieved(discs, max_disc).items():
+        _lookup_h(disc, lambda: h)
 
 
 def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:

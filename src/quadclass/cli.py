@@ -1,8 +1,9 @@
 """Command-line front-end.
 
 Subcommands: classnum, squarefree, witness, scan, check (cohn|hoque),
-family (iizuka|cor5|cor7), search, group.  Output is an aligned table by
-default, one JSON document with --json, or CSV with --csv.
+family (iizuka|cor5|cor7), search, group.  Each command builds one JSON
+document for its result; --json prints it, and the aligned table (the
+default) and --csv print rows projected from it.
 
 Exit codes: 0 all requests satisfied; 1 a verified-false divisibility or a
 failed asserted member (or a failed internal consistency check); 2 input
@@ -22,7 +23,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import cache as result_cache
 from . import classgroup, families, intmath, qform, witness
@@ -34,15 +34,6 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-
-@dataclass
-class RunConfig:
-    max_disc: int = DEFAULT_DISC_CAP
-    factor_budget: int = DEFAULT_FACTOR_BUDGET
-    cache_path: str | None = None
-    output: str = "table"  # table | json | csv
-    verify_cache: bool = False
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -141,20 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
+def _check_common(args: argparse.Namespace) -> None:
     if args.json and args.csv:
         raise InputError("--json and --csv are mutually exclusive")
-    output = "json" if args.json else "csv" if args.csv else "table"
-    cache_path = os.environ.get("QUADCLASS_CACHE") or args.cache
     if args.max_disc < 1 or args.factor_budget < 1:
         raise InputError("caps and budget must be positive")
-    return RunConfig(
-        max_disc=args.max_disc,
-        factor_budget=args.factor_budget,
-        cache_path=cache_path,
-        output=output,
-        verify_cache=args.verify_cache,
-    )
 
 
 # -- rendering ----------------------------------------------------------------
@@ -164,11 +146,16 @@ def _emit_json(doc) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _columns(rows: list[dict]) -> list[str]:
+    """Every key of the rows, in first-seen order."""
+    return list(dict.fromkeys(c for r in rows for c in r))
+
+
 def _emit_table(rows: list[dict]) -> None:
     if not rows:
         print("(no rows)")
         return
-    cols = list(rows[0])
+    cols = _columns(rows)
     widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))
     for r in rows:
@@ -178,15 +165,15 @@ def _emit_table(rows: list[dict]) -> None:
 def _emit_csv(rows: list[dict]) -> None:
     if not rows:
         return
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+    writer = csv.DictWriter(sys.stdout, fieldnames=_columns(rows))
     writer.writeheader()
     writer.writerows(rows)
 
 
-def _emit(config: RunConfig, doc, rows: list[dict]) -> None:
-    if config.output == "json":
+def _emit(args, doc, rows: list[dict]) -> None:
+    if args.json:
         _emit_json(doc)
-    elif config.output == "csv":
+    elif args.csv:
         _emit_csv(rows)
     else:
         _emit_table(rows)
@@ -207,20 +194,14 @@ def _witness_doc(rep: witness.WitnessReport) -> dict:
     }
 
 
-def _witness_row(rep: witness.WitnessReport) -> dict:
-    return {
-        "x": rep.instance.x,
-        "y": rep.instance.y,
-        "n": rep.instance.n,
-        "d": rep.d,
-        "t": rep.t,
-        "delta": rep.disc,
-        "h": rep.h,
-        "alpha_form": str(rep.alpha_form),
-        "order": rep.alpha_order,
-        "s": rep.cofactor_s,
-        "n_divides_h": rep.n_divides_h,
-    }
+def _witness_row(doc: dict) -> dict:
+    """The row of a witness document: the instance flattened, two fields
+    renamed and alpha_n_principal left out."""
+    names = {"alpha_order": "order", "cofactor_s": "s"}
+    row = dict(doc["instance"])
+    row.update((names.get(k, k), v) for k, v in doc.items()
+               if k not in ("instance", "alpha_n_principal"))
+    return row
 
 
 def _family_doc(rep: families.FamilyReport) -> dict:
@@ -257,51 +238,53 @@ def _required_value(positional, flagged, what: str) -> int:
     return value
 
 
-def cmd_classnum(args, config: RunConfig) -> int:
+def cmd_classnum(args) -> int:
     d = _required_value(args.d, args.d_flag, "d")
-    res = classgroup.class_number_of_field(d, config.max_disc, config.factor_budget)
+    res = classgroup.class_number_of_field(d, args.max_disc, args.factor_budget)
     doc = {"d": str(d), "d_sf": str(res.d_sf), "delta": str(res.disc), "h": str(res.h)}
-    _emit(config, doc, [doc])
+    _emit(args, doc, [doc])
     return EXIT_OK
 
 
-def cmd_squarefree(args, config: RunConfig) -> int:
+def cmd_squarefree(args) -> int:
     n = _required_value(args.n, args.n_flag, "n")
     if n == 0:
         raise InputError("n must be nonzero")
-    dec = intmath.squarefree_part(n, config.factor_budget)
+    dec = intmath.squarefree_part(n, args.factor_budget)
     doc = {"n": str(n), "d": str(dec.d), "t": str(dec.t)}
-    _emit(config, doc, [doc])
+    _emit(args, doc, [doc])
     return EXIT_OK
 
 
-def cmd_witness(args, config: RunConfig) -> int:
+def cmd_witness(args) -> int:
     inst = witness.Instance(args.x, args.y, args.n)
-    rep = witness.verify_instance(inst, config.max_disc, config.factor_budget)
-    _emit(config, _witness_doc(rep), [_witness_row(rep)])
+    rep = witness.verify_instance(inst, args.max_disc, args.factor_budget)
+    doc = _witness_doc(rep)
+    _emit(args, doc, [_witness_row(doc)])
     return EXIT_OK if rep.n_divides_h else EXIT_FAILED_CHECK
 
 
-def cmd_scan(args, config: RunConfig) -> int:
+def cmd_scan(args) -> int:
     records = witness.scan(
         args.x,
         args.n,
         args.y_from,
         args.y_to,
         variant=args.variant,
-        max_disc=config.max_disc,
-        budget=config.factor_budget,
+        max_disc=args.max_disc,
+        budget=args.factor_budget,
     )
     rec_docs = []
     rows = []
     for r in records:
-        base = {"y": r.y, "status": r.status}
         doc = {"y": str(r.y), "status": r.status}
         if r.reason:
             doc["reason"] = r.reason
+        row = dict(doc)
         if r.witness is not None:
             doc["witness"] = _witness_doc(r.witness)
-            rows.append({**base, **{k: v for k, v in _witness_row(r.witness).items() if k not in ("x", "n", "y")}})
+            row.update((k, v) for k, v in _witness_row(doc["witness"]).items()
+                       if k not in ("x", "y", "n"))
         elif r.four is not None:
             doc["four"] = {
                 "d": str(r.four.d),
@@ -310,17 +293,9 @@ def cmd_scan(args, config: RunConfig) -> int:
                 "h": str(r.four.h),
                 "divisible": r.four.divisible,
             }
-            rows.append({**base, **doc["four"]})
-        else:
-            rows.append({**base, "reason": r.reason or ""})
+            row.update(doc["four"])
         rec_docs.append(doc)
-    # pad table rows to a common column set
-    all_cols: list[str] = []
-    for r in rows:
-        for c in r:
-            if c not in all_cols:
-                all_cols.append(c)
-    rows = [{c: r.get(c, "") for c in all_cols} for r in rows]
+        rows.append(row)
     doc = {
         "command": "scan",
         "variant": args.variant,
@@ -328,7 +303,7 @@ def cmd_scan(args, config: RunConfig) -> int:
         "n": str(args.n),
         "records": rec_docs,
     }
-    _emit(config, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
@@ -336,9 +311,9 @@ def _without_check(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if k != "check"}
 
 
-def cmd_check(args, config: RunConfig) -> int:
+def cmd_check(args) -> int:
     if args.check_kind == "cohn":
-        res = families.cohn_check(args.V, args.n, config.max_disc, config.factor_budget)
+        res = families.cohn_check(args.V, args.n, args.max_disc, args.factor_budget)
         doc = {
             "check": "cohn",
             "V": str(args.V),
@@ -347,10 +322,10 @@ def cmd_check(args, config: RunConfig) -> int:
             "divisible": res.divisible,
             "is_exception": res.is_exception,
         }
-        _emit(config, doc, [_without_check(doc)])
+        _emit(args, doc, [_without_check(doc)])
         return EXIT_OK if res.divisible or res.is_exception else EXIT_FAILED_CHECK
     res = families.hoque_check(
-        args.m, args.p, args.n, args.r, config.max_disc, config.factor_budget
+        args.m, args.p, args.n, args.r, args.max_disc, args.factor_budget
     )
     doc = {
         "check": "hoque",
@@ -363,12 +338,12 @@ def cmd_check(args, config: RunConfig) -> int:
         "divisible": res.divisible,
         "note": res.note,
     }
-    _emit(config, doc, [_without_check(doc)])
+    _emit(args, doc, [_without_check(doc)])
     return EXIT_OK if res.divisible else EXIT_FAILED_CHECK
 
 
-def cmd_family(args, config: RunConfig) -> int:
-    kw = dict(max_disc=config.max_disc, budget=config.factor_budget)
+def cmd_family(args) -> int:
+    kw = dict(max_disc=args.max_disc, budget=args.factor_budget)
     if args.family_kind == "iizuka":
         rep = families.iizuka_family(args.n, args.m, args.l, **kw)
     elif args.family_kind == "cor5":
@@ -376,11 +351,11 @@ def cmd_family(args, config: RunConfig) -> int:
     else:
         rep = families.cor7_family(args.p, args.k, args.t, **kw)
     doc = _family_doc(rep)
-    _emit(config, doc, doc["members"])
+    _emit(args, doc, doc["members"])
     return EXIT_OK if rep.all_asserted_pass else EXIT_FAILED_CHECK
 
 
-def cmd_search(args, config: RunConfig) -> int:
+def cmd_search(args) -> int:
     try:
         offsets = [int(tok) for tok in args.offsets.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -392,38 +367,36 @@ def cmd_search(args, config: RunConfig) -> int:
         args.d_to,
         max_hits=args.max_hits,
         smallest_first=not args.largest_first,
-        max_disc=config.max_disc,
-        budget=config.factor_budget,
+        max_disc=args.max_disc,
+        budget=args.factor_budget,
     )
     doc = {"command": "search", "n": str(args.n), "offsets": offsets,
            "hits": [_family_doc(h) for h in hits]}
     rows = [{"d": hit["base_d"], **m} for hit in doc["hits"] for m in hit["members"]]
-    _emit(config, doc, rows)
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
-def cmd_group(args, config: RunConfig) -> int:
+def cmd_group(args) -> int:
     disc = _required_value(args.disc, args.disc_flag, "disc")
-    info = classgroup.group_structure(disc, config.max_disc, budget=config.factor_budget)
+    info = classgroup.group_structure(disc, args.max_disc, budget=args.factor_budget)
     doc = {
         "delta": str(info.discriminant),
         "h": str(info.h),
         "elementary_divisors": [str(d) for d in info.elementary_divisors],
         "generators": [str(g) for g in info.generators],
     }
-    rows = [
-        {
-            "delta": info.discriminant,
-            "h": info.h,
-            "divisors": " ".join(str(d) for d in info.elementary_divisors) or "-",
-            "generators": " ".join(str(g) for g in info.generators) or "-",
-        }
-    ]
-    _emit(config, doc, rows)
+    row = {
+        "delta": doc["delta"],
+        "h": doc["h"],
+        "divisors": " ".join(doc["elementary_divisors"]) or "-",
+        "generators": " ".join(doc["generators"]) or "-",
+    }
+    _emit(args, doc, [row])
     return EXIT_OK
 
 
-def _entry_matches(cache: result_cache.ResultCache, key: str, config: RunConfig) -> bool:
+def _entry_matches(cache: result_cache.ResultCache, key: str, args) -> bool:
     """Whether the entry under key equals a fresh computation; a key whose
     argument is no integer, or one that is no valid input, does not match."""
     kind, _, arg = key.partition(":")
@@ -433,18 +406,18 @@ def _entry_matches(cache: result_cache.ResultCache, key: str, config: RunConfig)
         return False
     try:
         if kind == "factor":
-            fresh = intmath.factor(value, config.factor_budget, use_cache=False)
+            fresh = intmath.factor(value, args.factor_budget, use_cache=False)
             return cache.get_factor(value) == (fresh.sign, fresh.factors)
         if kind == "h":
-            return cache.get_h(value) == qform.count_reduced(value, config.max_disc)
+            return cache.get_h(value) == qform.count_reduced(value, args.max_disc)
     except InputError:
         return False
     return True
 
 
-def _run_verify_cache(cache: result_cache.ResultCache, config: RunConfig) -> int:
+def _run_verify_cache(cache: result_cache.ResultCache, args) -> int:
     """Recompute a sample of cache entries from scratch and compare."""
-    mismatches = [key for key in cache.sample_keys(16) if not _entry_matches(cache, key, config)]
+    mismatches = [key for key in cache.sample_keys(16) if not _entry_matches(cache, key, args)]
     if mismatches:
         print(f"cache verification FAILED for: {', '.join(mismatches)}", file=sys.stderr)
         return EXIT_FAILED_CHECK
@@ -469,20 +442,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cache = None
     try:
-        config = _config_from(args)
-        if config.cache_path:
+        _check_common(args)
+        cache_path = os.environ.get("QUADCLASS_CACHE") or args.cache
+        if cache_path:
             try:
-                cache = result_cache.ResultCache(config.cache_path)
+                cache = result_cache.ResultCache(cache_path)
             except OSError as exc:
-                raise InputError(f"cannot open cache {config.cache_path}: {exc.strerror}") from exc
+                raise InputError(f"cannot open cache {cache_path}: {exc.strerror}") from exc
             result_cache.activate(cache)
-        if config.verify_cache:
+        if args.verify_cache:
             if cache is None:
                 raise InputError("--verify-cache needs --cache or QUADCLASS_CACHE")
-            code = _run_verify_cache(cache, config)
+            code = _run_verify_cache(cache, args)
             if code != EXIT_OK:
                 return code
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

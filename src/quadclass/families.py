@@ -12,9 +12,10 @@ Builders for three constructions and a brute-force search:
 * search_successive: exhaustive scan for offset patterns at small |d|.  It
   works in chunks of 64 consecutive d; the fields of a chunk's first offset
   are counted together by the windowed sieve (``classgroup.sieve_fields``),
-  and every hit is recounted on its own before it is reported.  Every
-  builder and the search run sequentially; the search's ``threads`` keyword
-  accepts only 1.
+  which files each count in the memo and the cache file, where the search's
+  own class-number lookups find it.  Every hit is recounted on its own
+  before it is reported.  Every builder and the search run sequentially;
+  the search's ``threads`` keyword accepts only 1.
 
 Members are flagged ``asserted`` only when an unconditional theorem backs
 them (cohn_check / hoque_check shapes); members that rely on "parameters
@@ -342,7 +343,8 @@ def search_successive(
     By default the scan starts at the end nearest zero, so the first hits are
     the minimal exemplars.  The class numbers a chunk of d needs and neither
     the memo nor the cache file holds are counted together by the windowed
-    sieve; the answers and the cache entries are the same as when each is
+    sieve, which files them where ``class_number_of_field`` finds them; the
+    answers and the set of cache entries are the same as when each is
     counted alone.  Every hit is re-verified with a fresh, cache-free form
     count before being reported.
 
@@ -371,13 +373,13 @@ def search_successive(
     if max_hits < 1:
         return []
 
-    def qualifies(d: int, sieved: dict[int, int]) -> bool:
+    def qualifies(d: int) -> bool:
         # d near zero may push d + offset out of the imaginary range; such d
         # cannot qualify and are skipped rather than rejected.
         if d + max_off >= 0:
             return False
         for o in offsets:
-            h, _, _ = classgroup.class_number_of_field(d + o, max_disc, budget, sieved)
+            h, _, _ = classgroup.class_number_of_field(d + o, max_disc, budget)
             if h % n:
                 return False
         return True
@@ -391,10 +393,10 @@ def search_successive(
         # Every d that can qualify looks up its first offset's field, so
         # sieving those fields together adds no memo or cache entry.
         firsts = [d + offsets[0] for d in block if d + max_off < 0]
-        sieved = classgroup.sieve_fields(firsts, max_disc, budget)
+        classgroup.sieve_fields(firsts, max_disc, budget)
         # The whole block is checked before any hit is reported, so a run's
         # memo and cache entries do not depend on where max_hits stops it.
-        found = [d for d in block if qualifies(d, sieved)]
+        found = [d for d in block if qualifies(d)]
         for d in found:
             hits.append(_hit_report(d, n, offsets, max_disc, budget))
             if len(hits) >= max_hits:

@@ -172,11 +172,12 @@ class Factorization:
 
 
 def _cofactor_text(v: int) -> str:
-    """v in full when it has at most 60 digits, else its bit length and last
-    12 digits (no str() of the whole number)."""
-    if v < 10**60:
+    """v in full when it has at most 60 digits, else its sign, bit length and
+    last 12 digits (no str() of the whole number)."""
+    if abs(v) < 10**60:
         return str(v)
-    return f"of {v.bit_length()} bits ending in ...{v % 10**12:012d}"
+    text = f"of {v.bit_length()} bits ending in ...{abs(v) % 10**12:012d}"
+    return text if v > 0 else f"negative, {text}"
 
 
 def _budget_exhausted(v: int) -> ResourceCapError:
@@ -236,30 +237,40 @@ def _factor_impl(n: int, budget: int) -> Factorization:
     return Factorization(n=n, factors=factors, sign=sign)
 
 
-def _is_factorization(n: int, sign: int, factors) -> bool:
-    """True iff sign * prod(p**e) == n with increasing primes p and e >= 1."""
+def _is_factorization(n: int, sign: int, factors, budget: int) -> bool:
+    """True iff sign * prod(p**e) == n with increasing primes p and e >= 1.
+
+    Each primality test above the deterministic limit is charged to budget
+    as ``factor`` charges it, and raises the same ResourceCapError when the
+    budget cannot cover it."""
     limit = abs(n)
     value = sign
     prev = 1
     for p, e in factors:
         # p <= |n| and e <= bit length keep a bad entry from costing more
         # than factoring n would
-        if not prev < p <= limit or not 1 <= e <= limit.bit_length() or not is_prime(p):
+        if not prev < p <= limit or not 1 <= e <= limit.bit_length():
+            return False
+        if p >= _MR_DETERMINISTIC_LIMIT:
+            budget -= _primality_cost(p)
+            if budget < 0:
+                raise _budget_exhausted(p)
+        if not is_prime(p):
             return False
         value *= p**e
         prev = p
     return value == n
 
 
-def _read_factor(file: result_cache.ResultCache, n: int) -> Factorization | None:
+def _read_factor(file: result_cache.ResultCache, n: int, budget: int) -> Factorization | None:
     """The factorization of n stored in the cache file, if it is one."""
     entry = file.get_factor(n)
     if entry is None:
         return None
     sign, factors = entry
-    if _is_factorization(n, sign, factors):
+    if _is_factorization(n, sign, factors, budget):
         return Factorization(n=n, factors=factors, sign=sign)
-    print(f"warning: cache entry factor:{n} is wrong; recomputing", file=sys.stderr)
+    print(f"warning: cache entry factor:{_cofactor_text(n)} is wrong; recomputing", file=sys.stderr)
     return None
 
 
@@ -280,7 +291,10 @@ def factor(
     Exhausting it raises ResourceCapError naming the unfactored
     cofactor: in full up to 60 digits, else by its bit length and last 12
     digits.  Since the value is canonical, results are kept in the result
-    cache (memo, and file when one is active), and a hit costs no budget;
+    cache (memo, and file when one is active).  A memo hit costs no budget;
+    an entry read from the file is checked first, and each primality test
+    of that check above ~3.3e24 is charged as above, so a cached prime
+    factor too long for the budget raises as a fresh one does.
     ``use_cache=False`` forces a fresh computation.  A cached n must fit in
     str() (``sys.get_int_max_str_digits()`` decimal digits); a longer one
     raises ResourceCapError naming its bit length.
@@ -288,8 +302,11 @@ def factor(
     if n == 0:
         raise InputError("cannot factor 0")
 
+    if budget is None:
+        budget = DEFAULT_FACTOR_BUDGET
+
     def compute() -> Factorization:
-        return _factor_impl(n, DEFAULT_FACTOR_BUDGET if budget is None else budget)
+        return _factor_impl(n, budget)
 
     if not use_cache:
         return compute()
@@ -303,7 +320,7 @@ def factor(
     return result_cache.lookup(
         f"factor:{n}",
         compute,
-        read=lambda file: _read_factor(file, n),
+        read=lambda file: _read_factor(file, n, budget),
         write=lambda file, fac: file.put_factor(n, fac.sign, fac.factors),
     )
 

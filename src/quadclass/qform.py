@@ -95,14 +95,16 @@ class QuadForm:
         return QuadForm(self.a, -self.b, self.c).reduced()
 
     def compose(self, other: "QuadForm") -> "QuadForm":
-        """Gauss composition; reduced output, well-defined on classes."""
+        """Gauss composition; reduced output, well-defined on classes.
+
+        The formula needs two primitive forms of one discriminant, reduced
+        or not, so the inputs are used as they are."""
         if self.discriminant != other.discriminant:
             raise InputError(
                 f"discriminant mismatch: {self.discriminant} vs {other.discriminant}"
             )
-        f, g = self.reduced(), other.reduced()
-        a1, b1, c1 = f.a, f.b, f.c
-        a2, b2, c2 = g.a, g.b, g.c
+        a1, b1, c1 = self.a, self.b, self.c
+        a2, b2, c2 = other.a, other.b, other.c
         s0 = (b1 + b2) // 2
         h0 = (b2 - b1) // 2
         w = math.gcd(math.gcd(a1, a2), s0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadclass
-from quadclass import cli
+from quadclass import cli, intmath
 from quadclass import cache as result_cache
 
 
@@ -311,6 +311,36 @@ class TestDeterminismAndCache:
         assert "factor:-20" in err
         with result_cache.ResultCache(str(cache_file)) as cache:
             assert cache.get_factor(-20) == (-1, ((2, 2), (5, 1)))
+
+    def test_poisoned_factor_entry_is_refused_within_the_budget(self, capsys, tmp_path, fresh_memo):
+        # no Miller-Rabin base divides v, so checking the entry "v is prime"
+        # would run full rounds on a 13995-bit number: the budget must refuse
+        # the test before it runs, and the message must not print v
+        v = 1 + 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 10**4200
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(json.dumps({"key": f"factor:{v}", "value": f"+1:{v}^1", "v": 1}) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(["squarefree", "--cache", str(cache_file), "--", str(v)], capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource cap: factoring budget exhausted; unfactored cofactor of 13995 bits")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+
+    def test_cached_prime_above_the_deterministic_limit(self, capsys, tmp_path, fresh_memo,
+                                                        monkeypatch):
+        # its check costs 52 rounds of 100 * 2 units, and nothing is recomputed
+        p = 633825300114114700748351602943
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(json.dumps({"key": f"factor:{p}", "value": f"+1:{p}^1", "v": 1}) + "\n")
+        monkeypatch.setattr(intmath, "_factor_impl", lambda *args: pytest.fail("recomputed"))
+        argv = ["squarefree", "--json", "--cache", str(cache_file), "--n", str(p)]
+        code, out, err = run(argv + ["--factor-budget", str(52 * 100 * 2)], capsys)
+        assert (code, out, err) == (0, f'{{"d":"{p}","n":"{p}","t":"1"}}\n', "")
+        result_cache._memo.clear()
+        code, out, err = run(argv + ["--factor-budget", str(52 * 100 * 2 - 1)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"resource cap: factoring budget exhausted; unfactored cofactor {p}\n"
 
     def test_wrong_class_number_entry_fails_the_cross_check(self, capsys, tmp_path, fresh_memo):
         cache_file = tmp_path / "cache.jsonl"

@@ -298,7 +298,7 @@ class TestSearchSieve:
     def test_deep_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
         hits, memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert sieve_calls, "the deep window should reach the sieve"
-        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
+        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert hits == reference
         assert len(hits) > 5
@@ -315,7 +315,7 @@ class TestSearchSieve:
         assert sieve_calls, "the near window should reach the sieve"
         sieved_factored = len(factored)
         factored.clear()
-        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
+        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
         assert hits == reference
         assert len(hits) > 5
@@ -334,7 +334,7 @@ class TestSearchSieve:
             return capsys.readouterr().out, sorted(path.read_text().splitlines())
 
         sieved_out, sieved_lines = run(tmp_path / "sieved.jsonl")
-        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: {})
+        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
         plain_out, plain_lines = run(tmp_path / "plain.jsonl")
         assert sieved_out == plain_out
         assert sieved_lines == plain_lines

@@ -41,6 +41,12 @@ COMMANDS = [
     ["search", "--n", "3", "--offsets", "0,1", "--from", "-500", "--to", "-1", "--max-hits", "3"],
     ["group", "--disc", "-84"],
     ["group", "--disc", "-4"],
+    # the first record is skipped, so its reason is an early column
+    ["scan", "--x", "2", "--n", "3", "--from", "4", "--to", "7"],
+    # no records: the table prints "(no rows)" and CSV prints nothing
+    ["scan", "--x", "2", "--n", "3", "--from", "5", "--to", "4"],
+    # no hits
+    ["search", "--n", "3", "--offsets", "0", "--from", "-2", "--to", "-1"],
 ]
 FORMATS = ([], ["--csv"], ["--json"])
 

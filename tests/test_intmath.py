@@ -128,10 +128,11 @@ class TestFactor:
         q = 2**61 - 1
         assert intmath.factor(q, budget=0, use_cache=False).factors == ((q, 1),)
 
-    @pytest.mark.parametrize("v", [10**60 - 1, 10**60])
+    @pytest.mark.parametrize("v", [10**60 - 1, 10**60, 1 - 10**60, -(10**60)])
     def test_cofactor_printed_in_full_up_to_60_digits(self, v):
         text = intmath._cofactor_text(v)
-        assert (text == str(v)) == (v < 10**60)
+        assert (text == str(v)) == (abs(v) < 10**60)
+        assert text.startswith("negative") == (v <= -(10**60))
         assert len(text) < 70
 
     def test_rho_path(self):

@@ -318,6 +318,16 @@ class TestCompose:
                 fa = QuadForm(*apply_unimodular(f, *random_unimodular(rng)))
                 ga = QuadForm(*apply_unimodular(g, *random_unimodular(rng)))
                 assert fa.compose(ga) == f.compose(g)
+        # compose takes unreduced forms as they are: every 7th discriminant
+        # down to -3000, fundamental or not
+        discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1)][::7]
+        for disc in discs:
+            forms = qform.enumerate_reduced(disc)
+            for _ in range(10):
+                f, g = rng.choice(forms), rng.choice(forms)
+                fa = QuadForm(*apply_unimodular(f, *random_unimodular(rng)))
+                ga = QuadForm(*apply_unimodular(g, *random_unimodular(rng)))
+                assert fa.compose(ga) == f.compose(g), (disc, fa, ga)
 
 
 class TestPower:
