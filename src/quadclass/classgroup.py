@@ -313,53 +313,35 @@ def _element_orders(
     return orders, places
 
 
-def _exact_log(value: int, p: int) -> int:
-    """e with p**e == value; the inputs here are always exact powers."""
-    e = 0
-    v = value
-    while v > 1:
-        if v % p:
-            raise InconsistencyError(f"{value} is not a power of {p}")
-        v //= p
-        e += 1
-    return e
-
-
-def _sylow_exponents(order_values, p: int, a: int) -> list[int]:
-    """Exponents (descending) of the p-Sylow invariant factors.
-
-    #{x : ord(x) | p^j} equals p**(sum_i min(lambda_i, j)); differencing those
-    logarithms over j recovers how many invariants have exponent >= j, and
-    hence the multiset of exponents.
-    """
-    sums = []
-    pj = 1
-    for _ in range(a + 1):
-        count = sum(1 for o in order_values if pj % o == 0)
-        sums.append(_exact_log(count, p))
-        pj *= p
-    ge = [sums[j] - sums[j - 1] for j in range(1, a + 1)]  # non-increasing
-    lams = [max(j for j in range(1, a + 1) if idx < ge[j - 1]) for idx in range(ge[0])]
-    return sorted(lams, reverse=True)
-
-
 def group_structure(
     disc: int,
     max_disc: int = DEFAULT_DISC_CAP,
     structure_cap: int = DEFAULT_STRUCTURE_CAP,
-    budget: int | None = None,
 ) -> ClassGroupInfo:
     """Elementary divisors and matching generators of the form class group.
 
     Element orders come from one walk per cyclic subgroup: composing f, f^2,
     ... until the identity returns gives ord(f) and, through
     ord(f^k) = ord(f) / gcd(k, ord(f)), the order of every power met, in
-    fewer than 4.82 h compositions for h <= 10^4.  The orders give the Sylow
-    invariant profile by counting; generators are then picked greedily
-    (largest remaining invariant first): f of order target is taken when
-    none of f, ..., f^(target-1), read from its walk, lies in the subgroup
-    generated so far.  Subgroup growth by composition then checks that the
-    generators exhaust the group, so the certificate is self-checking.
+    fewer than 4.82 h compositions for h <= 10^4.
+
+    Generators are then picked greedily from the classes in (-order, form)
+    order: a class f is kept when none of f, ..., f^(ord(f)-1), read from
+    its walk, lies in the subgroup H generated so far, and the picking stops
+    once H has h classes.  The orders of the kept classes are the elementary
+    divisors, largest first.  A cyclic subgroup of maximal order in a finite
+    abelian group is a direct summand, so while H is a direct summand every
+    f with <f> meeting H only in 1 has order at most exp(G/H), some f reaches
+    that bound, and adding any such f keeps the sum direct; the first class
+    that passes therefore has order exp(G/H), the next divisor.
+
+    A class that fails the test meets every larger H too, so one pass over
+    the sorted classes serves all rounds; a class of order 1, or of an order
+    not dividing h/|H|, cannot pass and is skipped.  H grows by composing
+    each of its classes with f, ..., f^(ord(f)-1), which makes h - 1
+    compositions over the whole group and checks that the sum is direct and
+    that the generators exhaust the group, so the certificate is
+    self-checking.
     """
     forms = qform.enumerate_reduced(disc, max_disc)
     h = len(forms)
@@ -367,47 +349,34 @@ def group_structure(
         raise ResourceCapError(
             f"class number {h} exceeds structure cap {structure_cap}", detail=h
         )
-    if h == 1:
-        return ClassGroupInfo(disc, 1, (), ())
     orders, places = _element_orders(forms, h)
-    hfac = intmath.factor(h, budget)
-
-    # Sylow exponent profile per prime, from element-order counts alone.
-    exps_by_prime = {
-        p: _sylow_exponents(orders.values(), p, a) for p, a in hfac.factors
-    }
-
-    # Merge per-prime profiles into elementary divisors (descending first).
-    width = max(len(v) for v in exps_by_prime.values())
-    divisors_desc = []
-    for i in range(width):
-        d = 1
-        for p, lams in exps_by_prime.items():
-            if i < len(lams):
-                d *= p ** lams[i]
-        divisors_desc.append(d)
-
-    # Greedy generators hitting the known targets, with subgroup verification.
-    ident = qform.identity_form(disc)
-    subgroup = {ident}
+    subgroup = {qform.identity_form(disc)}
     gens_desc: list[QuadForm] = []
-    by_order_desc = sorted(forms, key=lambda f: (-orders[f], f))
-    for target in divisors_desc:
-        for f in by_order_desc:
-            if orders[f] != target:
+    candidates = iter(sorted(forms, key=lambda f: (-orders[f], f)))
+    while len(subgroup) < h:
+        quotient = h // len(subgroup)
+        for f in candidates:
+            n = orders[f]
+            if n == 1 or quotient % n:
                 continue
-            # f^j = walk[(k*j - 1) % n] for j = 0..target-1: 1, f, ..., f^(target-1)
+            # f^j = walk[(k*j - 1) % len(walk)] for j = 0..n-1: 1, f, ..., f^(n-1)
             walk, k = places[f]
-            powers = [walk[(k * j - 1) % len(walk)] for j in range(target)]
+            powers = [walk[(k * j - 1) % len(walk)] for j in range(n)]
             if subgroup.isdisjoint(powers[1:]):
                 break
-        else:  # pragma: no cover - counting profile guarantees one
-            raise InconsistencyError(f"no generator of quotient order {target} found")
+        else:
+            raise InconsistencyError(
+                f"the classes of disc {disc} ran out at a subgroup of order {len(subgroup)} < h = {h}"
+            )
         gens_desc.append(f)
-        subgroup = {s.compose(p) for s in subgroup for p in powers}
-    if len(subgroup) != h:  # pragma: no cover
+        grown = subgroup | {s.compose(p) for s in subgroup for p in powers[1:]}
+        if len(grown) != len(subgroup) * n:
+            raise InconsistencyError(
+                f"{f} grows a subgroup of {len(subgroup)} classes to {len(grown)}, not {len(subgroup) * n}"
+            )
+        subgroup = grown
+    if len(subgroup) != h:  # pragma: no cover - each order divides h / |H|
         raise InconsistencyError("generated subgroup does not exhaust the class group")
 
-    divisors = tuple(reversed(divisors_desc))
     generators = tuple(reversed(gens_desc))
-    return ClassGroupInfo(disc, h, divisors, generators)
+    return ClassGroupInfo(disc, h, tuple(orders[g] for g in generators), generators)

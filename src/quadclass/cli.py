@@ -379,7 +379,7 @@ def cmd_search(args) -> int:
 
 def cmd_group(args) -> int:
     disc = _required_value(args.disc, args.disc_flag, "disc")
-    info = classgroup.group_structure(disc, args.max_disc, budget=args.factor_budget)
+    info = classgroup.group_structure(disc, args.max_disc)
     doc = {
         "delta": str(info.discriminant),
         "h": str(info.h),

@@ -90,3 +90,32 @@ def random_unimodular(rng, bound: int = 12) -> tuple[int, int, int, int]:
             p, r = p + k * q, r + k * s
     assert p * s - q * r == 1
     return p, q, r, s
+
+
+def invariant_factors_by_count(forms) -> tuple[int, ...]:
+    """Elementary divisors d1 | d2 | ... of the class group whose classes are
+    forms, all h reduced forms of one disc.
+
+    For each p^a exactly dividing h, counts the classes killed by p^j with
+    ``QuadForm.power``: there are p^(sum_i min(lambda_i, j)) of them, where
+    p^lambda_i are the p-parts of the divisors.  The differences of those
+    exponents over j give how many lambda_i are at least j, hence the
+    lambda_i themselves.
+    """
+    identity = next(f for f in forms if f.a == 1)  # the principal form
+    desc: list[int] = []
+    for p, a in trial_factor(len(forms)):
+        logs = []
+        for j in range(a + 1):
+            count = sum(1 for f in forms if f.power(p**j) == identity)
+            e = 0
+            while p**e < count:
+                e += 1
+            assert p**e == count, (count, p)
+            logs.append(e)
+        at_least = [logs[j] - logs[j - 1] for j in range(1, a + 1)]
+        for i in range(at_least[0]):
+            if i == len(desc):
+                desc.append(1)
+            desc[i] *= p ** sum(1 for r in at_least if r > i)
+    return tuple(reversed(desc))

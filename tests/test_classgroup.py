@@ -5,7 +5,7 @@ from quadclass import classgroup, intmath, qform
 from quadclass.errors import InconsistencyError, InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
-from oracles import brute_reduced_forms
+from oracles import brute_reduced_forms, invariant_factors_by_count
 
 HEEGNER = {-3, -4, -7, -8, -11, -19, -43, -67, -163}
 
@@ -216,6 +216,27 @@ class TestGroupStructure:
         with pytest.raises(ResourceCapError):
             classgroup.group_structure(-104, structure_cap=2)
 
+    def test_divisors_equal_the_counting_oracle(self):
+        for disc in range(-3, -3001, -1):
+            if disc % 4 in (0, 1):
+                forms = qform.enumerate_reduced(disc)
+                info = classgroup.group_structure(disc)
+                assert info.elementary_divisors == invariant_factors_by_count(forms), disc
+
+    def test_oracle_examples(self):
+        # (2, 2, 30) and (4, 16): several primes and several invariants each
+        assert invariant_factors_by_count(qform.enumerate_reduced(-20055)) == (2, 2, 30)
+        assert invariant_factors_by_count(qform.enumerate_reduced(-20124)) == (4, 16)
+
+    def test_classes_running_out_raises(self, monkeypatch):
+        # every class reported as order 1: none can extend the subgroup
+        def all_order_one(forms, h):
+            return {f: 1 for f in forms}, {f: ([f], 1) for f in forms}
+
+        monkeypatch.setattr(classgroup, "_element_orders", all_order_one)
+        with pytest.raises(InconsistencyError, match="ran out"):
+            classgroup.group_structure(-84)
+
 
 class TestCyclicWalk:
     def test_walked_orders_equal_order_of_class(self):
@@ -306,5 +327,25 @@ class TestCyclicWalk:
         monkeypatch.setattr(QuadForm, "power", no_power)
         info = classgroup.group_structure(-4873699)
         assert info.h == 552
-        # the walk (h - 1) and the subgroup growth (h), nothing else
+        # the walk (h - 1) and the subgroup growth (h - 1), nothing else
         assert 0 < calls <= 2.5 * info.h
+
+    @pytest.mark.parametrize("disc", [-4873699, -4689835, -3835384])
+    def test_growth_makes_h_minus_one_compositions(self, monkeypatch, disc):
+        # cyclic, (2, 2, 124) and (4, 124): the growth composes each class of
+        # H only with f, ..., f^(n-1), never with the identity
+        forms = qform.enumerate_reduced(disc)
+        calls = 0
+        compose = QuadForm.compose
+
+        def counted(f, g):
+            nonlocal calls
+            calls += 1
+            return compose(f, g)
+
+        monkeypatch.setattr(QuadForm, "compose", counted)
+        classgroup._element_orders(forms, len(forms))
+        walks = calls
+        calls = 0
+        info = classgroup.group_structure(disc)
+        assert calls - walks == info.h - 1
