@@ -193,7 +193,12 @@ def class_number_of_field(
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
-    d_sf = intmath.squarefree_part(d, budget).d
+    return class_number_of_squarefree(intmath.squarefree_part(d, budget).d, max_disc)
+
+
+def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> FieldClassNumber:
+    """``class_number_of_field`` for a square-free d_sf < 0 the caller
+    already holds, so d_sf is not factored again."""
     disc = intmath.field_discriminant(d_sf)
     if -disc > max_disc:
         raise ResourceCapError(
@@ -270,22 +275,43 @@ class ClassGroupInfo:
     generators: tuple[QuadForm, ...]
 
 
+def _walk(g: QuadForm, known: set[QuadForm], ident: QuadForm, bound: int) -> list[QuadForm]:
+    """g, g^2, ..., g^n = 1 for n = ord(g), one composition a step.
+
+    A power outside ``known``, a walk that runs ``bound`` steps without
+    closing, and one that closes at an n not dividing ``bound``, raise
+    InconsistencyError.
+    """
+    walk = [g]
+    while walk[-1] != ident:
+        if len(walk) == bound:
+            raise InconsistencyError(f"power(f, {bound}) is not principal for f = {g}")
+        x = walk[-1].compose(g)
+        if x not in known:
+            raise InconsistencyError(f"{x} is not a reduced form of disc {ident.discriminant}")
+        walk.append(x)
+    if bound % len(walk):
+        raise InconsistencyError(f"class {g} has order {len(walk)}, which does not divide {bound}")
+    return walk
+
+
 def _element_orders(
     forms: list[QuadForm], h: int
 ) -> tuple[dict[QuadForm, int], dict[QuadForm, tuple[list[QuadForm], int]]]:
-    """Order and walk place of every class, forms being all h reduced forms
-    of one disc.
+    """Order and walk place of every class of a group of order h, forms
+    being its classes, the principal form first.
 
-    Walks the cyclic subgroup of each class whose order is not yet known:
-    f, f^2, f^3, ... until the identity comes back after n = ord(f) steps.
-    Each class g met is recorded at its place (walk, k), g = walk[k-1] =
-    f^k, which gives ord(g) = n / gcd(k, n) and g^j = walk[(k*j - 1) % n]
-    with no further composition.  The phi(n) generators of <f> are all
-    unseen before its walk, so the walks make at most h * max(n / phi(n))
-    compositions in all (n | h; under 4.82 h for h <= 10^4).  A walk that
-    leaves the enumerated forms, runs h steps without closing or closes at
-    an n not dividing h, and a class met with two different orders, raise
-    InconsistencyError.
+    ``group_structure`` passes the classes of one Sylow subgroup, so h is a
+    prime power there.  Walks the cyclic subgroup of each class whose order
+    is not yet known: f, f^2, f^3, ... until the identity comes back after
+    n = ord(f) steps.  Each class g met is recorded at its place (walk, k),
+    g = walk[k-1] = f^k, which gives ord(g) = n / gcd(k, n) and
+    g^j = walk[(k*j - 1) % n] with no further composition.  The phi(n)
+    generators of <f> are all unseen before its walk, so the walks make at
+    most h * max(n / phi(n)) compositions in all, at most 2 h for a p-group.
+    A walk that leaves the given forms, runs h steps without closing or
+    closes at an n not dividing h, and a class met with two different
+    orders, raise InconsistencyError.
     """
     known = set(forms)
     ident = qform.identity_form(forms[0].discriminant)
@@ -294,23 +320,121 @@ def _element_orders(
     for f in forms:
         if f in orders:
             continue
-        walk = [f]
-        while walk[-1] != ident:
-            if len(walk) == h:
-                raise InconsistencyError(f"power(f, {h}) is not principal for f = {f}")
-            g = walk[-1].compose(f)
-            if g not in known:
-                raise InconsistencyError(f"{g} is not a reduced form of disc {ident.discriminant}")
-            walk.append(g)
+        walk = _walk(f, known, ident, h)
         n = len(walk)
-        if h % n:
-            raise InconsistencyError(f"class {f} has order {n}, which does not divide h = {h}")
         for k, g in enumerate(walk, 1):
             order = n // math.gcd(k, n)
             if orders.setdefault(g, order) != order:
                 raise InconsistencyError(f"class {g} met with orders {orders[g]} and {order}")
             places.setdefault(g, (walk, k))
     return orders, places
+
+
+def _grown(subgroup: set[QuadForm], steps: list[QuadForm], by: QuadForm) -> set[QuadForm]:
+    """subgroup * {1, steps...}, checked to have |subgroup| * (len(steps) + 1)
+    classes: the steps lie in distinct cosets of the subgroup."""
+    grown = subgroup | {s.compose(x) for s in subgroup for x in steps}
+    target = len(subgroup) * (len(steps) + 1)
+    if len(grown) != target:
+        raise InconsistencyError(
+            f"{by} grows a subgroup of {len(subgroup)} classes to {len(grown)}, not {target}"
+        )
+    return grown
+
+
+def _prime_powers(h: int) -> list[tuple[int, int]]:
+    """(p, p^a) for each p^a exactly dividing h, by trial division."""
+    out = []
+    p = 2
+    while p * p <= h:
+        if h % p == 0:
+            q = 1
+            while h % p == 0:
+                h //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    if h > 1:
+        out.append((h, h))
+    return out
+
+
+class _Sylow:
+    """The p-Sylow subgroup G_p of a class group of order h, p^a || h, and
+    the p-part H_p of the subgroup generated so far.
+
+    G_p is built from the p-parts f^(h/p^a) of the forms, in form order: each
+    new p-part g is walked inside the reduced forms, and G_p grows by the
+    cosets of <g> until it has p^a classes.  Its classes are then walked once
+    more, inside G_p, for their orders and walk places.
+    """
+
+    def __init__(self, p: int, q: int, forms: list[QuadForm], known: set[QuadForm], ident: QuadForm):
+        self.p, self.q = p, q
+        self._cofactor = len(forms) // q
+        self._known = known
+        self._parts: dict[QuadForm, QuadForm] = {}
+        group = {ident}
+        for f in forms:
+            if len(group) == q:
+                break
+            g = self.part(f)
+            if g in group:
+                continue
+            walk = _walk(g, known, ident, q)
+            # g^j, the first power of g in the group, closes the cosets of <g>
+            j = next(j for j, x in enumerate(walk, 1) if x in group)
+            group = _grown(group, walk[: j - 1], g)
+            if len(group) > q:
+                raise InconsistencyError(
+                    f"the {p}-part of disc {ident.discriminant} outgrows {q} classes"
+                )
+        if len(group) < q:
+            raise InconsistencyError(
+                f"the classes of disc {ident.discriminant} ran out at a {p}-subgroup "
+                f"of order {len(group)} < {q}"
+            )
+        self.group = group
+        self.orders, self._places = _element_orders(sorted(group), q)
+        self.subgroup = {ident}
+
+    def part(self, f: QuadForm) -> QuadForm:
+        """f^(h/p^a), memoized; it must be a reduced form."""
+        g = self._parts.get(f)
+        if g is None:
+            g = f if self._cofactor == 1 else f.power(self._cofactor)
+            if g not in self._known:
+                raise InconsistencyError(
+                    f"{g} is not a reduced form of disc {f.discriminant}"
+                )
+            self._parts[f] = g
+        return g
+
+    def order(self, g: QuadForm) -> int:
+        n = self.orders.get(g)
+        if n is None:
+            raise InconsistencyError(f"{g} is not in the {self.p}-part of its class group")
+        return n
+
+    def _power(self, g: QuadForm, j: int) -> QuadForm:
+        """g^j, read off g's walk: g = walk[k-1] = f^k gives g^j = f^(kj)."""
+        walk, k = self._places[g]
+        return walk[(k * j - 1) % len(walk)]
+
+    def powers(self, g: QuadForm) -> list[QuadForm]:
+        """g, g^2, ..., g^(n-1) for n = ord(g)."""
+        return [self._power(g, j) for j in range(1, self.orders[g])]
+
+    def free(self, g: QuadForm) -> bool:
+        """Whether <g> meets H_p only in 1.  Every nontrivial subgroup of the
+        cyclic p-group <g> holds g^(n/p), n = ord(g), so one lookup decides."""
+        n = self.orders[g]
+        return n == 1 or self._power(g, n // self.p) not in self.subgroup
+
+    def exponent(self) -> int:
+        """exp(G_p/H_p), the largest order of a g in G_p with <g> meeting H_p
+        only in 1, since H_p stays a direct summand of G_p."""
+        return max(n for g, n in self.orders.items() if self.free(g))
 
 
 def group_structure(
@@ -320,28 +444,31 @@ def group_structure(
 ) -> ClassGroupInfo:
     """Elementary divisors and matching generators of the form class group.
 
-    Element orders come from one walk per cyclic subgroup: composing f, f^2,
-    ... until the identity returns gives ord(f) and, through
-    ord(f^k) = ord(f) / gcd(k, ord(f)), the order of every power met, in
-    fewer than 4.82 h compositions for h <= 10^4.
+    The group G is the direct sum of its Sylow subgroups G_p, p^a || h, with
+    h factored by trial division.  Each G_p is built from the p-parts
+    f^(h/p^a) of the forms (see ``_Sylow``), and element orders come from
+    walks inside G_p alone; the whole group is never walked.
 
-    Generators are then picked greedily from the classes in (-order, form)
-    order: a class f is kept when none of f, ..., f^(ord(f)-1), read from
-    its walk, lies in the subgroup H generated so far, and the picking stops
-    once H has h classes.  The orders of the kept classes are the elementary
-    divisors, largest first.  A cyclic subgroup of maximal order in a finite
-    abelian group is a direct summand, so while H is a direct summand every
-    f with <f> meeting H only in 1 has order at most exp(G/H), some f reaches
-    that bound, and adding any such f keeps the sum direct; the first class
-    that passes therefore has order exp(G/H), the next divisor.
+    Generators are picked greedily, one per round, as in (-order, form)
+    order over all classes: with H the subgroup generated so far and H_p
+    its p-parts, the pick is the first form f, in form order, whose order is
+    t = exp(G/H) = prod_p exp(G_p/H_p) and whose cyclic subgroup meets H only
+    in 1, that is <f_p> meets H_p only in 1 for each p-part f_p of f.  A
+    cyclic subgroup of maximal order in a finite abelian group is a direct
+    summand, so while H is a direct summand every f with <f> meeting H only
+    in 1 has order dividing t, some f reaches t, and adding any such f keeps
+    the sum direct; the orders t of the picks are the elementary divisors,
+    largest first.  A form is tested first by whether f^t is principal, then
+    by ord(f) = prod_p ord(f_p) and the p-parts; one that fails the power
+    test, or whose <f> meets H, fails in every later round too and is
+    dropped.  The first round skips the power test: with H = 1 every order
+    divides t = exp(G).  A form of order 1 is skipped, so t = 1 while H < G
+    ends in "ran out".
 
-    A class that fails the test meets every larger H too, so one pass over
-    the sorted classes serves all rounds; a class of order 1, or of an order
-    not dividing h/|H|, cannot pass and is skipped.  H grows by composing
-    each of its classes with f, ..., f^(ord(f)-1), which makes h - 1
-    compositions over the whole group and checks that the sum is direct and
-    that the generators exhaust the group, so the certificate is
-    self-checking.
+    Each H_p grows by composing its classes with f_p, ..., f_p^(ord(f_p)-1),
+    read off f_p's walk, which makes p^a - 1 compositions per Sylow subgroup
+    over all rounds and checks that the sum is direct; at the end every H_p
+    must be G_p, so the certificate is self-checking.
     """
     forms = qform.enumerate_reduced(disc, max_disc)
     h = len(forms)
@@ -349,34 +476,40 @@ def group_structure(
         raise ResourceCapError(
             f"class number {h} exceeds structure cap {structure_cap}", detail=h
         )
-    orders, places = _element_orders(forms, h)
-    subgroup = {qform.identity_form(disc)}
-    gens_desc: list[QuadForm] = []
-    candidates = iter(sorted(forms, key=lambda f: (-orders[f], f)))
-    while len(subgroup) < h:
-        quotient = h // len(subgroup)
-        for f in candidates:
-            n = orders[f]
-            if n == 1 or quotient % n:
+    known = set(forms)
+    ident = qform.identity_form(disc)
+    sylows = [_Sylow(p, q, forms, known, ident) for p, q in _prime_powers(h)]
+    orders: dict[QuadForm, int] = {}
+    dropped: set[QuadForm] = set()
+    picks: list[tuple[QuadForm, int]] = []
+    while any(len(s.subgroup) < s.q for s in sylows):
+        t = math.prod(s.exponent() for s in sylows)
+        for f in forms:
+            if f in dropped:
                 continue
-            # f^j = walk[(k*j - 1) % len(walk)] for j = 0..n-1: 1, f, ..., f^(n-1)
-            walk, k = places[f]
-            powers = [walk[(k * j - 1) % len(walk)] for j in range(n)]
-            if subgroup.isdisjoint(powers[1:]):
+            n = orders.get(f)
+            if n is None:
+                if picks and f.power(t) != ident:
+                    dropped.add(f)
+                    continue
+                n = orders[f] = math.prod(s.order(s.part(f)) for s in sylows)
+            if n != t or n == 1:
+                continue
+            if all(s.free(s.part(f)) for s in sylows):
                 break
+            dropped.add(f)
         else:
             raise InconsistencyError(
-                f"the classes of disc {disc} ran out at a subgroup of order {len(subgroup)} < h = {h}"
+                f"the classes of disc {disc} ran out at a subgroup of order "
+                f"{math.prod(len(s.subgroup) for s in sylows)} < h = {h}"
             )
-        gens_desc.append(f)
-        grown = subgroup | {s.compose(p) for s in subgroup for p in powers[1:]}
-        if len(grown) != len(subgroup) * n:
-            raise InconsistencyError(
-                f"{f} grows a subgroup of {len(subgroup)} classes to {len(grown)}, not {len(subgroup) * n}"
-            )
-        subgroup = grown
-    if len(subgroup) != h:  # pragma: no cover - each order divides h / |H|
+        picks.append((f, t))
+        for s in sylows:
+            s.subgroup = _grown(s.subgroup, s.powers(s.part(f)), f)
+    if any(s.subgroup != s.group for s in sylows):
         raise InconsistencyError("generated subgroup does not exhaust the class group")
 
-    generators = tuple(reversed(gens_desc))
-    return ClassGroupInfo(disc, h, tuple(orders[g] for g in generators), generators)
+    picks.reverse()
+    return ClassGroupInfo(
+        disc, h, tuple(t for _, t in picks), tuple(f for f, _ in picks)
+    )

@@ -124,18 +124,21 @@ class QuadForm:
         return QuadForm(a3, b3, c3).reduced()
 
     def power(self, k: int) -> "QuadForm":
-        """Reduced k-th power of the class, square-and-multiply; k >= 0."""
+        """Reduced k-th power of the class, square-and-multiply; k >= 0.
+
+        The lowest set bit of k starts the product, so no composition is
+        spent on the identity."""
         if k < 0:
             raise InputError(f"exponent must be non-negative, got {k}")
-        result = identity_form(self.discriminant)
+        result = None
         base = self.reduced()
         while k:
             if k & 1:
-                result = result.compose(base)
+                result = base if result is None else result.compose(base)
             k >>= 1
             if k:
                 base = base.compose(base)
-        return result
+        return identity_form(self.discriminant) if result is None else result
 
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
@@ -177,21 +180,24 @@ def _reduced_forms(disc: int, collect: bool, max_disc: int) -> tuple[int, list[Q
         pairs = _divisor_pairs_np(abs_d)
     else:
         pairs = _divisor_pairs(abs_d)
-    forms: list[QuadForm] | None = [] if collect else None
+    triples: list[tuple[int, int, int]] | None = [] if collect else None
     count = 0
     for a, b, c in pairs:
         if math.gcd(math.gcd(a, b), c) != 1:
             continue
         count += 1
-        if forms is not None:
-            forms.append(QuadForm(a, b, c))
+        if triples is not None:
+            triples.append((a, b, c))
         if 0 < b < a < c:
             count += 1
-            if forms is not None:
-                forms.append(QuadForm(a, -b, c))
-    if forms is not None:
-        forms.sort()
-    return count, forms
+            if triples is not None:
+                triples.append((a, -b, c))
+    if triples is None:
+        return count, None
+    # sorting the tuples orders the forms as QuadForm's (a, b, c) order does,
+    # without a generated __lt__ call per comparison
+    triples.sort()
+    return count, [QuadForm(a, b, c) for a, b, c in triples]
 
 
 def _divisor_pairs(abs_d: int):

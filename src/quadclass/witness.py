@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import classgroup, intmath
-from .errors import InconsistencyError, InputError, QuadclassError, ResourceCapError
+from .errors import InconsistencyError, InputError, QuadclassError
 from .qform import DEFAULT_DISC_CAP, QuadForm
 
 
@@ -98,17 +98,15 @@ def verify_instance(
 ) -> WitnessReport:
     """Full certificate: class number, and the witness order found from n.
 
+    y^n - x^2 is factored once, for d; h is looked up for that d directly.
+
     The order comes from ``order_of_class(f, n)``, which raises when f^n is
     not principal; it divides h by Lagrange, and a class number it does not
     divide (e.g. a wrong cached value) raises InconsistencyError.
     """
     d, t, disc, raw = _construct(inst, budget)
-    if -disc > max_disc:
-        raise ResourceCapError(
-            f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
-        )
+    h = classgroup.class_number_of_squarefree(-d, max_disc).h
     f = raw.reduced()
-    h = classgroup.class_number_of_field(-d, max_disc, budget).h
     order = classgroup.order_of_class(f, inst.n, budget)
     if h % order:
         raise InconsistencyError(f"witness order {order} does not divide h = {h} at disc {disc}")

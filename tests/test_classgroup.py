@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from quadclass import cache as result_cache
@@ -5,7 +8,7 @@ from quadclass import classgroup, intmath, qform
 from quadclass.errors import InconsistencyError, InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
-from oracles import brute_reduced_forms, invariant_factors_by_count
+from oracles import brute_reduced_forms, invariant_factors_by_count, trial_factor
 
 HEEGNER = {-3, -4, -7, -8, -11, -19, -43, -67, -163}
 
@@ -216,6 +219,10 @@ class TestGroupStructure:
         with pytest.raises(ResourceCapError):
             classgroup.group_structure(-104, structure_cap=2)
 
+    def test_prime_powers_equal_trial_division(self):
+        for h in range(1, 3000):
+            assert classgroup._prime_powers(h) == [(p, p**a) for p, a in trial_factor(h)]
+
     def test_divisors_equal_the_counting_oracle(self):
         for disc in range(-3, -3001, -1):
             if disc % 4 in (0, 1):
@@ -236,6 +243,84 @@ class TestGroupStructure:
         monkeypatch.setattr(classgroup, "_element_orders", all_order_one)
         with pytest.raises(InconsistencyError, match="ran out"):
             classgroup.group_structure(-84)
+
+
+# (disc, h, elementary divisors, generators) of the 32 GROUP_POOL discs of the
+# certify benchmark, as the walk over every class computed them; the greedy
+# pick through the Sylow subgroups must give the same bytes.
+POOL_STRUCTURES = [
+    (-4873699, 552, (552,), ("(5,-1,243685)",)),
+    (-4865908, 500, (2, 250), ("(2,2,608239)", "(7,-4,173783)")),
+    (-4804531, 560, (560,), ("(5,-3,240227)",)),
+    (-4689835, 496, (2, 2, 124), ("(79,79,14861)", "(5,5,234493)", "(7,-5,167495)")),
+    (-4518267, 528, (2, 264), ("(3,3,376523)", "(7,-3,161367)")),
+    (-4427284, 550, (550,), ("(10,-6,110683)",)),
+    (-4307556, 544, (2, 2, 136), ("(3,0,358963)", "(2,2,538445)", "(5,-2,215378)")),
+    (-4052179, 492, (2, 246), ("(173,173,5899)", "(5,-1,202609)")),
+    (-4026731, 560, (560,), ("(15,-13,67115)",)),
+    (-3844312, 536, (2, 2, 134), ("(17,0,56534)", "(2,0,480539)", "(7,-2,137297)")),
+    (-3835384, 496, (4, 124), ("(365,-286,2683)", "(5,-4,191770)")),
+    (-3628804, 520, (2, 260), ("(2,2,453601)", "(19,-14,47750)")),
+    (-3380136, 500, (2, 250), ("(2,0,422517)", "(17,-12,49710)")),
+    (-3209795, 552, (552,), ("(3,-1,267483)",)),
+    (-3103491, 528, (2, 264), ("(3,3,258625)", "(11,-7,70535)")),
+    (-2905687, 525, (525,), ("(2,-1,363211)",)),
+    (-2885620, 544, (2, 2, 136), ("(5,0,144281)", "(2,2,360703)", "(13,-4,55493)")),
+    (-2741352, 496, (2, 2, 124), ("(3,0,228446)", "(2,0,342669)", "(13,-6,52719)")),
+    (-2609571, 528, (2, 264), ("(359,359,1907)", "(5,-3,130479)")),
+    (-2485684, 500, (2, 250), ("(2,2,310711)", "(7,-4,88775)")),
+    (-2455864, 536, (2, 2, 134), ("(107,0,5738)", "(2,0,306983)", "(5,-4,122794)")),
+    (-2137096, 492, (2, 246), ("(2,0,267137)", "(5,-2,106855)")),
+    (-2088411, 500, (2, 250), ("(3,3,174035)", "(5,-3,104421)")),
+    (-2087704, 528, (2, 264), ("(2,0,260963)", "(7,-2,74561)")),
+    (-2077955, 520, (2, 260), ("(11,11,47229)", "(3,-1,173163)")),
+    (-1989316, 496, (2, 2, 124), ("(23,0,21623)", "(7,0,71047)", "(5,-2,99466)")),
+    (-1773572, 528, (2, 264), ("(31,0,14303)", "(21,-16,21117)")),
+    (-1713848, 500, (2, 250), ("(2,0,214231)", "(3,-2,142821)")),
+    (-1711383, 558, (558,), ("(2,-1,213923)",)),
+    (-1684744, 492, (2, 246), ("(2,0,210593)", "(5,-4,84238)")),
+    (-1473240, 496, (2, 2, 124), ("(3,0,122770)", "(2,0,184155)", "(7,-6,52617)")),
+    (-1239992, 492, (2, 246), ("(2,0,154999)", "(3,-2,103333)")),
+]
+# sha256 of the lines "disc h divisors generators" (space-separated) for every
+# disc in [-3000, -3], from the same walk over every class.
+SWEEP_SHA256 = "07b193023c0c03ecd907ea57493fc001012f7d35cf8dda8c2c7556bc575e213b"
+
+
+class TestPinnedStructures:
+    @pytest.mark.parametrize("disc,h,divisors,generators", POOL_STRUCTURES)
+    def test_pool_structure(self, disc, h, divisors, generators):
+        info = classgroup.group_structure(disc)
+        assert (info.h, info.elementary_divisors) == (h, divisors)
+        assert tuple(str(g) for g in info.generators) == generators
+
+    def test_sweep_digest(self):
+        digest = hashlib.sha256()
+        for disc in range(-3, -3001, -1):
+            if disc % 4 in (0, 1):
+                info = classgroup.group_structure(disc)
+                divisors = " ".join(map(str, info.elementary_divisors))
+                generators = " ".join(map(str, info.generators))
+                digest.update(f"{disc} {info.h} {divisors} {generators}\n".encode())
+        assert digest.hexdigest() == SWEEP_SHA256
+
+
+class TestWrongClassNumber:
+    def test_missing_class_raises(self, monkeypatch):
+        # one non-identity class left out of the enumeration makes h one too
+        # small; h - 1 and h are coprime, so once h >= 3 the classes hold no
+        # subgroup of order h - 1 and the certificate cannot close
+        rng = random.Random(14)
+        discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1) and qform.count_reduced(d) >= 3]
+        assert len(discs) > 1400
+        enumerate_reduced = qform.enumerate_reduced
+        for disc in discs + [-4873699, -4689835, -3835384]:
+            forms = enumerate_reduced(disc)
+            assert forms[0] == qform.identity_form(disc)
+            del forms[rng.randrange(1, len(forms))]
+            monkeypatch.setattr(qform, "enumerate_reduced", lambda d, cap, forms=forms: list(forms))
+            with pytest.raises(InconsistencyError):
+                classgroup.group_structure(disc)
 
 
 class TestCyclicWalk:
@@ -311,6 +396,15 @@ class TestCyclicWalk:
         with pytest.raises(InconsistencyError, match=match):
             classgroup.group_structure(disc)
 
+    @pytest.mark.parametrize("disc", [-84, -4689835, -3835384])
+    def test_growth_that_is_not_direct_raises(self, monkeypatch, disc):
+        # with the test that <f_p> meets H_p only in 1 switched off, the
+        # second round picks the first generator again, and H_p cannot grow
+        # to |H_p| * ord(f_p)
+        monkeypatch.setattr(classgroup._Sylow, "free", lambda self, g: True)
+        with pytest.raises(InconsistencyError, match="grows a subgroup"):
+            classgroup.group_structure(disc)
+
     def test_compose_calls_bounded(self, monkeypatch):
         calls = 0
         compose = QuadForm.compose
@@ -320,32 +414,47 @@ class TestCyclicWalk:
             calls += 1
             return compose(f, g)
 
-        def no_power(f, k):
-            raise AssertionError("group_structure reads powers from its walks")
-
         monkeypatch.setattr(QuadForm, "compose", counted)
-        monkeypatch.setattr(QuadForm, "power", no_power)
         info = classgroup.group_structure(-4873699)
         assert info.h == 552
-        # the walk (h - 1) and the subgroup growth (h - 1), nothing else
-        assert 0 < calls <= 2.5 * info.h
+        # the p-parts f^(h/p^a) (inside ``power``), the walks and growths of
+        # the Sylow subgroups of orders 8, 3 and 23, and the growth of H:
+        # the whole group of 552 classes is never walked
+        assert 0 < calls <= info.h / 2
 
     @pytest.mark.parametrize("disc", [-4873699, -4689835, -3835384])
     def test_growth_makes_h_minus_one_compositions(self, monkeypatch, disc):
-        # cyclic, (2, 2, 124) and (4, 124): the growth composes each class of
-        # H only with f, ..., f^(n-1), never with the identity
-        forms = qform.enumerate_reduced(disc)
+        # cyclic, (2, 2, 124) and (4, 124): each H_p grows by composing its
+        # classes only with f_p, ..., f_p^(n-1), never with the identity, so
+        # the growth after the last Sylow walk makes p^a - 1 compositions per
+        # p^a || h, outside ``power``; that is h - 1 only for a p-group
         calls = 0
-        compose = QuadForm.compose
+        in_power = False
+        compose, power = QuadForm.compose, QuadForm.power
+        element_orders = classgroup._element_orders
 
         def counted(f, g):
             nonlocal calls
-            calls += 1
+            calls += not in_power
             return compose(f, g)
 
+        def uncounted(f, k):
+            nonlocal in_power
+            in_power = True
+            try:
+                return power(f, k)
+            finally:
+                in_power = False
+
+        def walked(forms, h):
+            nonlocal calls
+            result = element_orders(forms, h)
+            calls = 0
+            return result
+
         monkeypatch.setattr(QuadForm, "compose", counted)
-        classgroup._element_orders(forms, len(forms))
-        walks = calls
-        calls = 0
+        monkeypatch.setattr(QuadForm, "power", uncounted)
+        monkeypatch.setattr(classgroup, "_element_orders", walked)
         info = classgroup.group_structure(disc)
-        assert calls - walks == info.h - 1
+        assert calls == sum(p**a - 1 for p, a in trial_factor(info.h))
+        assert calls < info.h - 1

@@ -353,6 +353,23 @@ class TestPower:
             expected = expected.compose(f)
         assert f.power(k) == expected
 
+    @pytest.mark.parametrize("k,compositions", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (552, 11)])
+    def test_no_composition_with_the_identity(self, monkeypatch, k, compositions):
+        # squarings, bit_length(k) - 1, and multiplications, popcount(k) - 1
+        calls = 0
+        compose = QuadForm.compose
+
+        def counted(f, g):
+            nonlocal calls
+            calls += 1
+            return compose(f, g)
+
+        f = QuadForm(5, -1, 243685)  # a generator at disc -4873699, h = 552
+        expected = f.power(k)
+        monkeypatch.setattr(QuadForm, "compose", counted)
+        assert f.power(k) == expected
+        assert calls == compositions
+
 
 class TestPrimeForm:
     def test_split_at_two(self):

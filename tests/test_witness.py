@@ -100,6 +100,21 @@ class TestVerifyInstance:
         assert (rep.h, rep.alpha_order) == (325, 5)
         assert 5 in factored and 325 not in factored
 
+    def test_field_is_factored_once(self, monkeypatch):
+        # y^n - x^2 = 8120597 is square-free; h is looked up for -8120597
+        # without factoring it again, and n = 3 is factored for the order
+        factored = []
+        factor = intmath.factor
+
+        def recorded(n, *args, **kwargs):
+            factored.append(n)
+            return factor(n, *args, **kwargs)
+
+        monkeypatch.setattr(intmath, "factor", recorded)
+        rep = witness.verify_instance(Instance(2, 201, 3))
+        assert rep.d == 8120597 and rep.disc == -32482388
+        assert factored == [8120597, 3]
+
     def test_structural_invariants_small_sweep(self):
         for n in (3, 5):
             for x in (1, 2, 3):
