@@ -106,16 +106,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    """Primes below TRIAL_DIVISION_BOUND, by the sieve of Eratosthenes."""
-    n = TRIAL_DIVISION_BOUND
+def _primes_below(n: int) -> np.ndarray:
+    """Primes below n, ascending, by the sieve of Eratosthenes."""
     sieve = np.ones(n, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(np.nonzero(sieve)[0].tolist())
+    return np.flatnonzero(sieve)
+
+
+@lru_cache(maxsize=1)
+def _small_prime_array() -> np.ndarray:
+    """Primes below TRIAL_DIVISION_BOUND, read-only."""
+    primes = _primes_below(TRIAL_DIVISION_BOUND)
+    primes.flags.writeable = False
+    return primes
+
+
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    """Primes below TRIAL_DIVISION_BOUND."""
+    return tuple(_small_prime_array().tolist())
+
+
+def primes_through(n: int) -> np.ndarray:
+    """The primes <= n, ascending: a slice of the cached primes below
+    TRIAL_DIVISION_BOUND, or a fresh sieve when n reaches that bound."""
+    if n >= TRIAL_DIVISION_BOUND:
+        return _primes_below(n + 1)
+    primes = _small_prime_array()
+    return primes[: int(np.searchsorted(primes, n, side="right"))]
 
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:

@@ -8,13 +8,17 @@ representative per class (|b| <= a <= c, b >= 0 at the boundaries), so class
 arithmetic is plain value arithmetic on reduced triples.
 
 Class numbers are counts of reduced forms, taken two ways.  ``count_reduced``
-counts one discriminant: for each b it splits (b^2 + |disc|)/4 into a*c.
-Above 2^18 numpy tests a block of b at a time, and only against the a that
-no inert prime divides (about a quarter of them near |disc| = 1e6-1e8),
-since a | (b^2 + |disc|)/4 needs b^2 = disc (mod 4a).
-``count_reduced_sieved`` counts many nearby discriminants at once (the
-fields of one search chunk): one pass over the (a, b) pairs places each
-form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
+counts one discriminant.  Below 2^16 it splits each (b^2 + |disc|)/4 into
+a*c.  From 2^16 on it splits the a in two.  The head, 4a^2 < |disc|, has
+c > a for every form, so a adds the number N(a) of b mod 2a with
+b^2 = disc (mod 4a) that give a primitive form; N is multiplicative, and
+one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
+The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned: numpy tests a
+block of b at a time against the tail a with N(a) > 0.
+``enumerate_reduced`` scans every such a, head included, as it needs the
+forms.  ``count_reduced_sieved`` counts many nearby discriminants at once
+(the fields of one search chunk): one pass over the (a, b) pairs places
+each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from . import intmath
 
 DEFAULT_DISC_CAP = 10**8
 
-# Below this |disc| the numpy divisor scan costs more than a plain loop.
-_NUMPY_MIN_DISC = 1 << 18
+# Below this |disc| the numpy head-and-tail count costs more than a plain
+# loop.  They cross near 4e4; at 2^16 numpy takes 0.06 ms, the loop 0.09 ms
+# (2-core x86-64 host).
+_NUMPY_MIN_DISC = 1 << 16
 # Guard for the int64 kernel; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
 
@@ -72,27 +78,13 @@ class QuadForm:
             return False
         return True
 
-    def normalized(self) -> "QuadForm":
-        """Translate so that -a < b <= a."""
-        a, b, c = self.a, self.b, self.c
-        if -a < b <= a:
-            return self
-        r = (a - b) // (2 * a)
-        return QuadForm(a, b + 2 * r * a, a * r * r + b * r + c)
-
     def reduced(self) -> "QuadForm":
         """The unique reduced representative of this form's class."""
-        f = self.normalized()
-        a, b, c = f.a, f.b, f.c
-        while a > c or (a == c and b < 0):
-            # swap outer coefficients, then re-translate in one step
-            s = (c + b) // (2 * c)
-            a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-        return QuadForm(a, b, c)
+        return QuadForm(*_reduce(self.a, self.b, self.c))
 
     def inverse(self) -> "QuadForm":
         """Reduced representative of the opposite class."""
-        return QuadForm(self.a, -self.b, self.c).reduced()
+        return QuadForm(*_reduce(self.a, -self.b, self.c))
 
     def compose(self, other: "QuadForm") -> "QuadForm":
         """Gauss composition; reduced output, well-defined on classes.
@@ -121,7 +113,7 @@ class QuadForm:
         a3 = s * t
         b3 = j * u - (k * t + l * s)
         c3 = k * l - j * m
-        return QuadForm(a3, b3, c3).reduced()
+        return QuadForm(*_reduce(a3, b3, c3))
 
     def power(self, k: int) -> "QuadForm":
         """Reduced k-th power of the class, square-and-multiply; k >= 0.
@@ -139,6 +131,19 @@ class QuadForm:
             if k:
                 base = base.compose(base)
         return identity_form(self.discriminant) if result is None else result
+
+
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced triple equivalent to the positive-definite form (a, b, c),
+    on plain ints: translate so that -a < b <= a, then swap the outer
+    coefficients and re-translate in one step while a > c, or a = c and b < 0."""
+    if not -a < b <= a:
+        r = (a - b) // (2 * a)
+        b, c = b + 2 * r * a, a * r * r + b * r + c
+    while a > c or (a == c and b < 0):
+        s = (c + b) // (2 * c)
+        a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
+    return a, b, c
 
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
@@ -164,11 +169,15 @@ def _reduced_forms(disc: int, collect: bool, max_disc: int) -> tuple[int, list[Q
     """Count (and optionally collect) all primitive reduced forms of disc.
 
     Walks b over the admissible parity class and splits (b^2 - disc)/4 into
-    a*c divisor pairs with b <= a <= c.  For 2^18 <= |disc| < 2^61 numpy
-    finds the pairs (``_divisor_pairs_np``): a residue filter drops every a
-    that an inert prime divides, and the rest are tested against a block of
-    b rows at a time.  A primitive pair counts once, twice when
-    0 < b < a < c, because (a, -b, c) is then reduced too.
+    a*c divisor pairs with b <= a <= c.  A primitive pair counts once, twice
+    when 0 < b < a < c, because (a, -b, c) is then reduced too.
+
+    For 2^16 <= |disc| < 2^61 numpy finds the pairs (``_divisor_pairs_np``),
+    only for the a with a nonzero root count (``_root_counts``).  A count
+    that collects no forms takes the head a <= A = isqrt(|disc| - 1) // 2 off
+    those root counts: as 4a^2 < |disc|, every form with such an a has
+    c > a, so it is reduced exactly when -a < b <= a, and there are N(a) of
+    them.  Only the tail a > A is scanned.
     """
     validate_discriminant(disc)
     abs_d = -disc
@@ -176,12 +185,15 @@ def _reduced_forms(disc: int, collect: bool, max_disc: int) -> tuple[int, list[Q
         raise ResourceCapError(
             f"|discriminant| {abs_d} exceeds enumeration cap {max_disc}", detail=disc
         )
+    count = 0
     if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
-        pairs = _divisor_pairs_np(abs_d)
+        roots = _root_counts(abs_d, math.isqrt(abs_d // 3))  # 3 a^2 <= abs_d
+        a_min = 1 if collect else math.isqrt(abs_d - 1) // 2 + 1
+        count = int(roots[:a_min].sum())
+        pairs = _divisor_pairs_np(abs_d, np.flatnonzero(roots[a_min:]) + a_min)
     else:
         pairs = _divisor_pairs(abs_d)
     triples: list[tuple[int, int, int]] | None = [] if collect else None
-    count = 0
     for a, b, c in pairs:
         if math.gcd(math.gcd(a, b), c) != 1:
             continue
@@ -212,45 +224,103 @@ def _divisor_pairs(abs_d: int):
         b += 2
 
 
+def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
+    """N[a] for 0 <= a <= a_max: the number of b mod 2a with
+    b^2 = -abs_d (mod 4a) and gcd(a, b, (b^2 + abs_d)/4a) = 1; N[0] = 0.
+
+    N is multiplicative, N(a) = prod L_p(k) over p^k || a (Cohen, A Course
+    in Computational Algebraic Number Theory, sec. 5.3; Cox, Primes of the
+    Form x^2 + ny^2, sec. 2).  For p not dividing abs_d,
+    L_p(k) = 1 + (-abs_d | p) for every k >= 1; for p = 2 that is 2 when
+    abs_d = 7 (mod 8) and 0 when abs_d = 3 (mod 8).  For p | abs_d, L_p(k)
+    is counted over x mod p^k (``_apply_ramified``).  N(a) = 0 means that no
+    form has this a.  Every prime <= a_max is applied: the primes up to
+    isqrt(a_max) by a strided slice each, the larger ones, which divide an
+    a <= a_max at most once and never two at a time, by one scatter.
+    """
+    roots = np.ones(a_max + 1, dtype=np.int32)
+    roots[0] = 0
+    p = intmath.primes_through(a_max)
+    ramified = abs_d % p == 0
+    local = np.where(_euler_criterion(-abs_d, p) == 1, 2, 0).astype(np.int32)
+    local[p == 2] = 2 if abs_d % 8 == 7 else 0
+    local[ramified] = 1  # _apply_ramified multiplies these in
+    for q in p[ramified].tolist():
+        _apply_ramified(roots, abs_d, q)
+    small = int(np.searchsorted(p, math.isqrt(a_max), side="right"))
+    for q, f in zip(p[:small].tolist(), local[:small].tolist()):
+        if f != 1:
+            roots[q::q] *= f
+    q, f = p[small:], local[small:]
+    n = a_max // q  # multiples of each q up to a_max
+    k = np.arange(1, int(n.sum()) + 1) - np.repeat(np.cumsum(n) - n, n)
+    roots[np.repeat(q, n) * k] *= np.repeat(f, n)
+    return roots
+
+
+def _euler_criterion(r: int, p: np.ndarray) -> np.ndarray:
+    """r^((p - 1)/2) mod p for each p of the array, by square and multiply:
+    for an odd prime p, 1 when r is a nonzero square mod p, p - 1 when it is
+    not, and 0 when p | r.  Needs p < 2^31, so that squares fit in int64."""
+    e = p >> 1
+    base = r % p
+    out = np.ones_like(p)
+    for _ in range(int(e.max(initial=0)).bit_length()):
+        step = out * base
+        step %= p
+        np.copyto(out, step, where=(e & 1).astype(bool))
+        base *= base
+        base %= p
+        e >>= 1
+    return out
+
+
+def _apply_ramified(roots: np.ndarray, abs_d: int, p: int) -> None:
+    """Multiply roots[a] by L_p(k) for p^k || a, where p divides abs_d.
+
+    L_p(k) counts the x mod p^k (b mod 2^(k+1) for p = 2) with
+    x^2 = -abs_d (mod p^k, or 2^(k+2)) that leave (a, b, c) primitive at p.
+    As p | abs_d, each such x is a multiple of p, and it is primitive
+    exactly when p^(k+1) (2^(k+3)) does not divide x^2 + abs_d: so L_p(k)
+    counts the multiples x of p whose x^2 + abs_d has p-adic valuation k
+    (k + 2 for p = 2).
+    """
+    levels = 0
+    while p ** (levels + 1) < roots.size:
+        levels += 1
+    lift, width = (2, 2) if p == 2 else (0, 1)
+    x = np.arange(0, width * p**levels, p, dtype=np.int64)
+    powers = p ** np.arange(levels + lift + 2, dtype=np.int64)
+    # the p-adic valuation of x^2 + abs_d, capped above every level's
+    valuation = np.searchsorted(powers, np.gcd(x * x + abs_d, powers[-1]))
+    # factor[t - 1] multiplies roots[p t]: L_p(k) once p^(k-1) | t, the
+    # highest such k written last
+    factor = np.empty((roots.size - 1) // p, dtype=roots.dtype)
+    for k in range(1, levels + 1):
+        # level k counts the x below width * p^k, the first width * p^(k-1)
+        local = np.count_nonzero(valuation[: width * p ** (k - 1)] == k + lift)
+        factor[p ** (k - 1) - 1 :: p ** (k - 1)] = local
+    roots[p::p] *= factor
+
+
 # b rows times candidate a per numpy block of _divisor_pairs_np.
 _PAIR_BLOCK = 1 << 14
 
 
-def _usable_a(abs_d: int, a_max: int) -> np.ndarray:
-    """The a in [1, a_max] that can divide some (b^2 + abs_d)/4, ascending.
-
-    a | (b^2 + abs_d)/4 needs b^2 = -abs_d (mod 4a), so no prime p inert in
-    the discriminant -abs_d divides a: no odd p with (-abs_d | p) = -1
-    (Euler's criterion, for p below the trial-division bound), and no 2
-    when abs_d = 3 (mod 8), where every (b^2 + abs_d)/4 is odd.
+def _divisor_pairs_np(abs_d: int, cand: np.ndarray):
+    """``_divisor_pairs`` in numpy for the a in cand (ascending): each block
+    tests about _PAIR_BLOCK (b, a) cells, the rows m_b = (b^2 + abs_d)/4 of
+    a run of b against the a of cand in [b_first, isqrt(m_b_last)], and
+    keeps b <= a <= m_b / a.
     """
-    usable = np.ones(a_max + 1, dtype=bool)
-    usable[0] = False
-    if abs_d % 8 == 3:
-        usable[2::2] = False
-    r = -abs_d
-    for p in intmath._small_primes()[1:]:
-        if p > a_max:
-            break
-        if pow(r % p, (p - 1) // 2, p) == p - 1:
-            usable[p::p] = False
-    return np.flatnonzero(usable)
-
-
-def _divisor_pairs_np(abs_d: int):
-    """``_divisor_pairs`` in numpy: each block tests about _PAIR_BLOCK
-    (b, a) cells, the rows m_b = (b^2 + abs_d)/4 of a run of b against the
-    usable a in [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.
-    """
-    a_max = math.isqrt(abs_d // 3)  # 3 a^2 <= abs_d; also the largest b
-    cand = _usable_a(abs_d, a_max)
+    b_max = math.isqrt(abs_d // 3)
     b = abs_d & 1
-    while b <= a_max:
+    while b <= b_max:
         first = int(np.searchsorted(cand, max(b, 1)))
         if first == cand.size:
-            break  # no usable a >= b remains
+            break  # no candidate a >= b remains
         rows = max(1, _PAIR_BLOCK // (cand.size - first))
-        b_row = np.arange(b, min(b + 2 * rows, a_max + 1), 2, dtype=np.int64)
+        b_row = np.arange(b, min(b + 2 * rows, b_max + 1), 2, dtype=np.int64)
         b_last = int(b_row[-1])
         last = int(np.searchsorted(cand, math.isqrt((b_last * b_last + abs_d) // 4), side="right"))
         a = cand[first:last]
@@ -274,7 +344,9 @@ def enumerate_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> list[QuadF
 
 
 def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
-    """len(enumerate_reduced(disc)) without materializing the forms."""
+    """len(enumerate_reduced(disc)) without materializing the forms: from
+    |disc| = 2^16 on, the root counts N(a) of the head 4a^2 < |disc| plus a
+    scan of the tail a >= sqrt(|disc|)/2."""
     count, _ = _reduced_forms(disc, collect=False, max_disc=max_disc)
     return count
 

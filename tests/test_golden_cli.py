@@ -47,6 +47,10 @@ COMMANDS = [
     ["scan", "--x", "2", "--n", "3", "--from", "5", "--to", "4"],
     # no hits
     ["search", "--n", "3", "--offsets", "0", "--from", "-2", "--to", "-1"],
+    # class numbers near 1e8 and 3e7, which the numpy route counts
+    ["classnum", "--d", "-99999991"],
+    ["classnum", "--d", "-24999998"],  # disc -99999992
+    ["witness", "--x", "2", "--y", "201", "--n", "3"],  # disc -32482388
 ]
 FORMATS = ([], ["--csv"], ["--json"])
 

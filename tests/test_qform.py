@@ -2,10 +2,11 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quadclass import qform
+from quadclass import intmath, qform
 from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
@@ -115,18 +116,23 @@ class TestEnumerate:
 
     @staticmethod
     def assert_numpy_kernel_agrees(abs_d, monkeypatch):
+        # the numpy enumeration, and the head-and-tail count, against the
+        # pure-int path
         disc = -abs_d
         n_np, forms_np = qform._reduced_forms(disc, True, 10**8)
+        count = qform.count_reduced(disc)
         with monkeypatch.context() as m:
             m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int path
             n_py, forms_py = qform._reduced_forms(disc, True, 10**8)
-        assert n_np == n_py and forms_np == forms_py, abs_d
+        assert n_np == n_py == count and forms_np == forms_py, abs_d
 
     def test_numpy_kernel_agrees_with_python(self, monkeypatch):
         for abs_d in (
-            # straddle the kernel switch threshold
+            # straddle the kernel switch threshold, now and as it was
             qform._NUMPY_MIN_DISC,
             qform._NUMPY_MIN_DISC + 3,
+            1 << 18,
+            (1 << 18) + 3,
             300_000,
             299_999,
             # -262672 is a non-residue modulo every odd p <= 31: few a survive
@@ -138,11 +144,12 @@ class TestEnumerate:
         ):
             self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
 
-    # a seeded sample of |disc| in [2^18, 1e7], 15 of each class mod 4
+    # a seeded sample of |disc| in [2^18, 1e7], 15 of each class mod 4; 2^18
+    # was the numpy route's threshold when the sample was drawn
     KERNEL_SAMPLE = [
         4 * k + r
         for r in (0, 3)
-        for k in random.Random(20 + r).sample(range(qform._NUMPY_MIN_DISC // 4, 10**7 // 4), 15)
+        for k in random.Random(20 + r).sample(range((1 << 18) // 4, 10**7 // 4), 15)
     ]
 
     @pytest.mark.parametrize("abs_d", KERNEL_SAMPLE)
@@ -150,13 +157,18 @@ class TestEnumerate:
         self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
 
     def test_residue_filter(self):
+        def usable(abs_d, a_max):
+            return np.flatnonzero(qform._root_counts(abs_d, a_max)).tolist()
+
         # -262672 is a non-residue modulo every odd prime up to 31
-        usable = qform._usable_a(262_672, 295).tolist()
-        assert all(a % p for a in usable for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
-        # every odd prime up to 19 divides 19399380: none of them is filtered
-        assert {3, 5, 7, 9, 11, 13, 15, 17, 19} <= set(qform._usable_a(19_399_380, 2542).tolist())
+        inert = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+        assert all(a % p for a in usable(262_672, 295) for p in inert)
+        # every odd prime up to 19 divides 19399380 once: none of them is
+        # filtered, but 9 is, as b^2 = disc (mod 36) has no primitive root
+        assert {3, 5, 7, 11, 13, 15, 17, 19} <= set(usable(19_399_380, 2542))
+        assert 9 not in usable(19_399_380, 2542)
         # |disc| = 3 (mod 8): every (b^2 + |disc|)/4 is odd
-        assert all(a % 2 for a in qform._usable_a(10**6 + 3, 577).tolist())
+        assert all(a % 2 for a in usable(10**6 + 3, 577))
 
     @pytest.mark.parametrize("lo", [10_000_003, 10_000_000, 90_000_003, 90_000_000])
     def test_count_matches_the_windowed_sieve(self, lo):
@@ -173,6 +185,100 @@ class TestEnumerate:
             qform.enumerate_reduced(-5)
         with pytest.raises(InputError):
             qform.enumerate_reduced(4)
+
+
+def python_count(abs_d, monkeypatch):
+    """count_reduced by the pure-int scan, whatever |disc| is."""
+    with monkeypatch.context() as m:
+        m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)
+        return qform.count_reduced(-abs_d)
+
+
+def brute_root_count(abs_d, a):
+    """N(a) by its definition: the b mod 2a with b^2 = -abs_d (mod 4a) and
+    gcd(a, b, c) = 1."""
+    return sum(
+        1
+        for b in range(2 * a)
+        if (b * b + abs_d) % (4 * a) == 0 and math.gcd(a, b, (b * b + abs_d) // (4 * a)) == 1
+    )
+
+
+class TestHeadCount:
+    """count_reduced above the threshold sums the root counts N(a) over the
+    head 4a^2 < |disc| and scans only the tail; it must agree with the
+    pure-int scan and with len(enumerate_reduced), which scans every a."""
+
+    @staticmethod
+    def assert_agrees(abs_d, monkeypatch, python=True):
+        count = qform.count_reduced(-abs_d)
+        assert count == len(qform.enumerate_reduced(-abs_d)), abs_d
+        if python:
+            assert count == python_count(abs_d, monkeypatch), abs_d
+
+    def test_every_disc_in_a_range_above_the_threshold(self, monkeypatch):
+        lo = qform._NUMPY_MIN_DISC
+        values = [x for x in range(lo, lo + 20_000) if x % 4 in (0, 3)]
+        # |disc| = 3 and 7 (mod 8), and 4, 8, 12 and 0 (mod 16), all present
+        assert {x % 8 for x in values if x % 2} == {3, 7}
+        assert {x % 16 for x in values if x % 2 == 0} == {0, 4, 8, 12}
+        # the windowed sieve counts one class mod 4 per window
+        expected = {}
+        for start in (lo, lo + 3):
+            counts = qform._window_counts(start, lo + 20_000)
+            expected.update((x, int(counts[x - start])) for x in range(start, lo + 20_000, 4))
+        for x in values:
+            assert qform.count_reduced(-x) == expected[x] == python_count(x, monkeypatch), x
+        for x in values[::25]:
+            assert qform.count_reduced(-x) == len(qform.enumerate_reduced(-x)), x
+
+    # a seeded sample of |disc| up to 1e8, 10 of each class mod 8 that occurs
+    HEAD_SAMPLE = [
+        8 * k + r
+        for r in (0, 3, 4, 7)
+        for k in random.Random(40 + r).sample(range((1 << 16) // 8, 10**8 // 8), 10)
+    ]
+
+    @pytest.mark.parametrize("abs_d", HEAD_SAMPLE)
+    def test_seeded_sample_up_to_1e8(self, abs_d, monkeypatch):
+        self.assert_agrees(abs_d, monkeypatch, python=abs_d < 3 * 10**6)
+
+    @pytest.mark.parametrize("f", [2, 3, 4, 6, 9, 25, 60])
+    def test_non_fundamental(self, f, monkeypatch):
+        # f^2 D0 for fundamental D0 of each class mod 8, and -3 and -4
+        for d0 in (3, 4, 7, 8, 15, 20, 23, 24, 104, 163, 1003, 20_003, 99_995, 400_004):
+            if qform._NUMPY_MIN_DISC <= f * f * d0 <= 10**8:
+                self.assert_agrees(f * f * d0, monkeypatch, python=f * f * d0 < 3 * 10**6)
+
+    def test_every_small_odd_prime_ramified(self, monkeypatch):
+        # 4*3*5*7*11*13*17*19: every L_p is a local count
+        self.assert_agrees(19_399_380, monkeypatch, python=False)
+
+    @pytest.mark.parametrize("k", [128, 129, 1000, 2048, 4999, 5000])
+    def test_four_k_squared(self, k, monkeypatch):
+        # 4a^2 = |disc| at a = k, the least a of the tail
+        assert math.isqrt(4 * k * k - 1) // 2 == k - 1
+        self.assert_agrees(4 * k * k, monkeypatch, python=k <= 1000)
+
+    @pytest.mark.parametrize(
+        "abs_d",
+        [65_539, 262_672, 1_000_003, 19_399_380, 2**4 * 3**5 * 7**2, 2**11 * 3**3 * 5, 4 * 99_991],
+    )
+    def test_root_counts_by_definition(self, abs_d):
+        roots = qform._root_counts(abs_d, 300)
+        assert roots[0] == 0
+        assert roots[1:].tolist() == [brute_root_count(abs_d, a) for a in range(1, 301)]
+
+    def test_primes_past_the_trial_division_bound(self, monkeypatch):
+        # with a prime table that stops at 100, a_max = 577 needs primes past
+        # it; a count that skipped them would treat each as neutral
+        discs = [10**6 + 3, 10**6 + 7, 10**6, 10**6 + 4, 998_284]
+        expected = [qform.count_reduced(-x) for x in discs]
+        short = np.array([p for p in range(2, 100) if intmath.is_prime(p)])
+        monkeypatch.setattr(intmath, "TRIAL_DIVISION_BOUND", 100)
+        monkeypatch.setattr(intmath, "_small_prime_array", lambda: short)
+        assert intmath.primes_through(577)[-1] == 577
+        assert [qform.count_reduced(-x) for x in discs] == expected
 
 
 class TestWindowedSieve:
@@ -193,8 +299,11 @@ class TestWindowedSieve:
         [
             (5_603, 5_999),
             (5_600, 6_000),
+            # around the numpy form count's threshold, now and as it was
             (qform._NUMPY_MIN_DISC - 201, qform._NUMPY_MIN_DISC + 199),  # 3 mod 4
             (qform._NUMPY_MIN_DISC - 200, qform._NUMPY_MIN_DISC + 200),  # 0 mod 4
+            ((1 << 18) - 201, (1 << 18) + 199),
+            ((1 << 18) - 200, (1 << 18) + 200),
             (999_903, 1_000_103),
             (1_000_000, 1_000_200),
             (3_999_903, 4_000_027),
@@ -231,6 +340,7 @@ class TestWindowedSieve:
             (4, 600),
             (19_801, 20_200),  # across ANALYTIC_CROSS_CHECK_LIMIT = 20000
             (qform._NUMPY_MIN_DISC - 400, qform._NUMPY_MIN_DISC - 1),
+            ((1 << 18) - 400, (1 << 18) - 1),
         ],
     )
     def test_sieved_small_windows_match_count_reduced(self, lo, hi):
@@ -242,7 +352,8 @@ class TestWindowedSieve:
         assert set(got) >= {-x for x in values if 16 <= x <= hi - 8}
 
     def test_sieved_clusters_spread_below_the_threshold(self):
-        starts = (20, 300, 5_000, 19_990, 60_000, 200_000, qform._NUMPY_MIN_DISC - 600)
+        starts = (20, 300, 5_000, 19_990, 60_000, 200_000, (1 << 18) - 600)
+        starts += (qform._NUMPY_MIN_DISC - 600,)
         discs = [
             -x for s in starts for x in range(s, s + math.isqrt(s) + 1) if x % 4 in (0, 3)
         ]
@@ -297,6 +408,22 @@ class TestCompose:
     def test_discriminant_mismatch(self):
         with pytest.raises(InputError):
             QuadForm(1, 0, 1).compose(QuadForm(1, 1, 6))
+
+    def test_builds_one_form(self, monkeypatch):
+        # the composite is reduced on plain ints; only the output is built
+        # and checked, and reduced() and inverse() build one form each
+        f, g = QuadForm(5, -1, 243685), QuadForm(7, 3, 174061)  # disc -4873699
+        unreduced, reduced = QuadForm(3, 5, 4), QuadForm(2, 1, 3)
+        built = []
+        post_init = QuadForm.__post_init__
+        monkeypatch.setattr(
+            QuadForm, "__post_init__", lambda form: built.append(form) or post_init(form)
+        )
+        assert f.compose(g) == QuadForm(35, -11, 34813)
+        assert unreduced.reduced() == reduced
+        assert reduced.inverse() == QuadForm(2, -1, 3)
+        # the three outputs, and the two forms the asserts compare them with
+        assert len(built) == 5
 
     def test_group_laws_full_tables(self):
         for disc in (-23, -84, -104, -120):
