@@ -12,9 +12,11 @@ once per discriminant and process, while |D| <= ANALYTIC_CROSS_CHECK_LIMIT.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -275,21 +277,25 @@ class ClassGroupInfo:
     generators: tuple[QuadForm, ...]
 
 
-def _walk(g: QuadForm, known: set[QuadForm], ident: QuadForm, bound: int) -> list[QuadForm]:
+def _checked(x: QuadForm, disc: int) -> QuadForm:
+    """x, once it is a reduced form of discriminant disc."""
+    if x.discriminant != disc or not x.is_reduced():
+        raise InconsistencyError(f"{x} is not a reduced form of disc {disc}")
+    return x
+
+
+def _walk(g: QuadForm, ident: QuadForm, bound: int) -> list[QuadForm]:
     """g, g^2, ..., g^n = 1 for n = ord(g), one composition a step.
 
-    A power outside ``known``, a walk that runs ``bound`` steps without
-    closing, and one that closes at an n not dividing ``bound``, raise
-    InconsistencyError.
+    A power that is not a reduced form of g's discriminant, a walk that runs
+    ``bound`` steps without closing, and one that closes at an n not
+    dividing ``bound``, raise InconsistencyError.
     """
     walk = [g]
     while walk[-1] != ident:
         if len(walk) == bound:
             raise InconsistencyError(f"power(f, {bound}) is not principal for f = {g}")
-        x = walk[-1].compose(g)
-        if x not in known:
-            raise InconsistencyError(f"{x} is not a reduced form of disc {ident.discriminant}")
-        walk.append(x)
+        walk.append(_checked(walk[-1].compose(g), ident.discriminant))
     if bound % len(walk):
         raise InconsistencyError(f"class {g} has order {len(walk)}, which does not divide {bound}")
     return walk
@@ -309,18 +315,17 @@ def _element_orders(
     g^j = walk[(k*j - 1) % n] with no further composition.  The phi(n)
     generators of <f> are all unseen before its walk, so the walks make at
     most h * max(n / phi(n)) compositions in all, at most 2 h for a p-group.
-    A walk that leaves the given forms, runs h steps without closing or
-    closes at an n not dividing h, and a class met with two different
-    orders, raise InconsistencyError.
+    A walk that leaves the reduced forms of its discriminant, runs h steps
+    without closing or closes at an n not dividing h, and a class met with
+    two different orders, raise InconsistencyError.
     """
-    known = set(forms)
     ident = qform.identity_form(forms[0].discriminant)
     orders: dict[QuadForm, int] = {}
     places: dict[QuadForm, tuple[list[QuadForm], int]] = {}
     for f in forms:
         if f in orders:
             continue
-        walk = _walk(f, known, ident, h)
+        walk = _walk(f, ident, h)
         n = len(walk)
         for k, g in enumerate(walk, 1):
             order = n // math.gcd(k, n)
@@ -342,37 +347,20 @@ def _grown(subgroup: set[QuadForm], steps: list[QuadForm], by: QuadForm) -> set[
     return grown
 
 
-def _prime_powers(h: int) -> list[tuple[int, int]]:
-    """(p, p^a) for each p^a exactly dividing h, by trial division."""
-    out = []
-    p = 2
-    while p * p <= h:
-        if h % p == 0:
-            q = 1
-            while h % p == 0:
-                h //= p
-                q *= p
-            out.append((p, q))
-        p += 1
-    if h > 1:
-        out.append((h, h))
-    return out
-
-
 class _Sylow:
     """The p-Sylow subgroup G_p of a class group of order h, p^a || h, and
     the p-part H_p of the subgroup generated so far.
 
-    G_p is built from the p-parts f^(h/p^a) of the forms, in form order: each
-    new p-part g is walked inside the reduced forms, and G_p grows by the
-    cosets of <g> until it has p^a classes.  Its classes are then walked once
-    more, inside G_p, for their orders and walk places.
+    G_p is built from the p-parts f^(h/p^a) of the forms, drawn in form
+    order: each new p-part g is walked, each power checked to be reduced,
+    and G_p grows by the cosets of <g> until it has p^a classes.  Its classes
+    are then walked once more, inside G_p, for their orders and walk places.
     """
 
-    def __init__(self, p: int, q: int, forms: list[QuadForm], known: set[QuadForm], ident: QuadForm):
+    def __init__(self, p: int, q: int, h: int, forms: Iterable[QuadForm], ident: QuadForm):
         self.p, self.q = p, q
-        self._cofactor = len(forms) // q
-        self._known = known
+        self._cofactor = h // q
+        self._disc = ident.discriminant
         self._parts: dict[QuadForm, QuadForm] = {}
         group = {ident}
         for f in forms:
@@ -381,7 +369,7 @@ class _Sylow:
             g = self.part(f)
             if g in group:
                 continue
-            walk = _walk(g, known, ident, q)
+            walk = _walk(g, ident, q)
             # g^j, the first power of g in the group, closes the cosets of <g>
             j = next(j for j, x in enumerate(walk, 1) if x in group)
             group = _grown(group, walk[: j - 1], g)
@@ -403,11 +391,7 @@ class _Sylow:
         g = self._parts.get(f)
         if g is None:
             g = f if self._cofactor == 1 else f.power(self._cofactor)
-            if g not in self._known:
-                raise InconsistencyError(
-                    f"{g} is not a reduced form of disc {f.discriminant}"
-                )
-            self._parts[f] = g
+            self._parts[f] = g = _checked(g, self._disc)
         return g
 
     def order(self, g: QuadForm) -> int:
@@ -444,10 +428,12 @@ def group_structure(
 ) -> ClassGroupInfo:
     """Elementary divisors and matching generators of the form class group.
 
-    The group G is the direct sum of its Sylow subgroups G_p, p^a || h, with
-    h factored by trial division.  Each G_p is built from the p-parts
-    f^(h/p^a) of the forms (see ``_Sylow``), and element orders come from
-    walks inside G_p alone; the whole group is never walked.
+    h is the form count, checked against structure_cap before any form is
+    built.  G is the direct sum of its Sylow subgroups G_p, p^a || h, each
+    built from the p-parts f^(h/p^a) of the forms (see ``_Sylow``); element
+    orders come from walks inside G_p alone.  Each pass re-reads the forms
+    drawn so far from one lazy ``qform.reduced_forms`` stream (a copy of
+    one tee of it), so only the prefix the passes read is ever built.
 
     Generators are picked greedily, one per round, as in (-order, form)
     order over all classes: with H the subgroup generated so far and H_p
@@ -470,21 +456,23 @@ def group_structure(
     over all rounds and checks that the sum is direct; at the end every H_p
     must be G_p, so the certificate is self-checking.
     """
-    forms = qform.enumerate_reduced(disc, max_disc)
-    h = len(forms)
+    h = class_number_forms(disc, max_disc)
     if h > structure_cap:
         raise ResourceCapError(
             f"class number {h} exceeds structure cap {structure_cap}", detail=h
         )
-    known = set(forms)
     ident = qform.identity_form(disc)
-    sylows = [_Sylow(p, q, forms, known, ident) for p, q in _prime_powers(h)]
+    (forms,) = itertools.tee(qform.reduced_forms(disc, max_disc), 1)
+    sylows = [
+        _Sylow(p, p**a, h, copy.copy(forms), ident)
+        for p, a in intmath.factor(h, use_cache=False).factors
+    ]
     orders: dict[QuadForm, int] = {}
     dropped: set[QuadForm] = set()
     picks: list[tuple[QuadForm, int]] = []
     while any(len(s.subgroup) < s.q for s in sylows):
         t = math.prod(s.exponent() for s in sylows)
-        for f in forms:
+        for f in copy.copy(forms):
             if f in dropped:
                 continue
             n = orders.get(f)

@@ -15,8 +15,9 @@ b^2 = disc (mod 4a) that give a primitive form; N is multiplicative, and
 one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
 The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned: numpy tests a
 block of b at a time against the tail a with N(a) > 0.
-``enumerate_reduced`` scans every such a, head included, as it needs the
-forms.  ``count_reduced_sieved`` counts many nearby discriminants at once
+``reduced_forms`` streams the forms in (a, b, c) order, scanning one
+block of a at a time, head included; ``enumerate_reduced`` lists it.
+``count_reduced_sieved`` counts many nearby discriminants at once
 (the fields of one search chunk): one pass over the (a, b) pairs places
 each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
 """
@@ -24,6 +25,7 @@ each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,63 +167,26 @@ def identity_form(disc: int) -> QuadForm:
     return QuadForm(1, k, (k * k - disc) // 4)
 
 
-def _reduced_forms(disc: int, collect: bool, max_disc: int) -> tuple[int, list[QuadForm] | None]:
-    """Count (and optionally collect) all primitive reduced forms of disc.
-
-    Walks b over the admissible parity class and splits (b^2 - disc)/4 into
-    a*c divisor pairs with b <= a <= c.  A primitive pair counts once, twice
-    when 0 < b < a < c, because (a, -b, c) is then reduced too.
-
-    For 2^16 <= |disc| < 2^61 numpy finds the pairs (``_divisor_pairs_np``),
-    only for the a with a nonzero root count (``_root_counts``).  A count
-    that collects no forms takes the head a <= A = isqrt(|disc| - 1) // 2 off
-    those root counts: as 4a^2 < |disc|, every form with such an a has
-    c > a, so it is reduced exactly when -a < b <= a, and there are N(a) of
-    them.  Only the tail a > A is scanned.
-    """
+def _abs_disc(disc: int, max_disc: int) -> int:
+    """|disc|, once disc is a discriminant and |disc| is within max_disc."""
     validate_discriminant(disc)
-    abs_d = -disc
-    if abs_d > max_disc:
+    if -disc > max_disc:
         raise ResourceCapError(
-            f"|discriminant| {abs_d} exceeds enumeration cap {max_disc}", detail=disc
+            f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
         )
-    count = 0
-    if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
-        roots = _root_counts(abs_d, math.isqrt(abs_d // 3))  # 3 a^2 <= abs_d
-        a_min = 1 if collect else math.isqrt(abs_d - 1) // 2 + 1
-        count = int(roots[:a_min].sum())
-        pairs = _divisor_pairs_np(abs_d, np.flatnonzero(roots[a_min:]) + a_min)
-    else:
-        pairs = _divisor_pairs(abs_d)
-    triples: list[tuple[int, int, int]] | None = [] if collect else None
-    for a, b, c in pairs:
-        if math.gcd(math.gcd(a, b), c) != 1:
-            continue
-        count += 1
-        if triples is not None:
-            triples.append((a, b, c))
-        if 0 < b < a < c:
-            count += 1
-            if triples is not None:
-                triples.append((a, -b, c))
-    if triples is None:
-        return count, None
-    # sorting the tuples orders the forms as QuadForm's (a, b, c) order does,
-    # without a generated __lt__ call per comparison
-    triples.sort()
-    return count, [QuadForm(a, b, c) for a, b, c in triples]
+    return -disc
 
 
-def _divisor_pairs(abs_d: int):
-    """The triples (a, b, c), b >= 0, with 4ac - b^2 = abs_d and b <= a <= c,
-    by trial division of each (b^2 + abs_d)/4."""
-    b = abs_d & 1
-    while 3 * b * b <= abs_d:
+def _divisor_pairs(abs_d: int, lo: int, hi: int):
+    """The triples (a, b, c), b >= 0 and 1 <= lo <= a <= hi, with
+    4ac - b^2 = abs_d and b <= a <= c, by trial division of each (b^2 + abs_d)/4."""
+    for b in range(abs_d & 1, hi + 1, 2):
         m = (b * b + abs_d) // 4
-        for a in range(max(b, 1), math.isqrt(m) + 1):
+        top = math.isqrt(m)
+        # conditional expressions cost less than max and min calls here
+        for a in range(b if b > lo else lo, (top if top < hi else hi) + 1):
             if m % a == 0:
                 yield a, b, m // a
-        b += 2
 
 
 def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
@@ -307,18 +272,17 @@ def _apply_ramified(roots: np.ndarray, abs_d: int, p: int) -> None:
 _PAIR_BLOCK = 1 << 14
 
 
-def _divisor_pairs_np(abs_d: int, cand: np.ndarray):
-    """``_divisor_pairs`` in numpy for the a in cand (ascending): each block
-    tests about _PAIR_BLOCK (b, a) cells, the rows m_b = (b^2 + abs_d)/4 of
-    a run of b against the a of cand in [b_first, isqrt(m_b_last)], and
-    keeps b <= a <= m_b / a.
+def _divisor_pairs_np(abs_d: int, roots: np.ndarray, lo: int, hi: int):
+    """``_divisor_pairs`` in numpy for the candidates, the a in [lo, hi] with
+    roots[a] > 0: each block tests about _PAIR_BLOCK (b, a) cells, the rows
+    m_b = (b^2 + abs_d)/4 of a run of b against the candidates in
+    [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.
     """
-    b_max = math.isqrt(abs_d // 3)
+    cand = np.flatnonzero(roots[lo : hi + 1]) + lo
     b = abs_d & 1
+    b_max = int(cand[-1]) if cand.size else -1  # b <= a
     while b <= b_max:
         first = int(np.searchsorted(cand, max(b, 1)))
-        if first == cand.size:
-            break  # no candidate a >= b remains
         rows = max(1, _PAIR_BLOCK // (cand.size - first))
         b_row = np.arange(b, min(b + 2 * rows, b_max + 1), 2, dtype=np.int64)
         b_last = int(b_row[-1])
@@ -335,19 +299,66 @@ def _divisor_pairs_np(abs_d: int, cand: np.ndarray):
         b += 2 * rows
 
 
+def reduced_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> Iterator[QuadForm]:
+    """The primitive reduced forms of disc, in canonical (a, b, c) order,
+    found one block of a at a time as they are drawn: a < 64, then each
+    lo <= a < 2 lo.  A block's divisor pairs come from numpy over the a
+    with N(a) > 0 for 2^16 <= |disc| < 2^61; a primitive pair gives
+    (a, b, c), and (a, -b, c) too when 0 < b < a < c.
+    """
+    abs_d = _abs_disc(disc, max_disc)
+    a_max = math.isqrt(abs_d // 3)  # 3a^2 <= |disc| for every reduced form
+    roots = None
+    if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
+        roots = _root_counts(abs_d, a_max)
+    lo, hi = 1, 63  # fewer numpy calls than blocks that double from a = 1
+    while lo <= a_max:
+        hi = min(hi, a_max)
+        if roots is None:
+            pairs = _divisor_pairs(abs_d, lo, hi)
+        else:
+            pairs = _divisor_pairs_np(abs_d, roots, lo, hi)
+        triples = []
+        for a, b, c in pairs:
+            if math.gcd(math.gcd(a, b), c) == 1:
+                triples.append((a, b, c))
+                if 0 < b < a < c:
+                    triples.append((a, -b, c))
+        # sorting the tuples orders the forms as QuadForm's (a, b, c) order does,
+        # without a generated __lt__ call per comparison
+        triples.sort()
+        for a, b, c in triples:
+            yield QuadForm(a, b, c)
+        lo, hi = hi + 1, 2 * hi + 1
+
+
 def enumerate_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> list[QuadForm]:
     """All primitive reduced forms of the given discriminant, in canonical
     (a, b, c)-lexicographic order.  Their number is the class number."""
-    _, forms = _reduced_forms(disc, collect=True, max_disc=max_disc)
-    assert forms is not None
-    return forms
+    return list(reduced_forms(disc, max_disc))
 
 
 def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
-    """len(enumerate_reduced(disc)) without materializing the forms: from
-    |disc| = 2^16 on, the root counts N(a) of the head 4a^2 < |disc| plus a
-    scan of the tail a >= sqrt(|disc|)/2."""
-    count, _ = _reduced_forms(disc, collect=False, max_disc=max_disc)
+    """len(enumerate_reduced(disc)) without building the forms.
+
+    A primitive divisor pair counts once, twice when 0 < b < a < c, because
+    (a, -b, c) is then reduced too.  For 2^16 <= |disc| < 2^61 the head
+    a <= A = isqrt(|disc| - 1) // 2 adds its root counts N(a): as
+    4a^2 < |disc|, each of its forms has c > a.  Only the tail a > A is scanned.
+    """
+    abs_d = _abs_disc(disc, max_disc)
+    a_max = math.isqrt(abs_d // 3)
+    count = 0
+    if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
+        roots = _root_counts(abs_d, a_max)
+        a_min = math.isqrt(abs_d - 1) // 2 + 1
+        count = int(roots[:a_min].sum())
+        pairs = _divisor_pairs_np(abs_d, roots, a_min, a_max)
+    else:
+        pairs = _divisor_pairs(abs_d, 1, a_max)
+    for a, b, c in pairs:
+        if math.gcd(math.gcd(a, b), c) == 1:
+            count += 2 if 0 < b < a < c else 1
     return count
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 
@@ -219,9 +218,33 @@ class TestGroupStructure:
         with pytest.raises(ResourceCapError):
             classgroup.group_structure(-104, structure_cap=2)
 
+    def test_structure_cap_comes_before_any_form(self, monkeypatch):
+        def no_forms(disc, max_disc):
+            raise AssertionError("a form was built")
+
+        monkeypatch.setattr(qform, "reduced_forms", no_forms)
+        with pytest.raises(ResourceCapError):
+            classgroup.group_structure(-104, structure_cap=2)
+
+    def test_reads_a_prefix_of_the_forms(self, monkeypatch):
+        drawn = 0
+        reduced_forms = qform.reduced_forms
+
+        def counted(disc, max_disc):
+            nonlocal drawn
+            for f in reduced_forms(disc, max_disc):
+                drawn += 1
+                yield f
+
+        monkeypatch.setattr(qform, "reduced_forms", counted)
+        info = classgroup.group_structure(-4873699)
+        assert 0 < drawn < info.h == 552
+
     def test_prime_powers_equal_trial_division(self):
+        # the split of h into its Sylow orders p^a that group_structure uses
         for h in range(1, 3000):
-            assert classgroup._prime_powers(h) == [(p, p**a) for p, a in trial_factor(h)]
+            got = intmath.factor(h, use_cache=False).factors
+            assert [(p, p**a) for p, a in got] == [(p, p**a) for p, a in trial_factor(h)]
 
     def test_divisors_equal_the_counting_oracle(self):
         for disc in range(-3, -3001, -1):
@@ -306,21 +329,28 @@ class TestPinnedStructures:
 
 
 class TestWrongClassNumber:
-    def test_missing_class_raises(self, monkeypatch):
-        # one non-identity class left out of the enumeration makes h one too
-        # small; h - 1 and h are coprime, so once h >= 3 the classes hold no
-        # subgroup of order h - 1 and the certificate cannot close
-        rng = random.Random(14)
+    """group_structure takes h from count_reduced; a wrong count must make
+    the certificate fail, not give a structure of the wrong order."""
+
+    @staticmethod
+    def assert_raises_with_count(monkeypatch, wrong):
         discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1) and qform.count_reduced(d) >= 3]
         assert len(discs) > 1400
-        enumerate_reduced = qform.enumerate_reduced
+        count_reduced = qform.count_reduced
+        monkeypatch.setattr(qform, "count_reduced", lambda d, cap: wrong(count_reduced(d, cap)))
         for disc in discs + [-4873699, -4689835, -3835384]:
-            forms = enumerate_reduced(disc)
-            assert forms[0] == qform.identity_form(disc)
-            del forms[rng.randrange(1, len(forms))]
-            monkeypatch.setattr(qform, "enumerate_reduced", lambda d, cap, forms=forms: list(forms))
             with pytest.raises(InconsistencyError):
                 classgroup.group_structure(disc)
+
+    def test_missing_class_raises(self, monkeypatch):
+        # a count one class short: h - 1 and h are coprime, so once h >= 3 the
+        # classes hold no subgroup of order h - 1 and the certificate cannot close
+        self.assert_raises_with_count(monkeypatch, lambda h: h - 1)
+
+    @pytest.mark.parametrize("wrong", [lambda h: h + 1, lambda h: 2 * h], ids=["h+1", "2h"])
+    def test_extra_classes_raise(self, monkeypatch, wrong):
+        # h + 1 is coprime to h; 2h asks for a 2-subgroup twice too large
+        self.assert_raises_with_count(monkeypatch, wrong)
 
 
 class TestCyclicWalk:

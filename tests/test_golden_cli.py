@@ -51,6 +51,11 @@ COMMANDS = [
     ["classnum", "--d", "-99999991"],
     ["classnum", "--d", "-24999998"],  # disc -99999992
     ["witness", "--x", "2", "--y", "201", "--n", "3"],  # disc -32482388
+    # (2, 2, 124) in the numpy range; h = 10424 over the structure cap (exit
+    # 3); |disc| over max_disc (exit 3)
+    ["group", "--disc", "-4689835"],
+    ["group", "--disc", "-99999983"],
+    ["group", "--disc", "-100000003"],
 ]
 FORMATS = ([], ["--csv"], ["--json"])
 

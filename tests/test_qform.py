@@ -119,12 +119,14 @@ class TestEnumerate:
         # the numpy enumeration, and the head-and-tail count, against the
         # pure-int path
         disc = -abs_d
-        n_np, forms_np = qform._reduced_forms(disc, True, 10**8)
-        count = qform.count_reduced(disc)
+        forms_np = qform.enumerate_reduced(disc)
+        count_np = qform.count_reduced(disc)
         with monkeypatch.context() as m:
             m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int path
-            n_py, forms_py = qform._reduced_forms(disc, True, 10**8)
-        assert n_np == n_py == count and forms_np == forms_py, abs_d
+            forms_py = qform.enumerate_reduced(disc)
+            count_py = qform.count_reduced(disc)
+        assert forms_np == forms_py, abs_d
+        assert count_np == count_py == len(forms_np), abs_d
 
     def test_numpy_kernel_agrees_with_python(self, monkeypatch):
         for abs_d in (
@@ -155,6 +157,30 @@ class TestEnumerate:
     @pytest.mark.parametrize("abs_d", KERNEL_SAMPLE)
     def test_numpy_kernel_agrees_with_python_on_a_sample(self, abs_d, monkeypatch):
         self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
+
+    # 2^16 - 4 and 2^16 + 4 straddle the numpy switch.  In the others
+    # a_max = isqrt(|disc| / 3) ends a block (127, 255) or is the only a of
+    # the last one (128, 256), and (a_max, b, a_max) is a reduced form.
+    @pytest.mark.parametrize(
+        "abs_d,at_a_max",
+        [((1 << 16) - 4, False), ((1 << 16) + 4, False)]
+        + [(x, True) for x in (48_891, 49_911, 196_091, 198_135)],
+    )
+    def test_stream_across_block_edges(self, abs_d, at_a_max, monkeypatch):
+        disc = -abs_d
+        by_route = []
+        for min_disc in (0, 1 << 62):  # the numpy route, then the pure-int one
+            with monkeypatch.context() as m:
+                m.setattr(qform, "_NUMPY_MIN_DISC", min_disc)
+                forms = list(qform.reduced_forms(disc))
+                assert qform.enumerate_reduced(disc) == forms, abs_d
+                by_route.append(forms)
+        assert by_route[0] == by_route[1] == sorted(forms), abs_d
+        assert {(f.a, f.b, f.c) for f in forms} == brute_reduced_forms(disc), abs_d
+        assert len(forms) == qform.count_reduced(disc), abs_d
+        last = forms[-1]
+        assert last.a >= 64, abs_d  # more than one block
+        assert not at_a_max or last.a == last.c == math.isqrt(abs_d // 3), abs_d
 
     def test_residue_filter(self):
         def usable(abs_d, a_max):
