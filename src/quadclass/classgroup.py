@@ -219,7 +219,9 @@ def sieve_fields(
     whose h neither the memo nor the cache file holds, as far as
     ``qform.count_reduced_sieved`` counts them together, and file each count
     as ``class_number_of_field`` files a fresh one: cross-checked, memoized
-    and written to the active cache file.
+    and written to the active cache file.  Only fields with |disc| < 2^16
+    are sieved; ``class_number_of_field`` counts the larger ones one at a
+    time when they are looked up.
 
     Pass only values whose fields the caller looks up anyway, for each
     value's factorization and each field's h is cached here: the memo and

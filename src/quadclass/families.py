@@ -11,9 +11,10 @@ Builders for three constructions and a brute-force search:
   divisibility by 3.
 * search_successive: exhaustive scan for offset patterns at small |d|.  It
   works in chunks of 64 consecutive d; the fields of a chunk's first offset
-  are counted together by the windowed sieve (``classgroup.sieve_fields``),
-  which files each count in the memo and the cache file, where the search's
-  own class-number lookups find it.  Every hit is recounted on its own
+  with |disc| < 2^16 are counted together by the windowed sieve
+  (``classgroup.sieve_fields``), which files each count in the memo and the
+  cache file, where the search's own class-number lookups find it.  Larger
+  fields are counted one at a time.  Every hit is recounted on its own
   before it is reported.  Every builder and the search run sequentially;
   the search's ``threads`` keyword accepts only 1.
 
@@ -34,7 +35,8 @@ from . import classgroup, intmath, qform
 from .errors import InputError, InconsistencyError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP
 
-# The window of first-offset fields that ``classgroup.sieve_fields`` counts together.
+# The window of first-offset fields that ``classgroup.sieve_fields`` counts
+# together, as far as their |disc| is below 2^16.
 _SEARCH_CHUNK = 64
 
 
@@ -158,7 +160,7 @@ def _resolve_members(raw_members, max_disc, budget):
 
     members = []
     for offset, value, d_sf, disc, asserted, note, modulus in staged:
-        h = classgroup.class_number_of_field(d_sf, max_disc, budget).h
+        h = classgroup.class_number_of_squarefree(d_sf, max_disc).h
         members.append(
             FamilyMember(
                 offset=offset,
@@ -341,12 +343,13 @@ def search_successive(
     every offset o.
 
     By default the scan starts at the end nearest zero, so the first hits are
-    the minimal exemplars.  The class numbers a chunk of d needs and neither
-    the memo nor the cache file holds are counted together by the windowed
-    sieve, which files them where ``class_number_of_field`` finds them; the
-    answers and the set of cache entries are the same as when each is
-    counted alone.  Every hit is re-verified with a fresh, cache-free form
-    count before being reported.
+    the minimal exemplars.  The class numbers with |disc| < 2^16 that a
+    chunk of d needs and neither the memo nor the cache file holds are
+    counted together by the windowed sieve, which files them where
+    ``class_number_of_field`` finds them; larger fields are counted one at
+    a time as they are looked up.  The answers and the set of cache entries
+    are the same as when each is counted alone.  Every hit is re-verified
+    with a fresh, cache-free form count before being reported.
 
     The search runs in order on the calling thread.  ``threads`` must be 1
     and any other value raises InputError; the keyword is kept only because

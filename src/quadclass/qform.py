@@ -17,9 +17,10 @@ The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned: numpy tests a
 block of b at a time against the tail a with N(a) > 0.
 ``reduced_forms`` streams the forms in (a, b, c) order, scanning one
 block of a at a time, head included; ``enumerate_reduced`` lists it.
-``count_reduced_sieved`` counts many nearby discriminants at once
-(the fields of one search chunk): one pass over the (a, b) pairs places
-each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the window.
+``count_reduced_sieved`` counts many nearby discriminants below 2^16 at
+once (the small fields of one search chunk): one pass over the (a, b)
+pairs places each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in
+the window.  Larger discriminants are counted one at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +39,7 @@ DEFAULT_DISC_CAP = 10**8
 
 # Below this |disc| the numpy head-and-tail count costs more than a plain
 # loop.  They cross near 4e4; at 2^16 numpy takes 0.06 ms, the loop 0.09 ms
-# (2-core x86-64 host).
+# (2-core x86-64 host).  The windowed sieve counts only below it.
 _NUMPY_MIN_DISC = 1 << 16
 # Guard for the int64 kernel; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
@@ -189,9 +191,12 @@ def _divisor_pairs(abs_d: int, lo: int, hi: int):
                 yield a, b, m // a
 
 
+@lru_cache(maxsize=1)
 def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
-    """N[a] for 0 <= a <= a_max: the number of b mod 2a with
+    """N[a] for 0 <= a <= a_max, read-only: the number of b mod 2a with
     b^2 = -abs_d (mod 4a) and gcd(a, b, (b^2 + abs_d)/4a) = 1; N[0] = 0.
+    The last array is kept, so a class group's count and its form stream
+    sieve once.
 
     N is multiplicative, N(a) = prod L_p(k) over p^k || a (Cohen, A Course
     in Computational Algebraic Number Theory, sec. 5.3; Cox, Primes of the
@@ -220,6 +225,7 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     n = a_max // q  # multiples of each q up to a_max
     k = np.arange(1, int(n.sum()) + 1) - np.repeat(np.cumsum(n) - n, n)
     roots[np.repeat(q, n) * k] *= np.repeat(f, n)
+    roots.flags.writeable = False
     return roots
 
 
@@ -366,16 +372,17 @@ def count_reduced_sieved(discs, max_disc: int = DEFAULT_DISC_CAP) -> dict[int, i
     """count_reduced(disc) for those of the given discs that the windowed
     sieve counts together; the others are left out, for count_reduced.
 
-    The discs are split by |disc| mod 4, and each class into clusters whose
-    values lie at most sqrt(|disc|) above the cluster's least, so that a
-    cluster's pass visits about as many forms as (a, b) pairs.  A cluster of
-    at least two values, all with |disc| <= max_disc, is counted in one pass
-    by ``_window_counts``.
+    Only |disc| < _NUMPY_MIN_DISC is sieved; from there on a single
+    head-and-tail count_reduced costs less.  The discs are split by |disc|
+    mod 4, and each class into clusters whose values lie at most
+    sqrt(|disc|) above the cluster's least, so that a cluster's pass visits
+    about as many forms as (a, b) pairs.  A cluster of at least two values,
+    all with |disc| <= max_disc, is counted in one pass by ``_window_counts``.
     """
     by_class: dict[int, list[int]] = {0: [], 3: []}
     for disc in set(discs):
         validate_discriminant(disc)
-        if -disc <= max_disc and -disc < _NUMPY_MAX_DISC:
+        if -disc <= max_disc and -disc < _NUMPY_MIN_DISC:
             by_class[-disc % 4].append(-disc)
     out: dict[int, int] = {}
     for values in by_class.values():
@@ -396,64 +403,29 @@ def count_reduced_sieved(discs, max_disc: int = DEFAULT_DISC_CAP) -> dict[int, i
     return out
 
 
-# (a, b) pairs per numpy block of the windowed sieve; bounds its temporaries.
-_SIEVE_BLOCK = 1 << 12
-
-
 def _window_counts(lo: int, hi: int) -> np.ndarray:
     """Numbers of primitive reduced forms of discriminant -X for X = lo..hi,
-    lo = 0 or 3 (mod 4), in one pass over the (a, b) pairs.
+    lo = 0 or 3 (mod 4), in one numpy pass over the (a, b) pairs.
 
     X = 4ac - b^2 fixes the parity of b: odd for X = 3 (mod 4), even for
     X = 0 (mod 4); entries of X in the other classes stay 0.  For each pair
     0 <= b <= a <= sqrt(hi/3) of that parity, the least X >= max(lo, 4a^2 - b^2)
     with X = -b^2 (mod 4a) gives c = (X + b^2)/(4a) >= a, and X steps by 4a
     up to hi.  A primitive form counts twice when 0 < b < a < c, because
-    (a, -b, c) is then reduced too.  The pairs go through numpy as blocks of
-    rows a by columns b of about _SIEVE_BLOCK entries.
+    (a, -b, c) is then reduced too.  The grid of rows a by columns b holds
+    about hi/6 pairs; ``count_reduced_sieved`` passes hi < 2^16, about 11k.
     """
-    parity = lo & 1
-    width = hi - lo
     a_max = math.isqrt(hi // 3)
-    b_all = np.arange(parity, a_max + 1, 2, dtype=np.int64)
-    counts = np.zeros(width + 1, dtype=np.int64)
-    first = 1
-    while first <= a_max:
-        # rows * (first + rows) / 2 <= _SIEVE_BLOCK entries
-        rows = max(1, (math.isqrt(first * first + 8 * _SIEVE_BLOCK) - first) // 2)
-        last = min(a_max, first + rows - 1)
-        a = np.arange(first, last + 1, dtype=np.int64)[:, None]
-        # 4a^2 - b^2 <= hi needs b^2 >= 4 first^2 - hi
-        least = 4 * first * first - hi
-        skip = (math.isqrt(least - 1) + 2 - parity) // 2 if least > 0 else 0
-        b = b_all[skip : (last - parity) // 2 + 1]
-        bb = b * b
-        a4 = 4 * a
-        if 4 * last * last <= lo:  # then max(lo, 4a^2 - b^2) = lo throughout
-            x = (-lo - bb) % a4
-        else:
-            start = np.maximum(a4 * a - bb, lo)
-            x = (-bb - start) % a4
-            x += start - lo
-        keep = x <= width  # x holds X - lo
-        keep &= b <= a
-        flat = np.flatnonzero(keep)
-        if flat.size:
-            row, col = np.divmod(flat, b.size)
-            counts += _tally(lo, hi, row + first, b[col], x.ravel()[flat] + lo)
-        first = last + 1
-    return counts
-
-
-def _tally(lo: int, hi: int, a, b, x) -> np.ndarray:
-    """Counts of the forms (a, b, c) of discriminant -X, X = x, x + 4a, ...
-    <= hi, by X - lo: one per primitive form, two when 0 < b < a < c."""
-    a4 = 4 * a
-    if 4 * a[0] <= hi - lo:  # a ascends: only the first rows step
-        steps = (hi - x) // a4 + 1
-        a, b, a4, x = (np.repeat(v, steps) for v in (a, b, a4, x))
-        x += a4 * (np.arange(x.size) - np.repeat(np.cumsum(steps) - steps, steps))
-    c = (x + b * b) // a4
+    a = np.arange(1, a_max + 1, dtype=np.int64)[:, None]
+    b = np.arange(lo & 1, a_max + 1, 2, dtype=np.int64)
+    start = np.maximum(4 * a * a - b * b, lo)
+    x = start + (-b * b - start) % (4 * a)
+    row, col = np.nonzero((x <= hi) & (b <= a))
+    a, b, x = a[row, 0], b[col], x[row, col]
+    steps = (hi - x) // (4 * a) + 1
+    a, b, x = (np.repeat(v, steps) for v in (a, b, x))
+    x += 4 * a * (np.arange(x.size) - np.repeat(np.cumsum(steps) - steps, steps))
+    c = (x + b * b) // (4 * a)
     primitive = np.gcd(np.gcd(a, b), c) == 1
     twice = primitive & (b > 0) & (b < a) & (a < c)
     width = hi - lo + 1

@@ -165,11 +165,11 @@ def _scan_four(x, n, y, max_disc, budget):
         if x * x >= 4 * y**n:
             return ScanRecord(y=y, status="skipped", reason="x^2 >= 4y^n")
         value = x * x - 4 * y**n
-        h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget)
-        t = intmath.squarefree_part(value, budget).t
+        decomp = intmath.squarefree_part(value, budget)
+        h, disc, d_sf = classgroup.class_number_of_squarefree(decomp.d, max_disc)
     except QuadclassError as exc:
         return ScanRecord(y=y, status="error", reason=str(exc))
-    rec = FourVariantRecord(d=-d_sf, t=t, disc=disc, h=h, divisible=h % n == 0)
+    rec = FourVariantRecord(d=-d_sf, t=decomp.t, disc=disc, h=h, divisible=h % n == 0)
     return ScanRecord(y=y, status="ok", four=rec)
 
 

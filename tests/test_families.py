@@ -79,6 +79,22 @@ class TestIizuka:
         assert m1.asserted and m1.divisible  # 1 - 7^3 shape, unconditional
         assert rep.all_asserted_pass
 
+    def test_members_are_factored_once(self, monkeypatch):
+        # -342 = -2 * 3^2 * 19: h is looked up for d_sf = -38 without
+        # factoring it; the base member's part comes from factoring 1 - 2 = -7
+        factored = []
+        factor = intmath.factor
+
+        def recorded(n, *args, **kwargs):
+            factored.append(n)
+            return factor(n, *args, **kwargs)
+
+        monkeypatch.setattr(result_cache, "_memo", {})
+        monkeypatch.setattr(intmath, "factor", recorded)
+        rep = families.iizuka_family(3, 1, 1)
+        assert [m.d_sf for m in rep.members] == [-7, -38]
+        assert factored == [-7, -342]
+
     def test_l2(self):
         rep = families.iizuka_family(3, 1, 2)
         assert rep.parameters["y"] == 63
@@ -269,8 +285,9 @@ class TestSearch:
 
 
 class TestSearchSieve:
-    """search_successive counts a chunk's large fields with qform's windowed
-    sieve; without it every field is counted on its own, as before."""
+    """search_successive counts a chunk's fields below 2^16 with qform's
+    windowed sieve; larger fields, and every field without the sieve, are
+    counted on their own."""
 
     WINDOW = (-1_000_150, -1_000_001)
 
@@ -297,12 +314,11 @@ class TestSearchSieve:
 
     def test_deep_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
         hits, memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
-        assert sieve_calls, "the deep window should reach the sieve"
+        assert not sieve_calls, "fields of 2^16 and up are counted one at a time"
         monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert hits == reference
         assert len(hits) > 5
-        # the sieve adds no memo entry and changes none
         assert memo == reference_memo
 
     def test_near_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
@@ -319,29 +335,33 @@ class TestSearchSieve:
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
         assert hits == reference
         assert len(hits) > 5
+        # the sieve adds no memo entry and changes none
         assert memo == reference_memo
         # the sieve factors only values the search looks up anyway
         assert sieved_factored == len(factored) > 0
 
     def test_cache_file_gets_the_same_entries(self, monkeypatch, tmp_path, capsys):
-        lo, hi = self.WINDOW
-        args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
-                "--max-hits", "1000", "--json"]
-
-        def run(path):
+        def run(window, path):
+            lo, hi = window
+            args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to",
+                    str(hi), "--max-hits", "1000", "--json", "--cache", str(path)]
             monkeypatch.setattr(result_cache, "_memo", {})
-            assert cli.main(args + ["--cache", str(path)]) == 0
+            assert cli.main(args) == 0
             return capsys.readouterr().out, sorted(path.read_text().splitlines())
 
-        sieved_out, sieved_lines = run(tmp_path / "sieved.jsonl")
+        # the near window is sieved; the deep one files its h lines at lookup
+        windows = {"near": self.NEAR_WINDOW, "deep": self.WINDOW}
+        sieved = {name: run(w, tmp_path / f"sieved-{name}.jsonl") for name, w in windows.items()}
         monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
-        plain_out, plain_lines = run(tmp_path / "plain.jsonl")
-        assert sieved_out == plain_out
-        assert sieved_lines == plain_lines
-        assert sum('"key":"h:' in line for line in plain_lines) > 100
+        for name, window in windows.items():
+            plain_out, plain_lines = run(window, tmp_path / f"plain-{name}.jsonl")
+            sieved_out, sieved_lines = sieved[name]
+            assert sieved_out == plain_out, name
+            assert sieved_lines == plain_lines, name
+            assert sum('"key":"h:' in line for line in plain_lines) > 100, name
 
     def test_warm_cache_entries_are_not_sieved(self, monkeypatch, tmp_path, capsys, sieve_calls):
-        lo, hi = self.WINDOW
+        lo, hi = self.NEAR_WINDOW
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
                 "--cache", str(tmp_path / "c.jsonl")]
         monkeypatch.setattr(result_cache, "_memo", {})

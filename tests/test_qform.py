@@ -198,9 +198,13 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("lo", [10_000_003, 10_000_000, 90_000_003, 90_000_000])
     def test_count_matches_the_windowed_sieve(self, lo):
-        # two independent routes on a two-value cluster
+        # the windowed sieve leaves a cluster this large to count_reduced, so
+        # the independent route here is the full enumeration, which scans
+        # every a where the count sums the head's root counts
         discs = [-lo, -(lo + 4)]
-        assert qform.count_reduced_sieved(discs) == {d: qform.count_reduced(d) for d in discs}
+        assert qform.count_reduced_sieved(discs) == {}
+        for disc in discs:
+            assert qform.count_reduced(disc) == len(qform.enumerate_reduced(disc)), disc
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
@@ -303,6 +307,7 @@ class TestHeadCount:
         short = np.array([p for p in range(2, 100) if intmath.is_prime(p)])
         monkeypatch.setattr(intmath, "TRIAL_DIVISION_BOUND", 100)
         monkeypatch.setattr(intmath, "_small_prime_array", lambda: short)
+        qform._root_counts.cache_clear()  # else the last disc's array is reused
         assert intmath.primes_through(577)[-1] == 577
         assert [qform.count_reduced(-x) for x in discs] == expected
 
@@ -351,13 +356,19 @@ class TestWindowedSieve:
                 assert count == qform.count_reduced(-x), x
 
     def test_sieved_counts_clusters_of_any_size(self):
-        big = qform._NUMPY_MIN_DISC + 3  # 3 mod 4
+        big = 40_003  # 3 mod 4
         cluster = [-big, -(big + 4), -(big + 40)]
-        lone = -(big + 10_000)  # more than sqrt(|disc|) away
-        small = [-1003, -1007]  # below the numpy form count's threshold
-        over = [-(10**6 + 3), -(10**6 + 7)]  # over max_disc
-        got = qform.count_reduced_sieved(cluster + [lone] + small + over, max_disc=10**6)
+        lone = -(big + 1_000)  # more than sqrt(|disc|) away
+        small = [-1003, -1007]
+        over = [-(30_000 + 3), -(30_000 + 7)]  # over max_disc
+        got = qform.count_reduced_sieved(cluster + [lone] + small + over, max_disc=30_000)
+        assert got == {d: qform.count_reduced(d) for d in small}
+        got = qform.count_reduced_sieved(cluster + [lone] + small)
         assert got == {d: qform.count_reduced(d) for d in cluster + small}
+        # a cluster of 2^16 or above is left out, for count_reduced
+        top = qform._NUMPY_MIN_DISC
+        edge = [-(top - 5), -(top - 1), -top, -(top + 4)]
+        assert qform.count_reduced_sieved(edge) == {d: qform.count_reduced(d) for d in edge[:2]}
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -373,12 +384,15 @@ class TestWindowedSieve:
         values = [x for x in range(lo, hi + 1) if x % 4 in (0, 3)]
         got = qform.count_reduced_sieved([-x for x in values])
         assert got == {d: qform.count_reduced(d) for d in got}
+        if lo >= qform._NUMPY_MIN_DISC:
+            assert got == {}  # counted one at a time
+            return
         # from X = 16 on, each value is within sqrt(X) of its class neighbour,
         # so only the last value of a class can be a cluster on its own
         assert set(got) >= {-x for x in values if 16 <= x <= hi - 8}
 
     def test_sieved_clusters_spread_below_the_threshold(self):
-        starts = (20, 300, 5_000, 19_990, 60_000, 200_000, (1 << 18) - 600)
+        starts = (20, 300, 1_000, 5_000, 19_990, 30_000, 45_000, 60_000)
         starts += (qform._NUMPY_MIN_DISC - 600,)
         discs = [
             -x for s in starts for x in range(s, s + math.isqrt(s) + 1) if x % 4 in (0, 3)
@@ -388,7 +402,7 @@ class TestWindowedSieve:
         assert len(got) >= len(discs) - 2 * len(starts)
 
     def test_sieved_counts_split_by_class(self):
-        big = 1_000_000
+        big = 60_000
         discs = [-big, -(big + 3), -(big + 4), -(big + 7)]
         assert qform.count_reduced_sieved(discs) == {d: qform.count_reduced(d) for d in discs}
 
