@@ -67,13 +67,6 @@ def lookup(key: str, compute, read, write):
     return value
 
 
-def known(key: str, read) -> bool:
-    """Whether ``lookup`` would find key without computing: the memo holds
-    it, or ``read(file)`` returns a value from the active file."""
-    file = _active
-    return key in _memo or (file is not None and read(file) is not None)
-
-
 def encode_factorization(sign: int, factors) -> str:
     body = ",".join(f"{p}^{e}" for p, e in factors)
     return f"{'+' if sign > 0 else '-'}1:{body}"

@@ -191,7 +191,6 @@ def class_number_of_field(
     count, or a value read from the cache file, is cross-checked against the
     character sum when |disc| <= ANALYTIC_CROSS_CHECK_LIMIT before it is
     memoized, so each discriminant is checked at most once per process.
-    A count that ``sieve_fields`` filed is found in the memo like any other.
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
@@ -208,40 +207,6 @@ def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> F
         )
     h = _lookup_h(disc, lambda: class_number_forms(disc, max_disc))
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
-
-
-def sieve_fields(
-    values,
-    max_disc: int = DEFAULT_DISC_CAP,
-    budget: int | None = None,
-) -> None:
-    """Count together the fields Q(sqrt(v)) of the given negative values
-    whose h neither the memo nor the cache file holds, as far as
-    ``qform.count_reduced_sieved`` counts them together, and file each count
-    as ``class_number_of_field`` files a fresh one: cross-checked, memoized
-    and written to the active cache file.  Only fields with |disc| < 2^16
-    are sieved; ``class_number_of_field`` counts the larger ones one at a
-    time when they are looked up.
-
-    Pass only values whose fields the caller looks up anyway, for each
-    value's factorization and each field's h is cached here: the memo and
-    the file then get the same entries as without the sieve.  A value over
-    max_disc, or one whose square-free part cannot be found within the
-    budget, is left out, so ``class_number_of_field`` meets it, and raises,
-    as without the sieve.
-    """
-    discs = set()
-    for v in values:
-        if -v > max_disc:
-            continue
-        try:
-            disc = intmath.field_discriminant(intmath.squarefree_part(v, budget).d)
-        except ResourceCapError:
-            continue
-        if not result_cache.known(f"h:{disc}", read=lambda file: file.get_h(disc)):
-            discs.add(disc)
-    for disc, h in qform.count_reduced_sieved(discs, max_disc).items():
-        _lookup_h(disc, lambda: h)
 
 
 def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:
@@ -431,7 +396,8 @@ def group_structure(
     """Elementary divisors and matching generators of the form class group.
 
     h is the form count, checked against structure_cap before any form is
-    built.  G is the direct sum of its Sylow subgroups G_p, p^a || h, each
+    built; below |disc| = 2^16 it is read from qform's table while the forms
+    come from the trial-division scan, so the two routes check each other.  G is the direct sum of its Sylow subgroups G_p, p^a || h, each
     built from the p-parts f^(h/p^a) of the forms (see ``_Sylow``); element
     orders come from walks inside G_p alone.  Each pass re-reads the forms
     drawn so far from one lazy ``qform.reduced_forms`` stream (a copy of

@@ -9,14 +9,12 @@ Builders for three constructions and a brute-force search:
   Q(sqrt(d + 2k - 1)).
 * cor7_family: d = 1 - 3^(3k) p^(6t), the triple (d, d+1, d+3) for
   divisibility by 3.
-* search_successive: exhaustive scan for offset patterns at small |d|.  It
-  works in chunks of 64 consecutive d; the fields of a chunk's first offset
-  with |disc| < 2^16 are counted together by the windowed sieve
-  (``classgroup.sieve_fields``), which files each count in the memo and the
-  cache file, where the search's own class-number lookups find it.  Larger
-  fields are counted one at a time.  Every hit is recounted on its own
-  before it is reported.  Every builder and the search run sequentially;
-  the search's ``threads`` keyword accepts only 1.
+* search_successive: exhaustive scan for offset patterns at small |d|,
+  one d after another.  Each field's h is looked up as
+  ``classgroup.class_number_of_field`` finds it: a field with |disc| < 2^16
+  is read from qform's block table, a larger one counted on its own.  Every
+  hit is recounted before it is reported.  Every builder and the search run
+  sequentially; the search's ``threads`` keyword accepts only 1.
 
 Members are flagged ``asserted`` only when an unconditional theorem backs
 them (cohn_check / hoque_check shapes); members that rely on "parameters
@@ -26,7 +24,6 @@ are ineffective and small parameters genuinely fail.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,10 +31,6 @@ from typing import NamedTuple
 from . import classgroup, intmath, qform
 from .errors import InputError, InconsistencyError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP
-
-# The window of first-offset fields that ``classgroup.sieve_fields`` counts
-# together, as far as their |disc| is below 2^16.
-_SEARCH_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -343,13 +336,10 @@ def search_successive(
     every offset o.
 
     By default the scan starts at the end nearest zero, so the first hits are
-    the minimal exemplars.  The class numbers with |disc| < 2^16 that a
-    chunk of d needs and neither the memo nor the cache file holds are
-    counted together by the windowed sieve, which files them where
-    ``class_number_of_field`` finds them; larger fields are counted one at
-    a time as they are looked up.  The answers and the set of cache entries
-    are the same as when each is counted alone.  Every hit is re-verified
-    with a fresh, cache-free form count before being reported.
+    the minimal exemplars, and it stops at the max_hits-th hit, so only the
+    fields of the d checked so far are looked up, memoized and filed.  Every
+    hit is re-verified with a fresh form count, outside the memo and the
+    cache file, before being reported.
 
     The search runs in order on the calling thread.  ``threads`` must be 1
     and any other value raises InputError; the keyword is kept only because
@@ -389,21 +379,12 @@ def search_successive(
 
     order = range(d_to, d_from - 1, -1) if smallest_first else range(d_from, d_to + 1)
     hits: list[FamilyReport] = []
-    for start in itertools.count(0, _SEARCH_CHUNK):
-        block = order[start : start + _SEARCH_CHUNK]
-        if not block:
-            return hits
-        # Every d that can qualify looks up its first offset's field, so
-        # sieving those fields together adds no memo or cache entry.
-        firsts = [d + offsets[0] for d in block if d + max_off < 0]
-        classgroup.sieve_fields(firsts, max_disc, budget)
-        # The whole block is checked before any hit is reported, so a run's
-        # memo and cache entries do not depend on where max_hits stops it.
-        found = [d for d in block if qualifies(d)]
-        for d in found:
+    for d in order:
+        if qualifies(d):
             hits.append(_hit_report(d, n, offsets, max_disc, budget))
             if len(hits) >= max_hits:
-                return hits
+                break
+    return hits
 
 
 def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
@@ -411,7 +392,9 @@ def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
     for o in offsets:
         value = d + o
         h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget)
-        fresh = qform.count_reduced(disc, max_disc)  # bypasses every cache
+        # skips the memo and the cache file; below 2^16 the count reads the
+        # in-process table
+        fresh = qform.count_reduced(disc, max_disc)
         if fresh != h or h % n:
             raise InconsistencyError(
                 f"re-verification failed at d={d}, offset={o}: h={h}, fresh={fresh}"

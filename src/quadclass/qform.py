@@ -7,20 +7,21 @@ Gauss composition is the group law.  Reduction picks the unique canonical
 representative per class (|b| <= a <= c, b >= 0 at the boundaries), so class
 arithmetic is plain value arithmetic on reduced triples.
 
-Class numbers are counts of reduced forms, taken two ways.  ``count_reduced``
-counts one discriminant.  Below 2^16 it splits each (b^2 + |disc|)/4 into
-a*c.  From 2^16 on it splits the a in two.  The head, 4a^2 < |disc|, has
+Class numbers are counts of reduced forms.  ``count_reduced`` reads
+|disc| < 2^16 from a table filled lazily, one block of _TABLE_BLOCK values
+at a time: ``_window_counts`` makes one numpy pass over the (a, b) pairs and
+places each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the
+block.  From 2^16 on it splits the a in two.  The head, 4a^2 < |disc|, has
 c > a for every form, so a adds the number N(a) of b mod 2a with
 b^2 = disc (mod 4a) that give a primitive form; N is multiplicative, and
 one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
 The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned: numpy tests a
-block of b at a time against the tail a with N(a) > 0.
+block of b at a time against the tail a with N(a) > 0.  No form is counted
+from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
 ``reduced_forms`` streams the forms in (a, b, c) order, scanning one
-block of a at a time, head included; ``enumerate_reduced`` lists it.
-``count_reduced_sieved`` counts many nearby discriminants below 2^16 at
-once (the small fields of one search chunk): one pass over the (a, b)
-pairs places each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in
-the window.  Larger discriminants are counted one at a time.
+block of a at a time, head included; ``enumerate_reduced`` lists it.  Below
+2^16 it splits each (b^2 + |disc|)/4 into a*c by trial division, a route
+apart from the table.
 """
 
 from __future__ import annotations
@@ -39,10 +40,14 @@ DEFAULT_DISC_CAP = 10**8
 
 # Below this |disc| the numpy head-and-tail count costs more than a plain
 # loop.  They cross near 4e4; at 2^16 numpy takes 0.06 ms, the loop 0.09 ms
-# (2-core x86-64 host).  The windowed sieve counts only below it.
+# (2-core x86-64 host).  count_reduced reads the block table below it.
 _NUMPY_MIN_DISC = 1 << 16
-# Guard for the int64 kernel; (b^2 + |disc|) / 4 must fit in int64.
+# Guard for the int64 kernels; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
+# Values of |disc| per block of count_reduced's table.  A wider block makes
+# fewer passes but more (a, b, X) triples at once: a process searching
+# search-near's plan peaked at 34.9 MB with 2048, 32.3 MB with 256.
+_TABLE_BLOCK = 256
 
 
 def validate_discriminant(disc: int) -> None:
@@ -170,11 +175,16 @@ def identity_form(disc: int) -> QuadForm:
 
 
 def _abs_disc(disc: int, max_disc: int) -> int:
-    """|disc|, once disc is a discriminant and |disc| is within max_disc."""
+    """|disc|, once disc is a discriminant and |disc| is within max_disc
+    and below _NUMPY_MAX_DISC."""
     validate_discriminant(disc)
     if -disc > max_disc:
         raise ResourceCapError(
             f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
+        )
+    if -disc >= _NUMPY_MAX_DISC:
+        raise ResourceCapError(
+            f"|discriminant| {-disc} is not below 2^61, the forms' int64 limit", detail=disc
         )
     return -disc
 
@@ -309,14 +319,12 @@ def reduced_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> Iterator[QuadF
     """The primitive reduced forms of disc, in canonical (a, b, c) order,
     found one block of a at a time as they are drawn: a < 64, then each
     lo <= a < 2 lo.  A block's divisor pairs come from numpy over the a
-    with N(a) > 0 for 2^16 <= |disc| < 2^61; a primitive pair gives
+    with N(a) > 0 from 2^16 on; a primitive pair gives
     (a, b, c), and (a, -b, c) too when 0 < b < a < c.
     """
     abs_d = _abs_disc(disc, max_disc)
     a_max = math.isqrt(abs_d // 3)  # 3a^2 <= |disc| for every reduced form
-    roots = None
-    if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
-        roots = _root_counts(abs_d, a_max)
+    roots = None if abs_d < _NUMPY_MIN_DISC else _root_counts(abs_d, a_max)
     lo, hi = 1, 63  # fewer numpy calls than blocks that double from a = 1
     while lo <= a_max:
         hi = min(hi, a_max)
@@ -347,81 +355,44 @@ def enumerate_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> list[QuadF
 def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """len(enumerate_reduced(disc)) without building the forms.
 
-    A primitive divisor pair counts once, twice when 0 < b < a < c, because
-    (a, -b, c) is then reduced too.  For 2^16 <= |disc| < 2^61 the head
+    Below 2^16 it is read from the block of ``_window_counts`` that holds
+    |disc|.  From there on a primitive divisor pair counts once, twice when
+    0 < b < a < c, because (a, -b, c) is then reduced too.  The head
     a <= A = isqrt(|disc| - 1) // 2 adds its root counts N(a): as
     4a^2 < |disc|, each of its forms has c > a.  Only the tail a > A is scanned.
     """
     abs_d = _abs_disc(disc, max_disc)
+    if abs_d < _NUMPY_MIN_DISC:
+        lo = abs_d - abs_d % _TABLE_BLOCK
+        return int(_window_counts(lo, lo + _TABLE_BLOCK - 1)[abs_d - lo])
     a_max = math.isqrt(abs_d // 3)
-    count = 0
-    if _NUMPY_MIN_DISC <= abs_d < _NUMPY_MAX_DISC:
-        roots = _root_counts(abs_d, a_max)
-        a_min = math.isqrt(abs_d - 1) // 2 + 1
-        count = int(roots[:a_min].sum())
-        pairs = _divisor_pairs_np(abs_d, roots, a_min, a_max)
-    else:
-        pairs = _divisor_pairs(abs_d, 1, a_max)
-    for a, b, c in pairs:
+    roots = _root_counts(abs_d, a_max)
+    a_min = math.isqrt(abs_d - 1) // 2 + 1
+    count = int(roots[:a_min].sum())
+    for a, b, c in _divisor_pairs_np(abs_d, roots, a_min, a_max):
         if math.gcd(math.gcd(a, b), c) == 1:
             count += 2 if 0 < b < a < c else 1
     return count
 
 
-def count_reduced_sieved(discs, max_disc: int = DEFAULT_DISC_CAP) -> dict[int, int]:
-    """count_reduced(disc) for those of the given discs that the windowed
-    sieve counts together; the others are left out, for count_reduced.
-
-    Only |disc| < _NUMPY_MIN_DISC is sieved; from there on a single
-    head-and-tail count_reduced costs less.  The discs are split by |disc|
-    mod 4, and each class into clusters whose values lie at most
-    sqrt(|disc|) above the cluster's least, so that a cluster's pass visits
-    about as many forms as (a, b) pairs.  A cluster of at least two values,
-    all with |disc| <= max_disc, is counted in one pass by ``_window_counts``.
-    """
-    by_class: dict[int, list[int]] = {0: [], 3: []}
-    for disc in set(discs):
-        validate_discriminant(disc)
-        if -disc <= max_disc and -disc < _NUMPY_MIN_DISC:
-            by_class[-disc % 4].append(-disc)
-    out: dict[int, int] = {}
-    for values in by_class.values():
-        values.sort()
-        clusters: list[list[int]] = []
-        for x in values:
-            if clusters and x - clusters[-1][0] <= math.isqrt(x):
-                clusters[-1].append(x)
-            else:
-                clusters.append([x])
-        for cluster in clusters:
-            if len(cluster) < 2:
-                continue
-            lo = cluster[0]
-            counts = _window_counts(lo, cluster[-1])
-            for x in cluster:
-                out[-x] = int(counts[x - lo])
-    return out
-
-
+@lru_cache(maxsize=_NUMPY_MIN_DISC // _TABLE_BLOCK)
 def _window_counts(lo: int, hi: int) -> np.ndarray:
     """Numbers of primitive reduced forms of discriminant -X for X = lo..hi,
-    lo = 0 or 3 (mod 4), in one numpy pass over the (a, b) pairs.
+    read-only, in one numpy pass over the (a, b) pairs; entries of X = 1 or
+    2 (mod 4) are 0.  ``count_reduced`` passes the blocks of its table, so
+    the cache holds them all.
 
-    X = 4ac - b^2 fixes the parity of b: odd for X = 3 (mod 4), even for
-    X = 0 (mod 4); entries of X in the other classes stay 0.  For each pair
-    0 <= b <= a <= sqrt(hi/3) of that parity, the least X >= max(lo, 4a^2 - b^2)
+    For each pair 0 <= b <= a <= sqrt(hi/3), the least X >= max(lo, 4a^2 - b^2)
     with X = -b^2 (mod 4a) gives c = (X + b^2)/(4a) >= a, and X steps by 4a
     up to hi.  A primitive form counts twice when 0 < b < a < c, because
-    (a, -b, c) is then reduced too.  The grid of rows a by columns b holds
-    about hi/6 pairs; ``count_reduced_sieved`` passes hi < 2^16, about 11k.
+    (a, -b, c) is then reduced too.
     """
-    a_max = math.isqrt(hi // 3)
-    a = np.arange(1, a_max + 1, dtype=np.int64)[:, None]
-    b = np.arange(lo & 1, a_max + 1, 2, dtype=np.int64)
+    a, b = np.tril_indices(math.isqrt(hi // 3) + 1)  # the pairs b <= a
+    a, b = a[1:], b[1:]  # a >= 1
     start = np.maximum(4 * a * a - b * b, lo)
     x = start + (-b * b - start) % (4 * a)
-    row, col = np.nonzero((x <= hi) & (b <= a))
-    a, b, x = a[row, 0], b[col], x[row, col]
+    keep = x <= hi
+    a, b, x = a[keep], b[keep], x[keep]
     steps = (hi - x) // (4 * a) + 1
     a, b, x = (np.repeat(v, steps) for v in (a, b, x))
     x += 4 * a * (np.arange(x.size) - np.repeat(np.cumsum(steps) - steps, steps))
@@ -429,7 +400,10 @@ def _window_counts(lo: int, hi: int) -> np.ndarray:
     primitive = np.gcd(np.gcd(a, b), c) == 1
     twice = primitive & (b > 0) & (b < a) & (a < c)
     width = hi - lo + 1
-    return np.bincount(x[primitive] - lo, minlength=width) + np.bincount(x[twice] - lo, minlength=width)
+    counts = np.bincount(x[primitive] - lo, minlength=width)
+    counts += np.bincount(x[twice] - lo, minlength=width)
+    counts.flags.writeable = False
+    return counts
 
 
 def prime_form(disc: int, q: int) -> QuadForm | None:

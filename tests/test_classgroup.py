@@ -218,6 +218,11 @@ class TestGroupStructure:
         with pytest.raises(ResourceCapError):
             classgroup.group_structure(-104, structure_cap=2)
 
+    def test_no_count_from_2_to_the_61(self):
+        # max_disc allows it, but the form count stops below 2^61
+        with pytest.raises(ResourceCapError, match="2\\^61"):
+            classgroup.group_structure(-((1 << 61) + 3), max_disc=1 << 62)
+
     def test_structure_cap_comes_before_any_form(self, monkeypatch):
         def no_forms(disc, max_disc):
             raise AssertionError("a form was built")

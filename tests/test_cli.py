@@ -198,6 +198,12 @@ class TestGroup:
         assert code == 0
         assert "3" in out
 
+    def test_no_count_from_2_to_the_61(self, capsys):
+        disc, cap = -((1 << 61) + 3), 1 << 62
+        code, out, err = run(["group", "--max-disc", str(cap), "--disc", str(disc)], capsys)
+        assert (code, out) == (3, "")
+        assert "2^61" in err
+
 
 class TestOutputFlags:
     def test_json_csv_conflict(self, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from quadclass import cache as result_cache
@@ -285,25 +287,28 @@ class TestSearch:
 
 
 class TestSearchSieve:
-    """search_successive counts a chunk's fields below 2^16 with qform's
-    windowed sieve; larger fields, and every field without the sieve, are
-    counted on their own."""
+    """search_successive reads each field below 2^16 from qform's table,
+    which the windowed sieve fills one block at a time, and counts larger
+    fields on their own.  Its hits, memo and cache file must be those of a
+    search that counts every field by enumerating its forms."""
 
     WINDOW = (-1_000_150, -1_000_001)
+    NEAR_WINDOW = (-9200, -9001)
 
     @pytest.fixture
-    def sieve_calls(self, monkeypatch):
-        calls = []
+    def table_reads(self, monkeypatch):
+        """The (lo, hi) of every read of the table."""
+        reads = []
         real = qform._window_counts
+        monkeypatch.setattr(qform, "_window_counts", lambda lo, hi: reads.append((lo, hi)) or real(lo, hi))
+        return reads
 
-        def counting(lo, hi):
-            calls.append((lo, hi))
-            return real(lo, hi)
+    @staticmethod
+    def count_by_enumeration(monkeypatch):
+        def enumerated(disc, max_disc=qform.DEFAULT_DISC_CAP):
+            return len(qform.enumerate_reduced(disc, max_disc))
 
-        monkeypatch.setattr(qform, "_window_counts", counting)
-        return calls
-
-    NEAR_WINDOW = (-9200, -9001)
+        monkeypatch.setattr(qform, "count_reduced", enumerated)
 
     @staticmethod
     def search_from_cold_memo(monkeypatch, window):
@@ -312,33 +317,35 @@ class TestSearchSieve:
         hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
         return hits, dict(result_cache._memo)
 
-    def test_deep_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
+    def test_deep_window_hits_equal_field_by_field(self, monkeypatch, table_reads):
         hits, memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
-        assert not sieve_calls, "fields of 2^16 and up are counted one at a time"
-        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
+        # values with a large square factor have small fields
+        assert table_reads, "the deep window should reach the table"
+        block = qform._TABLE_BLOCK
+        assert all(lo % block == 0 and hi == lo + block - 1 for lo, hi in table_reads)
+        assert max(hi for _, hi in table_reads) < qform._NUMPY_MIN_DISC
+        self.count_by_enumeration(monkeypatch)
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert hits == reference
         assert len(hits) > 5
         assert memo == reference_memo
 
-    def test_near_window_hits_equal_field_by_field(self, monkeypatch, sieve_calls):
-        factored = []
-        real = intmath._factor_impl
+    def test_near_window_hits_equal_field_by_field(self, monkeypatch, table_reads):
+        factored, looked_up = [], []
+        real_factor, real_field = intmath.factor, classgroup.class_number_of_field
+        monkeypatch.setattr(intmath, "factor", lambda *a, **k: factored.append(a) or real_factor(*a, **k))
         monkeypatch.setattr(
-            intmath, "_factor_impl", lambda *a, **k: factored.append(a) or real(*a, **k)
+            classgroup, "class_number_of_field", lambda *a, **k: looked_up.append(a) or real_field(*a, **k)
         )
         hits, memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
-        assert sieve_calls, "the near window should reach the sieve"
-        sieved_factored = len(factored)
-        factored.clear()
-        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
+        assert table_reads, "the near window should reach the table"
+        # each value is factored once per look-up and nowhere else
+        assert len(factored) == len(looked_up) > 0
+        self.count_by_enumeration(monkeypatch)
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
         assert hits == reference
         assert len(hits) > 5
-        # the sieve adds no memo entry and changes none
         assert memo == reference_memo
-        # the sieve factors only values the search looks up anyway
-        assert sieved_factored == len(factored) > 0
 
     def test_cache_file_gets_the_same_entries(self, monkeypatch, tmp_path, capsys):
         def run(window, path):
@@ -349,27 +356,55 @@ class TestSearchSieve:
             assert cli.main(args) == 0
             return capsys.readouterr().out, sorted(path.read_text().splitlines())
 
-        # the near window is sieved; the deep one files its h lines at lookup
+        # the near window reads the table; the deep one mostly counts alone
         windows = {"near": self.NEAR_WINDOW, "deep": self.WINDOW}
-        sieved = {name: run(w, tmp_path / f"sieved-{name}.jsonl") for name, w in windows.items()}
-        monkeypatch.setattr(classgroup, "sieve_fields", lambda *args, **kwargs: None)
+        tabled = {name: run(w, tmp_path / f"table-{name}.jsonl") for name, w in windows.items()}
+        self.count_by_enumeration(monkeypatch)
         for name, window in windows.items():
             plain_out, plain_lines = run(window, tmp_path / f"plain-{name}.jsonl")
-            sieved_out, sieved_lines = sieved[name]
-            assert sieved_out == plain_out, name
-            assert sieved_lines == plain_lines, name
+            tabled_out, tabled_lines = tabled[name]
+            assert tabled_out == plain_out, name
+            assert tabled_lines == plain_lines, name
             assert sum('"key":"h:' in line for line in plain_lines) > 100, name
 
-    def test_warm_cache_entries_are_not_sieved(self, monkeypatch, tmp_path, capsys, sieve_calls):
+    def test_warm_cache_entries_are_not_sieved(self, monkeypatch, tmp_path, capsys, table_reads):
         lo, hi = self.NEAR_WINDOW
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
-                "--cache", str(tmp_path / "c.jsonl")]
+                "--max-hits", "1000", "--json", "--cache", str(tmp_path / "c.jsonl")]
         monkeypatch.setattr(result_cache, "_memo", {})
         assert cli.main(args) == 0
-        cold = len(sieve_calls)
+        cold = len(table_reads)
         monkeypatch.setattr(result_cache, "_memo", {})
         assert cli.main(args) == 0
-        assert cold and len(sieve_calls) == cold
+        out = json.loads(capsys.readouterr().out.splitlines()[-1])
+        # the warm run reads the table only to recount each hit's small fields
+        recounts = [
+            m for hit in out["hits"] for m in hit["members"]
+            if -int(m["delta"]) < qform._NUMPY_MIN_DISC
+        ]
+        assert len(out["hits"]) > 5
+        assert len(table_reads) - cold == len(recounts) > 0
+        assert cold > 2 * len(recounts)
+
+    def test_hit_recount_catches_a_wrong_file_entry(self, monkeypatch, tmp_path, capsys):
+        lo, hi = self.NEAR_WINDOW
+        # a hit's field above the analytic cross-check, where no read is checked
+        hit, member = next(
+            (hit, m)
+            for hit in families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
+            for m in hit.members
+            if classgroup.ANALYTIC_CROSS_CHECK_LIMIT < -m.disc < qform._NUMPY_MIN_DISC
+        )
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(member.h + 3), "v": 1}) + "\n")
+        monkeypatch.setattr(result_cache, "_memo", {})
+        args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
+                "--max-hits", "1000", "--json", "--cache", str(path)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert "re-verification failed" in captured.err
+        assert f"d={hit.base_d}" in captured.err
+        assert str(hit.base_d) not in captured.out
 
     def test_value_over_the_cap_still_raises(self):
         with pytest.raises(ResourceCapError):

@@ -117,16 +117,15 @@ class TestEnumerate:
     @staticmethod
     def assert_numpy_kernel_agrees(abs_d, monkeypatch):
         # the numpy enumeration, and the head-and-tail count, against the
-        # pure-int path
+        # pure-int scan
         disc = -abs_d
         forms_np = qform.enumerate_reduced(disc)
         count_np = qform.count_reduced(disc)
         with monkeypatch.context() as m:
-            m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int path
+            m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int enumeration
             forms_py = qform.enumerate_reduced(disc)
-            count_py = qform.count_reduced(disc)
         assert forms_np == forms_py, abs_d
-        assert count_np == count_py == len(forms_np), abs_d
+        assert count_np == python_count(abs_d) == len(forms_np), abs_d
 
     def test_numpy_kernel_agrees_with_python(self, monkeypatch):
         for abs_d in (
@@ -177,7 +176,7 @@ class TestEnumerate:
                 by_route.append(forms)
         assert by_route[0] == by_route[1] == sorted(forms), abs_d
         assert {(f.a, f.b, f.c) for f in forms} == brute_reduced_forms(disc), abs_d
-        assert len(forms) == qform.count_reduced(disc), abs_d
+        assert len(forms) == qform.count_reduced(disc) == python_count(abs_d), abs_d
         last = forms[-1]
         assert last.a >= 64, abs_d  # more than one block
         assert not at_a_max or last.a == last.c == math.isqrt(abs_d // 3), abs_d
@@ -197,18 +196,27 @@ class TestEnumerate:
         assert all(a % 2 for a in usable(10**6 + 3, 577))
 
     @pytest.mark.parametrize("lo", [10_000_003, 10_000_000, 90_000_003, 90_000_000])
-    def test_count_matches_the_windowed_sieve(self, lo):
-        # the windowed sieve leaves a cluster this large to count_reduced, so
-        # the independent route here is the full enumeration, which scans
-        # every a where the count sums the head's root counts
-        discs = [-lo, -(lo + 4)]
-        assert qform.count_reduced_sieved(discs) == {}
-        for disc in discs:
+    def test_count_matches_the_windowed_sieve(self, lo, monkeypatch):
+        # the windowed sieve fills the table below 2^16 only, and a sieve
+        # this high would take gigabytes, so the independent route here is
+        # the full enumeration, which scans every a where the count sums the
+        # head's root counts
+        monkeypatch.setattr(qform, "_window_counts", no_table)
+        for disc in (-lo, -(lo + 4)):
             assert qform.count_reduced(disc) == len(qform.enumerate_reduced(disc)), disc
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             qform.enumerate_reduced(-10**9, max_disc=10**8)
+
+    @pytest.mark.parametrize("abs_d", [1 << 61, (1 << 61) + 3, 10**30])
+    def test_nothing_counted_from_2_to_the_61(self, abs_d):
+        # whatever max_disc allows, (b^2 + |disc|)/4 would outgrow int64
+        for route in (qform.count_reduced, qform.enumerate_reduced):
+            with pytest.raises(ResourceCapError, match="2\\^61"):
+                route(-abs_d, max_disc=1 << 62 if abs_d < 1 << 62 else abs_d)
+        with pytest.raises(ResourceCapError):
+            next(qform.reduced_forms(-abs_d, max_disc=abs_d))
 
     def test_invalid_disc(self):
         with pytest.raises(InputError):
@@ -217,11 +225,14 @@ class TestEnumerate:
             qform.enumerate_reduced(4)
 
 
-def python_count(abs_d, monkeypatch):
-    """count_reduced by the pure-int scan, whatever |disc| is."""
-    with monkeypatch.context() as m:
-        m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)
-        return qform.count_reduced(-abs_d)
+def python_count(abs_d):
+    """count_reduced(-abs_d) by the pure-int divisor-pair scan over every a."""
+    pairs = qform._divisor_pairs(abs_d, 1, math.isqrt(abs_d // 3))
+    return sum(2 if 0 < b < a < c else 1 for a, b, c in pairs if math.gcd(a, b, c) == 1)
+
+
+def no_table(lo, hi):
+    raise AssertionError(f"the table was read for [{lo}, {hi}]")
 
 
 def brute_root_count(abs_d, a):
@@ -240,25 +251,22 @@ class TestHeadCount:
     pure-int scan and with len(enumerate_reduced), which scans every a."""
 
     @staticmethod
-    def assert_agrees(abs_d, monkeypatch, python=True):
+    def assert_agrees(abs_d, python=True):
         count = qform.count_reduced(-abs_d)
         assert count == len(qform.enumerate_reduced(-abs_d)), abs_d
         if python:
-            assert count == python_count(abs_d, monkeypatch), abs_d
+            assert count == python_count(abs_d), abs_d
 
-    def test_every_disc_in_a_range_above_the_threshold(self, monkeypatch):
+    def test_every_disc_in_a_range_above_the_threshold(self):
         lo = qform._NUMPY_MIN_DISC
         values = [x for x in range(lo, lo + 20_000) if x % 4 in (0, 3)]
         # |disc| = 3 and 7 (mod 8), and 4, 8, 12 and 0 (mod 16), all present
         assert {x % 8 for x in values if x % 2} == {3, 7}
         assert {x % 16 for x in values if x % 2 == 0} == {0, 4, 8, 12}
-        # the windowed sieve counts one class mod 4 per window
-        expected = {}
-        for start in (lo, lo + 3):
-            counts = qform._window_counts(start, lo + 20_000)
-            expected.update((x, int(counts[x - start])) for x in range(start, lo + 20_000, 4))
+        # one windowed sieve counts both classes mod 4
+        counts = qform._window_counts(lo, lo + 19_999)
         for x in values:
-            assert qform.count_reduced(-x) == expected[x] == python_count(x, monkeypatch), x
+            assert qform.count_reduced(-x) == counts[x - lo] == python_count(x), x
         for x in values[::25]:
             assert qform.count_reduced(-x) == len(qform.enumerate_reduced(-x)), x
 
@@ -270,25 +278,25 @@ class TestHeadCount:
     ]
 
     @pytest.mark.parametrize("abs_d", HEAD_SAMPLE)
-    def test_seeded_sample_up_to_1e8(self, abs_d, monkeypatch):
-        self.assert_agrees(abs_d, monkeypatch, python=abs_d < 3 * 10**6)
+    def test_seeded_sample_up_to_1e8(self, abs_d):
+        self.assert_agrees(abs_d, python=abs_d < 3 * 10**6)
 
     @pytest.mark.parametrize("f", [2, 3, 4, 6, 9, 25, 60])
-    def test_non_fundamental(self, f, monkeypatch):
+    def test_non_fundamental(self, f):
         # f^2 D0 for fundamental D0 of each class mod 8, and -3 and -4
         for d0 in (3, 4, 7, 8, 15, 20, 23, 24, 104, 163, 1003, 20_003, 99_995, 400_004):
             if qform._NUMPY_MIN_DISC <= f * f * d0 <= 10**8:
-                self.assert_agrees(f * f * d0, monkeypatch, python=f * f * d0 < 3 * 10**6)
+                self.assert_agrees(f * f * d0, python=f * f * d0 < 3 * 10**6)
 
-    def test_every_small_odd_prime_ramified(self, monkeypatch):
+    def test_every_small_odd_prime_ramified(self):
         # 4*3*5*7*11*13*17*19: every L_p is a local count
-        self.assert_agrees(19_399_380, monkeypatch, python=False)
+        self.assert_agrees(19_399_380, python=False)
 
     @pytest.mark.parametrize("k", [128, 129, 1000, 2048, 4999, 5000])
-    def test_four_k_squared(self, k, monkeypatch):
+    def test_four_k_squared(self, k):
         # 4a^2 = |disc| at a = k, the least a of the tail
         assert math.isqrt(4 * k * k - 1) // 2 == k - 1
-        self.assert_agrees(4 * k * k, monkeypatch, python=k <= 1000)
+        self.assert_agrees(4 * k * k, python=k <= 1000)
 
     @pytest.mark.parametrize(
         "abs_d",
@@ -313,12 +321,16 @@ class TestHeadCount:
 
 
 class TestWindowedSieve:
-    """qform._window_counts and count_reduced_sieved against per-disc routes."""
+    """qform._window_counts, and count_reduced's table of its blocks below
+    2^16, against per-disc routes."""
 
     @staticmethod
     def window(lo, hi):
         counts = qform._window_counts(lo, hi)
-        return {x: int(counts[x - lo]) for x in range(lo, hi + 1, 4)}
+        assert not counts.flags.writeable
+        # one pass counts both classes mod 4 and leaves the others at 0
+        assert not any(counts[x - lo] for x in range(lo, hi + 1) if x % 4 in (1, 2))
+        return {x: int(counts[x - lo]) for x in range(lo, hi + 1) if x % 4 in (0, 3)}
 
     @pytest.mark.parametrize("lo,hi", [(3, 599), (4, 600), (1003, 1403), (1500, 1900)])
     def test_matches_brute_force(self, lo, hi):
@@ -331,8 +343,8 @@ class TestWindowedSieve:
             (5_603, 5_999),
             (5_600, 6_000),
             # around the numpy form count's threshold, now and as it was
-            (qform._NUMPY_MIN_DISC - 201, qform._NUMPY_MIN_DISC + 199),  # 3 mod 4
-            (qform._NUMPY_MIN_DISC - 200, qform._NUMPY_MIN_DISC + 200),  # 0 mod 4
+            (qform._NUMPY_MIN_DISC - 201, qform._NUMPY_MIN_DISC + 199),
+            (qform._NUMPY_MIN_DISC - 200, qform._NUMPY_MIN_DISC + 200),
             ((1 << 18) - 201, (1 << 18) + 199),
             ((1 << 18) - 200, (1 << 18) + 200),
             (999_903, 1_000_103),
@@ -355,21 +367,6 @@ class TestWindowedSieve:
             if x % 100 == 0:
                 assert count == qform.count_reduced(-x), x
 
-    def test_sieved_counts_clusters_of_any_size(self):
-        big = 40_003  # 3 mod 4
-        cluster = [-big, -(big + 4), -(big + 40)]
-        lone = -(big + 1_000)  # more than sqrt(|disc|) away
-        small = [-1003, -1007]
-        over = [-(30_000 + 3), -(30_000 + 7)]  # over max_disc
-        got = qform.count_reduced_sieved(cluster + [lone] + small + over, max_disc=30_000)
-        assert got == {d: qform.count_reduced(d) for d in small}
-        got = qform.count_reduced_sieved(cluster + [lone] + small)
-        assert got == {d: qform.count_reduced(d) for d in cluster + small}
-        # a cluster of 2^16 or above is left out, for count_reduced
-        top = qform._NUMPY_MIN_DISC
-        edge = [-(top - 5), -(top - 1), -top, -(top + 4)]
-        assert qform.count_reduced_sieved(edge) == {d: qform.count_reduced(d) for d in edge[:2]}
-
     @pytest.mark.parametrize(
         "lo,hi",
         [
@@ -381,34 +378,74 @@ class TestWindowedSieve:
         ],
     )
     def test_sieved_small_windows_match_count_reduced(self, lo, hi):
-        values = [x for x in range(lo, hi + 1) if x % 4 in (0, 3)]
-        got = qform.count_reduced_sieved([-x for x in values])
-        assert got == {d: qform.count_reduced(d) for d in got}
-        if lo >= qform._NUMPY_MIN_DISC:
-            assert got == {}  # counted one at a time
-            return
-        # from X = 16 on, each value is within sqrt(X) of its class neighbour,
-        # so only the last value of a class can be a cluster on its own
-        assert set(got) >= {-x for x in values if 16 <= x <= hi - 8}
-
-    def test_sieved_clusters_spread_below_the_threshold(self):
-        starts = (20, 300, 1_000, 5_000, 19_990, 30_000, 45_000, 60_000)
-        starts += (qform._NUMPY_MIN_DISC - 600,)
-        discs = [
-            -x for s in starts for x in range(s, s + math.isqrt(s) + 1) if x % 4 in (0, 3)
-        ]
-        got = qform.count_reduced_sieved(discs)
-        assert got == {d: qform.count_reduced(d) for d in discs if d in got}
-        assert len(got) >= len(discs) - 2 * len(starts)
+        # below 2^16 count_reduced reads the table's blocks, which start
+        # elsewhere than these windows; from 2^16 on it counts on its own
+        for x, count in self.window(lo, hi).items():
+            assert count == qform.count_reduced(-x) == python_count(x), x
 
     def test_sieved_counts_split_by_class(self):
-        big = 60_000
-        discs = [-big, -(big + 3), -(big + 4), -(big + 7)]
-        assert qform.count_reduced_sieved(discs) == {d: qform.count_reduced(d) for d in discs}
+        got = self.window(60_000, 60_007)
+        assert sorted(got) == [60_000, 60_003, 60_004, 60_007]
+        assert got == {x: qform.count_reduced(-x) for x in got}
 
-    def test_sieved_rejects_bad_discriminants(self):
+    def test_sieved_rejects_bad_discriminants(self, monkeypatch):
+        # bad input and caps are refused before the table is read
+        monkeypatch.setattr(qform, "_window_counts", no_table)
         with pytest.raises(InputError):
-            qform.count_reduced_sieved([-1_000_001, -1_000_005])
+            qform.count_reduced(-65_533)
+        with pytest.raises(InputError):
+            qform.count_reduced(4)
+        with pytest.raises(ResourceCapError):
+            qform.count_reduced(-60_003, max_disc=60_000)
+
+    # each block's first and last two values of both classes, blocks 0, 1,
+    # 2, 127, 128 and 255 above all
+    EDGES = sorted(
+        x
+        for k in range(0, 1 << 16, qform._TABLE_BLOCK)
+        for x in range(k - 8, k + 8)
+        if 3 <= x < 1 << 16 and x % 4 in (0, 3)
+    )
+
+    def test_table_at_the_block_edges(self):
+        assert {x - x % qform._TABLE_BLOCK for x in self.EDGES} == set(
+            range(0, 1 << 16, qform._TABLE_BLOCK)
+        )
+        for x in self.EDGES:
+            assert qform.count_reduced(-x) == python_count(x), x
+
+    def test_table_at_its_top(self, monkeypatch):
+        top = qform._NUMPY_MIN_DISC
+        reads = []
+        real = qform._window_counts
+        monkeypatch.setattr(qform, "_window_counts", lambda lo, hi: reads.append(hi) or real(lo, hi))
+        for x in range(top - 4, top):
+            if x % 4 in (0, 3):
+                assert qform.count_reduced(-x) == python_count(x), x
+        assert reads == [top - 1, top - 1]
+        # 2^16 itself is counted on its own
+        assert qform.count_reduced(-top) == python_count(top)
+        assert reads == [top - 1, top - 1]
+
+    # a seeded sample of |disc| in [20000, 2^16), above the analytic
+    # cross-check, 100 of each class mod 4
+    TABLE_SAMPLE = [
+        4 * k + r
+        for r in (0, 3)
+        for k in random.Random(60 + r).sample(range(20_000 // 4, (1 << 16) // 4), 100)
+    ]
+
+    def test_table_on_a_seeded_sample(self):
+        for x in self.TABLE_SAMPLE:
+            assert qform.count_reduced(-x) == python_count(x) == len(qform.enumerate_reduced(-x)), x
+
+    def test_table_blocks_are_built_once(self):
+        qform._window_counts.cache_clear()
+        for x in (65_532, 65_535, 65_283, 65_280, 3, 255):
+            qform.count_reduced(-x)
+        info = qform._window_counts.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        assert info.maxsize == (1 << 16) // qform._TABLE_BLOCK
 
 
 class TestIdentityInverse:
