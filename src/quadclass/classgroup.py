@@ -164,8 +164,10 @@ def _cross_checked(disc: int, h: int) -> int:
 
 
 def _read_h(file: result_cache.ResultCache, disc: int) -> int | None:
+    """h(disc) from the file, cross-checked; None when it is missing or
+    below 1, which no class number is, so that it is counted again."""
     h = file.get_h(disc)
-    return None if h is None else _cross_checked(disc, h)
+    return None if h is None or h < 1 else _cross_checked(disc, h)
 
 
 def _lookup_h(disc: int, count) -> int:
@@ -396,8 +398,9 @@ def group_structure(
     """Elementary divisors and matching generators of the form class group.
 
     h is the form count, checked against structure_cap before any form is
-    built; below |disc| = 2^16 it is read from qform's table while the forms
-    come from the trial-division scan, so the two routes check each other.  G is the direct sum of its Sylow subgroups G_p, p^a || h, each
+    built.  Below |disc| = 2^16 it is read from qform's block table, while
+    the forms come from the root-count scan, so the two routes check each
+    other.  G is the direct sum of its Sylow subgroups G_p, p^a || h, each
     built from the p-parts f^(h/p^a) of the forms (see ``_Sylow``); element
     orders come from walks inside G_p alone.  Each pass re-reads the forms
     drawn so far from one lazy ``qform.reduced_forms`` stream (a copy of

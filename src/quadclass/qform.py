@@ -15,13 +15,13 @@ block.  From 2^16 on it splits the a in two.  The head, 4a^2 < |disc|, has
 c > a for every form, so a adds the number N(a) of b mod 2a with
 b^2 = disc (mod 4a) that give a primitive form; N is multiplicative, and
 one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
-The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned: numpy tests a
-block of b at a time against the tail a with N(a) > 0.  No form is counted
-from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
-``reduced_forms`` streams the forms in (a, b, c) order, scanning one
-block of a at a time, head included; ``enumerate_reduced`` lists it.  Below
-2^16 it splits each (b^2 + |disc|)/4 into a*c by trial division, a route
-apart from the table.
+The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned by ``_forms``:
+numpy tests a block of b at a time against the tail a with N(a) > 0.  No
+form is counted from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
+``reduced_forms`` streams the forms in (a, b, c) order from the same scan,
+one block of a at a time, head included, at every |disc|;
+``enumerate_reduced`` lists it.  Below 2^16 the forms and the table's count
+are thus found by two different algorithms.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from . import intmath
 
 DEFAULT_DISC_CAP = 10**8
 
-# Below this |disc| the numpy head-and-tail count costs more than a plain
-# loop.  They cross near 4e4; at 2^16 numpy takes 0.06 ms, the loop 0.09 ms
-# (2-core x86-64 host).  count_reduced reads the block table below it.
+# count_reduced reads |disc| below this from its block table, and counts
+# each larger |disc| on its own by the head-and-tail count.  Near 2^16 a
+# table block costs 0.004 ms per disc when all of its 128 are read, against
+# 0.063 ms per head-and-tail count, but 0.5 ms when only one is (2-core x86-64
+# host).  The 256 blocks below 2^16 stay cached in about 0.5 MB.
 _NUMPY_MIN_DISC = 1 << 16
 # Guard for the int64 kernels; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
@@ -189,18 +191,6 @@ def _abs_disc(disc: int, max_disc: int) -> int:
     return -disc
 
 
-def _divisor_pairs(abs_d: int, lo: int, hi: int):
-    """The triples (a, b, c), b >= 0 and 1 <= lo <= a <= hi, with
-    4ac - b^2 = abs_d and b <= a <= c, by trial division of each (b^2 + abs_d)/4."""
-    for b in range(abs_d & 1, hi + 1, 2):
-        m = (b * b + abs_d) // 4
-        top = math.isqrt(m)
-        # conditional expressions cost less than max and min calls here
-        for a in range(b if b > lo else lo, (top if top < hi else hi) + 1):
-            if m % a == 0:
-                yield a, b, m // a
-
-
 @lru_cache(maxsize=1)
 def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     """N[a] for 0 <= a <= a_max, read-only: the number of b mod 2a with
@@ -284,17 +274,20 @@ def _apply_ramified(roots: np.ndarray, abs_d: int, p: int) -> None:
     roots[p::p] *= factor
 
 
-# b rows times candidate a per numpy block of _divisor_pairs_np.
+# b rows times candidate a per numpy block of _forms.
 _PAIR_BLOCK = 1 << 14
 
 
-def _divisor_pairs_np(abs_d: int, roots: np.ndarray, lo: int, hi: int):
-    """``_divisor_pairs`` in numpy for the candidates, the a in [lo, hi] with
-    roots[a] > 0: each block tests about _PAIR_BLOCK (b, a) cells, the rows
-    m_b = (b^2 + abs_d)/4 of a run of b against the candidates in
-    [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.
+def _forms(abs_d: int, roots: np.ndarray, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The primitive reduced forms (a, b, c) of discriminant -abs_d with
+    lo <= a <= hi, unsorted.  Only the candidates, the a with roots[a] > 0,
+    are tried: each numpy block tests about _PAIR_BLOCK (b, a) cells, the
+    rows m_b = (b^2 + abs_d)/4 of a run of b >= 0 against the candidates in
+    [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.  A primitive
+    divisor pair gives (a, b, c), and (a, -b, c) too when 0 < b < a < c.
     """
     cand = np.flatnonzero(roots[lo : hi + 1]) + lo
+    forms = []
     b = abs_d & 1
     b_max = int(cand[-1]) if cand.size else -1  # b <= a
     while b <= b_max:
@@ -311,37 +304,31 @@ def _divisor_pairs_np(abs_d: int, roots: np.ndarray, lo: int, hi: int):
             a, b_hit, m = a[col], b_row[row], m[row]
             keep = (a >= b_hit) & (a * a <= m)
             a, b_hit, m = a[keep], b_hit[keep], m[keep]
-            yield from zip(a.tolist(), b_hit.tolist(), (m // a).tolist())
+            # a few hits per block: math.gcd costs less than numpy calls here
+            for x, y, z in zip(a.tolist(), b_hit.tolist(), (m // a).tolist()):
+                if math.gcd(x, y, z) == 1:
+                    forms.append((x, y, z))
+                    if 0 < y < x < z:
+                        forms.append((x, -y, z))
         b += 2 * rows
+    return forms
 
 
 def reduced_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> Iterator[QuadForm]:
     """The primitive reduced forms of disc, in canonical (a, b, c) order,
     found one block of a at a time as they are drawn: a < 64, then each
-    lo <= a < 2 lo.  A block's divisor pairs come from numpy over the a
-    with N(a) > 0 from 2^16 on; a primitive pair gives
-    (a, b, c), and (a, -b, c) too when 0 < b < a < c.
+    lo <= a < 2 lo.  Each block is one ``_forms`` scan over the a with
+    N(a) > 0, at every |disc|.
     """
     abs_d = _abs_disc(disc, max_disc)
     a_max = math.isqrt(abs_d // 3)  # 3a^2 <= |disc| for every reduced form
-    roots = None if abs_d < _NUMPY_MIN_DISC else _root_counts(abs_d, a_max)
+    roots = _root_counts(abs_d, a_max)
     lo, hi = 1, 63  # fewer numpy calls than blocks that double from a = 1
     while lo <= a_max:
         hi = min(hi, a_max)
-        if roots is None:
-            pairs = _divisor_pairs(abs_d, lo, hi)
-        else:
-            pairs = _divisor_pairs_np(abs_d, roots, lo, hi)
-        triples = []
-        for a, b, c in pairs:
-            if math.gcd(math.gcd(a, b), c) == 1:
-                triples.append((a, b, c))
-                if 0 < b < a < c:
-                    triples.append((a, -b, c))
         # sorting the tuples orders the forms as QuadForm's (a, b, c) order does,
         # without a generated __lt__ call per comparison
-        triples.sort()
-        for a, b, c in triples:
+        for a, b, c in sorted(_forms(abs_d, roots, lo, hi)):
             yield QuadForm(a, b, c)
         lo, hi = hi + 1, 2 * hi + 1
 
@@ -356,10 +343,9 @@ def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """len(enumerate_reduced(disc)) without building the forms.
 
     Below 2^16 it is read from the block of ``_window_counts`` that holds
-    |disc|.  From there on a primitive divisor pair counts once, twice when
-    0 < b < a < c, because (a, -b, c) is then reduced too.  The head
-    a <= A = isqrt(|disc| - 1) // 2 adds its root counts N(a): as
-    4a^2 < |disc|, each of its forms has c > a.  Only the tail a > A is scanned.
+    |disc|.  From there on the head a <= A = isqrt(|disc| - 1) // 2 adds its
+    root counts N(a): as 4a^2 < |disc|, each of its forms has c > a.  Only
+    the tail a > A is scanned, by ``_forms``.
     """
     abs_d = _abs_disc(disc, max_disc)
     if abs_d < _NUMPY_MIN_DISC:
@@ -368,11 +354,7 @@ def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     a_max = math.isqrt(abs_d // 3)
     roots = _root_counts(abs_d, a_max)
     a_min = math.isqrt(abs_d - 1) // 2 + 1
-    count = int(roots[:a_min].sum())
-    for a, b, c in _divisor_pairs_np(abs_d, roots, a_min, a_max):
-        if math.gcd(math.gcd(a, b), c) == 1:
-            count += 2 if 0 < b < a < c else 1
-    return count
+    return int(roots[:a_min].sum()) + len(_forms(abs_d, roots, a_min, a_max))
 
 
 @lru_cache(maxsize=_NUMPY_MIN_DISC // _TABLE_BLOCK)

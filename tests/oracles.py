@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the definitions, not against
 the production algorithms: reduced forms come from an exhaustive triple
-search, Legendre symbols from counting residues, factorizations from plain
-trial division.  Slow but unarguable.
+search or from trial division of each (b^2 + |disc|)/4, Legendre symbols
+from counting residues, factorizations from plain trial division.  Slow but
+unarguable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ def brute_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
     # but the loop above also misses nothing: 3a^2 <= 4ac - b^2 = |disc| holds
     # for every reduced form.
     return out
+
+
+def divisor_pairs(abs_d: int, lo: int, hi: int):
+    """The triples (a, b, c), b >= 0 and 1 <= lo <= a <= hi, with
+    4ac - b^2 = abs_d and b <= a <= c, by trial division of each (b^2 + abs_d)/4."""
+    for b in range(abs_d & 1, hi + 1, 2):
+        m = (b * b + abs_d) // 4
+        top = math.isqrt(m)
+        # conditional expressions cost less than max and min calls here
+        for a in range(b if b > lo else lo, (top if top < hi else hi) + 1):
+            if m % a == 0:
+                yield a, b, m // a
 
 
 def brute_legendre(a: int, p: int) -> int:

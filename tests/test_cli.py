@@ -356,6 +356,22 @@ class TestDeterminismAndCache:
         assert out == ""
         assert "consistency failure" in err
 
+    def test_class_number_below_one_is_counted_again(self, capsys, tmp_path, fresh_memo):
+        # above the analytic cross-check limit a file value is trusted, but
+        # no class number is below 1: such a line reads as missing
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(
+            '{"key":"h:-100003","value":"0","v":1}\n{"key":"h:-40004","value":"-7","v":1}\n'
+        )
+        for d, h in (("-100003", "39"), ("-10001", "160")):
+            code, out, err = run(["classnum", "--json", "--cache", str(cache_file), "--", d], capsys)
+            assert (code, json.loads(out)["h"], err) == (0, h, "")
+        lines = cache_file.read_text().splitlines()
+        assert '{"key":"h:-100003","v":1,"value":"39"}' in lines[2:]
+        assert '{"key":"h:-40004","v":1,"value":"160"}' in lines[2:]
+        with result_cache.ResultCache(str(cache_file)) as cache:
+            assert (cache.get_h(-100003), cache.get_h(-40004)) == (39, 160)
+
     def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
         # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a
         # cached h = 7 above the analytic limit is read without a cross-check

@@ -10,7 +10,7 @@ from quadclass import intmath, qform
 from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
-from oracles import apply_unimodular, brute_reduced_forms, random_unimodular
+from oracles import apply_unimodular, brute_reduced_forms, divisor_pairs, random_unimodular
 
 SMALL_DISCS = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -47, -84, -104, -116, -120]
 
@@ -115,21 +115,16 @@ class TestEnumerate:
                 assert qform.count_reduced(disc) == len(qform.enumerate_reduced(disc))
 
     @staticmethod
-    def assert_numpy_kernel_agrees(abs_d, monkeypatch):
+    def assert_numpy_kernel_agrees(abs_d):
         # the numpy enumeration, and the head-and-tail count, against the
         # pure-int scan
-        disc = -abs_d
-        forms_np = qform.enumerate_reduced(disc)
-        count_np = qform.count_reduced(disc)
-        with monkeypatch.context() as m:
-            m.setattr(qform, "_NUMPY_MIN_DISC", 1 << 62)  # force the pure-int enumeration
-            forms_py = qform.enumerate_reduced(disc)
-        assert forms_np == forms_py, abs_d
-        assert count_np == python_count(abs_d) == len(forms_np), abs_d
+        forms_np = qform.enumerate_reduced(-abs_d)
+        assert forms_np == python_forms(abs_d), abs_d
+        assert qform.count_reduced(-abs_d) == python_count(abs_d) == len(forms_np), abs_d
 
-    def test_numpy_kernel_agrees_with_python(self, monkeypatch):
+    def test_numpy_kernel_agrees_with_python(self):
         for abs_d in (
-            # straddle the kernel switch threshold, now and as it was
+            # straddle the table's top and the numpy route's old threshold
             qform._NUMPY_MIN_DISC,
             qform._NUMPY_MIN_DISC + 3,
             1 << 18,
@@ -143,7 +138,7 @@ class TestEnumerate:
             # 9 * 100003: non-fundamental, 3^2 divides the discriminant
             900_027,
         ):
-            self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
+            self.assert_numpy_kernel_agrees(abs_d)
 
     # a seeded sample of |disc| in [2^18, 1e7], 15 of each class mod 4; 2^18
     # was the numpy route's threshold when the sample was drawn
@@ -154,10 +149,24 @@ class TestEnumerate:
     ]
 
     @pytest.mark.parametrize("abs_d", KERNEL_SAMPLE)
-    def test_numpy_kernel_agrees_with_python_on_a_sample(self, abs_d, monkeypatch):
-        self.assert_numpy_kernel_agrees(abs_d, monkeypatch)
+    def test_numpy_kernel_agrees_with_python_on_a_sample(self, abs_d):
+        self.assert_numpy_kernel_agrees(abs_d)
 
-    # 2^16 - 4 and 2^16 + 4 straddle the numpy switch.  In the others
+    # a seeded sample of |disc| in [2000, 2^16), below the table's top, where
+    # the count reads the table and the forms come from the numpy scan; 20 of
+    # each class mod 4
+    SMALL_SAMPLE = [
+        4 * k + r
+        for r in (0, 3)
+        for k in random.Random(80 + r).sample(range(2000 // 4, (1 << 16) // 4), 20)
+    ]
+
+    @pytest.mark.parametrize("abs_d", SMALL_SAMPLE)
+    def test_against_brute_force_below_the_table_top(self, abs_d):
+        assert form_set(-abs_d) == brute_reduced_forms(-abs_d), abs_d
+        self.assert_numpy_kernel_agrees(abs_d)
+
+    # 2^16 - 4 and 2^16 + 4 straddle the table's top.  In the others
     # a_max = isqrt(|disc| / 3) ends a block (127, 255) or is the only a of
     # the last one (128, 256), and (a_max, b, a_max) is a reduced form.
     @pytest.mark.parametrize(
@@ -165,16 +174,11 @@ class TestEnumerate:
         [((1 << 16) - 4, False), ((1 << 16) + 4, False)]
         + [(x, True) for x in (48_891, 49_911, 196_091, 198_135)],
     )
-    def test_stream_across_block_edges(self, abs_d, at_a_max, monkeypatch):
+    def test_stream_across_block_edges(self, abs_d, at_a_max):
         disc = -abs_d
-        by_route = []
-        for min_disc in (0, 1 << 62):  # the numpy route, then the pure-int one
-            with monkeypatch.context() as m:
-                m.setattr(qform, "_NUMPY_MIN_DISC", min_disc)
-                forms = list(qform.reduced_forms(disc))
-                assert qform.enumerate_reduced(disc) == forms, abs_d
-                by_route.append(forms)
-        assert by_route[0] == by_route[1] == sorted(forms), abs_d
+        forms = list(qform.reduced_forms(disc))
+        assert qform.enumerate_reduced(disc) == forms, abs_d
+        assert forms == python_forms(abs_d) == sorted(forms), abs_d
         assert {(f.a, f.b, f.c) for f in forms} == brute_reduced_forms(disc), abs_d
         assert len(forms) == qform.count_reduced(disc) == python_count(abs_d), abs_d
         last = forms[-1]
@@ -227,8 +231,20 @@ class TestEnumerate:
 
 def python_count(abs_d):
     """count_reduced(-abs_d) by the pure-int divisor-pair scan over every a."""
-    pairs = qform._divisor_pairs(abs_d, 1, math.isqrt(abs_d // 3))
+    pairs = divisor_pairs(abs_d, 1, math.isqrt(abs_d // 3))
     return sum(2 if 0 < b < a < c else 1 for a, b, c in pairs if math.gcd(a, b, c) == 1)
+
+
+def python_forms(abs_d):
+    """enumerate_reduced(-abs_d) by the pure-int divisor-pair scan over every
+    a: a primitive pair gives (a, b, c), and (a, -b, c) too when 0 < b < a < c."""
+    triples = []
+    for a, b, c in divisor_pairs(abs_d, 1, math.isqrt(abs_d // 3)):
+        if math.gcd(a, b, c) == 1:
+            triples.append((a, b, c))
+            if 0 < b < a < c:
+                triples.append((a, -b, c))
+    return [QuadForm(*t) for t in sorted(triples)]
 
 
 def no_table(lo, hi):
