@@ -1,18 +1,24 @@
 """Class numbers and class-group structure of imaginary quadratic fields.
 
 Two independent routes to h: counting reduced forms (the primary path) and
-the exact finite character sum
+Dirichlet's finite character sum over half the range,
 
-    h = w/(2|D|) * |sum_{k=1}^{|D|-1} kronecker(D, k) * k|
+    h = w/(2*(2 - chi(2))) * sum_{0<k<|D|/2} chi(k),   chi = kronecker(D, .),
 
-for fundamental D, with w = 6, 4, 2 for D = -3, -4 and everything else.  The
-two must agree exactly; ``class_number_of_field`` cross-checks them at most
-once per discriminant and process, while |D| <= ANALYTIC_CROSS_CHECK_LIMIT.
+for fundamental D, with w = 6, 4, 2 for D = -3, -4 and everything else.  chi
+is the product of the periodic characters of the prime discriminants
+dividing D, each multiplied into a block of chi a period at a time with no
+tiled copy; the Legendre tables of the small primes are cached across calls.
+The sum's result must pass the genus-theory rule (2^(mu-1) | h for mu prime
+discriminants, h odd when mu = 1), which any sum off by one fails.  The two
+routes must agree exactly; ``class_number_of_field`` cross-checks them at
+most once per discriminant and process, while |D| <= ANALYTIC_CROSS_CHECK_LIMIT.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,12 +60,13 @@ _TWO_PART = {
     8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int8),
     -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8),
 }
-# Block length of the character sum: no int64 temporary outgrows it.
+# Block length of the character sum and of a Legendre table's squares: no
+# temporary outgrows it.
 _STEP = 1 << 22
 
 
 def _legendre_table(p: int) -> np.ndarray:
-    """The Legendre symbol (k|p) for k = 0..p-1, p an odd prime."""
+    """The Legendre symbol (k|p) for k = 0..p-1, p an odd prime; read-only."""
     table = np.full(p, -1, dtype=np.int8)
     table[0] = 0
     half = (p + 1) // 2
@@ -68,33 +75,68 @@ def _legendre_table(p: int) -> np.ndarray:
         squares *= squares
         squares %= p
         table[squares] = 1
+    table.setflags(write=False)
     return table
 
 
-def _tiled(table: np.ndarray, abs_d: int, block: int) -> tuple[np.ndarray, int]:
-    """The table, repeated up to min(period + block, abs_d) entries, and its
-    period: then each block lo..lo+block-1 of 0..abs_d-1 is one slice,
-    starting at lo % period."""
-    period = table.size
-    length = min(period + block, abs_d)
-    if length > period:
-        reps, extra = divmod(length, period)
-        table = np.concatenate((np.tile(table, reps), table[:extra]))
-    return table, period
+# The tables of the primes that trial division finds, kept across calls: such
+# a p has p^2 <= |disc| <= max_disc, so at max_disc = 1e8 the cache holds at
+# most 256 tables of under 10^4 bytes each, under 3 MB in the worst case.
+_small_legendre_table = functools.lru_cache(maxsize=256)(_legendre_table)
+
+
+def _times_periodic(chi: np.ndarray, table: np.ndarray, start: int) -> None:
+    """chi[j] *= table[(start + j) % p] for every j, p = table.size, in place
+    and without tiling: the table's tail from start % p up to the next
+    multiple of p, then whole periods as rows of p, then the rest."""
+    p = table.size
+    r = start % p
+    if r:
+        head = min(p - r, chi.size)
+        chi[:head] *= table[r : r + head]
+        chi = chi[head:]
+    full = chi.size - chi.size % p
+    periods = chi[:full].reshape(-1, p)  # a view: chi is contiguous
+    periods *= table
+    chi[full:] *= table[: chi.size - full]
+
+
+def _class_number_from_sum(disc: int, total: int, chi2: int, mu: int) -> int:
+    """h = w * total / (2 * (2 - chi(2))), checked against what any class
+    number of disc satisfies: it is a positive integer, and by genus theory
+    2^(mu-1) divides it, mu being the number of prime discriminants dividing
+    disc, and it is odd when mu = 1.  A sum off by one fails one of these:
+    when chi(2) is -1 or 0 the division, when chi(2) = 1 the parity."""
+    w = 6 if disc == -3 else 4 if disc == -4 else 2
+    den = 2 * (2 - chi2)
+    h, rem = divmod(w * total, den)
+    if total <= 0 or rem or h % (1 << (mu - 1)) or (mu == 1 and h % 2 == 0):
+        raise InconsistencyError(
+            f"character sum {total} for disc {disc} does not yield its class number"
+        )
+    return h
 
 
 def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
-    """Class number of a fundamental discriminant via the exact character sum.
+    """Class number of a fundamental discriminant via Dirichlet's half-range sum
+
+        h = w / (2 * (2 - chi(2))) * sum_{0 < k < |disc|/2} chi(k),
+
+    chi = kronecker(disc, .), with w = 6, 4, 2 for disc = -3, -4 and the rest.
 
     A fundamental disc is a product of prime discriminants: -4, 8 or -8 for
     its 2-part, read off disc mod 16, and p* = +-p for each odd prime p
-    dividing it.  kronecker(disc, .) is then the product of their characters,
-    each periodic: a fixed table mod 8 for the 2-part and the Legendre symbol
-    (k|p) for odd p.  The odd part of disc is split by trial division, which
-    also checks that disc is fundamental (no odd square divides it), and the
-    tables are tiled over 0..|disc|-1 and multiplied block by block into the
-    weighted sum, which is exact int64 work.  Neither the form code nor
-    ``intmath.factor`` nor ``intmath.kronecker`` is used, so this stays an
+    dividing it.  chi is then the product of their characters, each periodic:
+    a fixed table mod 8 for the 2-part and the Legendre symbol (k|p) for odd
+    p.  The odd part of disc is split by trial division, which also checks
+    that disc is fundamental (no odd square divides it); the tables of the
+    primes it finds are cached, the cofactor's is built afresh.  Each table is
+    multiplied into chi in place, a period at a time, block by block, and
+    chi(2) is the product of the tables' entries at 2.  The result must be a
+    positive integer, divisible by 2^(mu-1) and odd when mu = 1, mu being the
+    number of prime discriminants (genus theory); otherwise it raises
+    InconsistencyError.  Neither the form code nor ``intmath.factor`` nor
+    ``intmath.kronecker`` nor the result cache is used, so this stays an
     independent route to h.
     """
     qform.validate_discriminant(disc)
@@ -105,45 +147,35 @@ def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     not_fundamental = InputError(f"{disc} is not a fundamental discriminant")
     abs_d = -disc
     if disc % 4 == 1:
-        tables = []
+        chars = []
         odd = abs_d
     elif disc % 16 == 12:
-        tables = [_TWO_PART[-4]]
+        chars = [_TWO_PART[-4]]
         odd = abs_d // 4
     elif disc % 16 == 8:
-        tables = [_TWO_PART[8 if (disc // 8) % 4 == 1 else -8]]
+        chars = [_TWO_PART[8 if (disc // 8) % 4 == 1 else -8]]
         odd = abs_d // 8
     else:
         raise not_fundamental
-    if abs_d == 3:
-        return 1
-    block = min(_STEP, abs_d)
-    chars = [_tiled(t, abs_d, block) for t in tables]
     p = 3
     while p * p <= odd:
         if odd % p == 0:
             odd //= p
             if odd % p == 0:
                 raise not_fundamental
-            chars.append(_tiled(_legendre_table(p), abs_d, block))
+            chars.append(_small_legendre_table(p))
         p += 2
     if odd > 1:
-        chars.append(_tiled(_legendre_table(odd), abs_d, block))
+        chars.append(_legendre_table(odd))
+    half = (abs_d + 1) // 2  # k = 0..half-1 are the k < |disc|/2
     total = 0
-    for lo in range(0, abs_d, _STEP):
-        hi = min(abs_d, lo + _STEP)
-        chi = np.ones(hi - lo, dtype=np.int8)
-        for values, period in chars:
-            start = lo % period
-            chi *= values[start : start + hi - lo]
-        total += int(np.dot(np.arange(lo, hi, dtype=np.int64), chi.astype(np.int64)))
-    w = 4 if disc == -4 else 2
-    num = w * abs(total)
-    if num == 0 or num % (2 * abs_d):
-        raise InconsistencyError(
-            f"character sum {total} for disc {disc} does not yield an integer class number"
-        )
-    return num // (2 * abs_d)
+    for lo in range(0, half, _STEP):
+        chi = np.ones(min(half, lo + _STEP) - lo, dtype=np.int8)
+        for table in chars:
+            _times_periodic(chi, table, lo)
+        total += int(chi.sum(dtype=np.int64))
+    chi2 = math.prod(int(table[2 % table.size]) for table in chars)
+    return _class_number_from_sum(disc, total, chi2, len(chars))
 
 
 class FieldClassNumber(NamedTuple):

@@ -60,9 +60,67 @@ class TestClassNumberAnalytic:
                     classgroup.class_number_analytic(disc)
 
     def test_matches_literal_sum(self):
-        for disc in range(-3, -400, -1):
+        for disc in range(-3, -2000, -1):
             if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
                 assert classgroup.class_number_analytic(disc) == brute_analytic(disc), disc
+
+    @pytest.mark.parametrize("step", [64, 97])
+    def test_many_blocks(self, monkeypatch, step):
+        # Short blocks start at lo > 0, so each table is entered at lo % p.
+        monkeypatch.setattr(classgroup, "_STEP", step)
+        for disc in range(-3, -5001, -1):
+            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+                assert classgroup.class_number_analytic(disc) == qform.count_reduced(disc), disc
+
+    @pytest.mark.parametrize(
+        "disc",
+        [
+            -7, -23, -15, -255,  # chi(2) = 1, mu = 1 and mu >= 2
+            -3, -19, -35, -1155,  # chi(2) = -1
+            -4, -8, -20, -84,  # chi(2) = 0
+        ],
+    )
+    def test_sum_off_by_one_raises(self, disc):
+        h = qform.count_reduced(disc)
+        chi2 = intmath.kronecker(disc, 2)
+        mu = len(trial_factor(disc))
+        w = 6 if disc == -3 else 4 if disc == -4 else 2
+        total, rem = divmod(h * 2 * (2 - chi2), w)
+        assert rem == 0
+        assert classgroup._class_number_from_sum(disc, total, chi2, mu) == h
+        for wrong in (total - 1, total + 1):
+            with pytest.raises(InconsistencyError):
+                classgroup._class_number_from_sum(disc, wrong, chi2, mu)
+
+    @pytest.mark.parametrize("k", [3, 5])  # a residue and a non-residue of 23
+    def test_wrong_table_raises(self, monkeypatch, k):
+        build = classgroup._legendre_table
+
+        def off_by_one(p):
+            table = build(p).copy()
+            table[k] = 0
+            return table
+
+        monkeypatch.setattr(classgroup, "_legendre_table", off_by_one)
+        with pytest.raises(InconsistencyError):
+            classgroup.class_number_analytic(-23)
+
+    def test_genus_rule_holds_to_20000(self):
+        # What the sum's self-check requires of h: 2^(mu-1) | h, h odd if mu = 1.
+        for disc in range(-3, -20001, -1):
+            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+                h = qform.count_reduced(disc)
+                mu = len(trial_factor(disc))
+                assert h % 2 ** (mu - 1) == 0 and (mu > 1 or h % 2 == 1), disc
+
+    def test_small_tables_cached_read_only(self):
+        cached = classgroup._small_legendre_table
+        assert cached.cache_info().maxsize is not None
+        assert cached(7).flags.writeable is False
+        assert classgroup._legendre_table(10007).flags.writeable is False
+        before = cached.cache_info().currsize
+        assert classgroup.class_number_analytic(-10007) == qform.count_reduced(-10007)
+        assert cached.cache_info().currsize == before
 
     def test_dual_oracle_agreement_to_2000(self):
         for disc in range(-3, -2001, -1):
