@@ -6,8 +6,6 @@ from .intmath import (
     Factorization,
     SquarefreeDecomp,
     factor,
-    fundamental_discriminant,
-    gcd_ext,
     is_prime,
     kronecker,
     sqrt_mod_prime,
@@ -27,7 +25,6 @@ from .classgroup import (
     class_number_forms,
     class_number_of_field,
     group_structure,
-    is_fundamental_discriminant,
     order_of_class,
 )
 from .witness import Instance, ScanRecord, WitnessReport, alpha_form, scan, verify_instance
@@ -44,7 +41,7 @@ from .families import (
     search_successive,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ClassGroupInfo",
@@ -73,13 +70,10 @@ __all__ = [
     "count_reduced",
     "enumerate_reduced",
     "factor",
-    "fundamental_discriminant",
-    "gcd_ext",
     "group_structure",
     "hoque_check",
     "identity_form",
     "iizuka_family",
-    "is_fundamental_discriminant",
     "is_prime",
     "kronecker",
     "order_of_class",

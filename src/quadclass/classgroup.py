@@ -36,19 +36,6 @@ DEFAULT_STRUCTURE_CAP = 10**4
 ANALYTIC_CROSS_CHECK_LIMIT = 20_000
 
 
-def is_fundamental_discriminant(disc: int, budget: int | None = None) -> bool:
-    """True iff disc < 0 is the discriminant of a maximal imaginary order."""
-    if disc >= 0:
-        return False
-    r = disc % 4
-    if r == 1:
-        return intmath.squarefree_part(disc, budget).t == 1
-    if r == 0:
-        q = disc // 4
-        return q % 4 in (2, 3) and intmath.squarefree_part(q, budget).t == 1
-    return False
-
-
 def class_number_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """Class number of the order of discriminant disc, by counting reduced forms."""
     return qform.count_reduced(disc, max_disc)
@@ -117,7 +104,7 @@ def _class_number_from_sum(disc: int, total: int, chi2: int, mu: int) -> int:
     return h
 
 
-def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
+def class_number_analytic(disc: int) -> int:
     """Class number of a fundamental discriminant via Dirichlet's half-range sum
 
         h = w / (2 * (2 - chi(2))) * sum_{0 < k < |disc|/2} chi(k),
@@ -135,17 +122,13 @@ def class_number_analytic(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     chi(2) is the product of the tables' entries at 2.  The result must be a
     positive integer, divisible by 2^(mu-1) and odd when mu = 1, mu being the
     number of prime discriminants (genus theory); otherwise it raises
-    InconsistencyError.  Neither the form code nor ``intmath.factor`` nor
-    ``intmath.kronecker`` nor the result cache is used, so this stays an
-    independent route to h.
+    InconsistencyError.  |disc| above DEFAULT_DISC_CAP raises
+    ResourceCapError, by the same ``qform.abs_disc`` check as the form count.
+    Neither the form code nor ``intmath.factor`` nor ``intmath.kronecker``
+    nor the result cache is used, so this stays an independent route to h.
     """
-    qform.validate_discriminant(disc)
-    if -disc > max_disc:
-        raise ResourceCapError(
-            f"|discriminant| {-disc} exceeds cap {max_disc}", detail=disc
-        )
+    abs_d = qform.abs_disc(disc, DEFAULT_DISC_CAP)
     not_fundamental = InputError(f"{disc} is not a fundamental discriminant")
-    abs_d = -disc
     if disc % 4 == 1:
         chars = []
         odd = abs_d
@@ -235,10 +218,7 @@ def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> F
     """``class_number_of_field`` for a square-free d_sf < 0 the caller
     already holds, so d_sf is not factored again."""
     disc = intmath.field_discriminant(d_sf)
-    if -disc > max_disc:
-        raise ResourceCapError(
-            f"|discriminant| {-disc} exceeds enumeration cap {max_disc}", detail=disc
-        )
+    qform.abs_disc(disc, max_disc)
     h = _lookup_h(disc, lambda: class_number_forms(disc, max_disc))
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
 
@@ -422,21 +402,18 @@ class _Sylow:
         return max(n for g, n in self.orders.items() if self.free(g))
 
 
-def group_structure(
-    disc: int,
-    max_disc: int = DEFAULT_DISC_CAP,
-    structure_cap: int = DEFAULT_STRUCTURE_CAP,
-) -> ClassGroupInfo:
+def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupInfo:
     """Elementary divisors and matching generators of the form class group.
 
-    h is the form count, checked against structure_cap before any form is
-    built.  Below |disc| = 2^16 it is read from qform's block table, while
-    the forms come from the root-count scan, so the two routes check each
-    other.  G is the direct sum of its Sylow subgroups G_p, p^a || h, each
-    built from the p-parts f^(h/p^a) of the forms (see ``_Sylow``); element
-    orders come from walks inside G_p alone.  Each pass re-reads the forms
-    drawn so far from one lazy ``qform.reduced_forms`` stream (a copy of
-    one tee of it), so only the prefix the passes read is ever built.
+    h is the form count; an h above DEFAULT_STRUCTURE_CAP raises
+    ResourceCapError before any form is built.  Below |disc| = 2^16 h is
+    read from qform's block table, while the forms come from the root-count
+    scan, so the two routes check each other.  G is the direct sum of its
+    Sylow subgroups G_p, p^a || h, each built from the p-parts f^(h/p^a) of
+    the forms (see ``_Sylow``); element orders come from walks inside G_p
+    alone.  Each pass re-reads the forms drawn so far from one lazy
+    ``qform.reduced_forms`` stream (a copy of one tee of it), so only the
+    prefix the passes read is ever built.
 
     Generators are picked greedily, one per round, as in (-order, form)
     order over all classes: with H the subgroup generated so far and H_p
@@ -460,9 +437,9 @@ def group_structure(
     must be G_p, so the certificate is self-checking.
     """
     h = class_number_forms(disc, max_disc)
-    if h > structure_cap:
+    if h > DEFAULT_STRUCTURE_CAP:
         raise ResourceCapError(
-            f"class number {h} exceeds structure cap {structure_cap}", detail=h
+            f"class number {h} exceeds structure cap {DEFAULT_STRUCTURE_CAP}", detail=h
         )
     ident = qform.identity_form(disc)
     (forms,) = itertools.tee(qform.reduced_forms(disc, max_disc), 1)

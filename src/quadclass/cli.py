@@ -190,7 +190,7 @@ def _witness_doc(rep: witness.WitnessReport) -> dict:
         "alpha_order": str(rep.alpha_order),
         "cofactor_s": str(rep.cofactor_s),
         "n_divides_h": rep.n_divides_h,
-        "alpha_n_principal": rep.alpha_n_principal,
+        "alpha_n_principal": True,  # verify_instance raises unless alpha^n is principal
     }
 
 

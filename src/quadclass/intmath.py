@@ -1,8 +1,9 @@
 """Arbitrary-precision integer arithmetic substrate.
 
-Extended gcd, a prime sieve, Miller-Rabin primality, trial-division plus
-Brent-rho factoring, square-free decomposition, fundamental discriminants,
-Tonelli-Shanks square roots modulo odd primes, and the Kronecker symbol.
+A prime sieve, Miller-Rabin primality, trial-division plus Brent-rho
+factoring, square-free decomposition, the field discriminant of a
+square-free d, Tonelli-Shanks square roots modulo odd primes, and the
+Kronecker symbol.
 
 All operations are pure functions of their arguments: each factorization
 draws its rho parameters from its own fixed-seed generator, and each
@@ -39,27 +40,6 @@ _MR_RANDOM_ROUNDS = 40
 # about 14300 bits, by default) anyway; this keeps hopeless powers from
 # being built at all.
 MAX_POWER_BITS = 1 << 16
-
-
-def gcd_ext(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: (g, u, v) with u*a + v*b = g = gcd(a, b) and g >= 0.
-
-    >>> gcd_ext(12, 8)
-    (4, 1, -1)
-    """
-    if a == 0 and b == 0:
-        return 0, 0, 0
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
 
 
 def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -379,15 +359,6 @@ def field_discriminant(d_sf: int) -> int:
     """Discriminant of Q(sqrt(d_sf)) for square-free d_sf: d_sf itself when
     d_sf = 1 mod 4, else 4 d_sf.  The caller guarantees square-freeness."""
     return d_sf if d_sf % 4 == 1 else 4 * d_sf
-
-
-def fundamental_discriminant(d: int, budget: int | None = None) -> int:
-    """Discriminant of the maximal order of Q(sqrt(d)) for square-free d < 0."""
-    if d >= 0:
-        raise InputError(f"need d < 0, got {d}")
-    if squarefree_part(d, budget).t != 1:
-        raise InputError(f"{d} is not square-free")
-    return field_discriminant(d)
 
 
 def kronecker(a: int, n: int) -> int:

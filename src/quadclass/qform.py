@@ -176,9 +176,10 @@ def identity_form(disc: int) -> QuadForm:
     return QuadForm(1, k, (k * k - disc) // 4)
 
 
-def _abs_disc(disc: int, max_disc: int) -> int:
+def abs_disc(disc: int, max_disc: int) -> int:
     """|disc|, once disc is a discriminant and |disc| is within max_disc
-    and below _NUMPY_MAX_DISC."""
+    and below _NUMPY_MAX_DISC: the one |disc| check of the form count, the
+    character sum and ``classgroup.class_number_of_squarefree``."""
     validate_discriminant(disc)
     if -disc > max_disc:
         raise ResourceCapError(
@@ -204,27 +205,22 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     L_p(k) = 1 + (-abs_d | p) for every k >= 1; for p = 2 that is 2 when
     abs_d = 7 (mod 8) and 0 when abs_d = 3 (mod 8).  For p | abs_d, L_p(k)
     is counted over x mod p^k (``_apply_ramified``).  N(a) = 0 means that no
-    form has this a.  Every prime <= a_max is applied: the primes up to
-    isqrt(a_max) by a strided slice each, the larger ones, which divide an
-    a <= a_max at most once and never two at a time, by one scatter.
+    form has this a.  The unramified primes <= a_max are applied by one
+    unbuffered scatter over all their multiples, so an a with several of
+    them as factors takes each factor once.
     """
     roots = np.ones(a_max + 1, dtype=np.int32)
     roots[0] = 0
     p = intmath.primes_through(a_max)
     ramified = abs_d % p == 0
-    local = np.where(_euler_criterion(-abs_d, p) == 1, 2, 0).astype(np.int32)
-    local[p == 2] = 2 if abs_d % 8 == 7 else 0
-    local[ramified] = 1  # _apply_ramified multiplies these in
     for q in p[ramified].tolist():
         _apply_ramified(roots, abs_d, q)
-    small = int(np.searchsorted(p, math.isqrt(a_max), side="right"))
-    for q, f in zip(p[:small].tolist(), local[:small].tolist()):
-        if f != 1:
-            roots[q::q] *= f
-    q, f = p[small:], local[small:]
+    q = p[~ramified]
+    f = np.where(_euler_criterion(-abs_d, q) == 1, 2, 0).astype(np.int32)
+    f[q == 2] = 2 if abs_d % 8 == 7 else 0
     n = a_max // q  # multiples of each q up to a_max
     k = np.arange(1, int(n.sum()) + 1) - np.repeat(np.cumsum(n) - n, n)
-    roots[np.repeat(q, n) * k] *= np.repeat(f, n)
+    np.multiply.at(roots, np.repeat(q, n) * k, np.repeat(f, n))
     roots.flags.writeable = False
     return roots
 
@@ -320,7 +316,7 @@ def reduced_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> Iterator[QuadF
     lo <= a < 2 lo.  Each block is one ``_forms`` scan over the a with
     N(a) > 0, at every |disc|.
     """
-    abs_d = _abs_disc(disc, max_disc)
+    abs_d = abs_disc(disc, max_disc)
     a_max = math.isqrt(abs_d // 3)  # 3a^2 <= |disc| for every reduced form
     roots = _root_counts(abs_d, a_max)
     lo, hi = 1, 63  # fewer numpy calls than blocks that double from a = 1
@@ -347,7 +343,7 @@ def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     root counts N(a): as 4a^2 < |disc|, each of its forms has c > a.  Only
     the tail a > A is scanned, by ``_forms``.
     """
-    abs_d = _abs_disc(disc, max_disc)
+    abs_d = abs_disc(disc, max_disc)
     if abs_d < _NUMPY_MIN_DISC:
         lo = abs_d - abs_d % _TABLE_BLOCK
         return int(_window_counts(lo, lo + _TABLE_BLOCK - 1)[abs_d - lo])

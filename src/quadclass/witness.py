@@ -56,7 +56,6 @@ class WitnessReport:
     alpha_order: int
     cofactor_s: int
     n_divides_h: bool
-    alpha_n_principal: bool
 
 
 def _construct(inst: Instance, budget: int | None) -> tuple[int, int, int, QuadForm]:
@@ -120,7 +119,6 @@ def verify_instance(
         alpha_order=order,
         cofactor_s=inst.n // order,
         n_divides_h=h % inst.n == 0,
-        alpha_n_principal=True,
     )
 
 

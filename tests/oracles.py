@@ -78,6 +78,21 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def is_fundamental(disc: int) -> bool:
+    """Whether disc is a negative fundamental discriminant: disc = 1 (mod 4)
+    and square-free, or disc = 4m with m = 2 or 3 (mod 4) and m square-free;
+    squares found by trial division."""
+    if disc >= 0:
+        return False
+    if disc % 4 == 1:
+        m = disc
+    elif disc % 16 in (8, 12):  # m = disc/4 = 2 or 3 (mod 4)
+        m = disc // 4
+    else:
+        return False
+    return all(e == 1 for _, e in trial_factor(m))
+
+
 def apply_unimodular(form, p: int, q: int, r: int, s: int):
     """Change of variable (X, Y) -> (pX + qY, rX + sY) with ps - qr = 1.
 

@@ -15,14 +15,14 @@ from quadclass import cli
 from quadclass.qform import QuadForm
 from quadclass.witness import Instance
 
-from oracles import apply_unimodular, random_unimodular
+from oracles import apply_unimodular, is_fundamental, random_unimodular
 
 HEEGNER = {-3, -4, -7, -8, -11, -19, -43, -67, -163}
 
 
 def _fundamental_range(limit):
     for disc in range(-3, limit - 1, -1):
-        if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+        if disc % 4 in (0, 1) and is_fundamental(disc):
             yield disc
 
 
@@ -95,7 +95,7 @@ def test_criterion_06_witness_structural_suite():
                     skipped += 1
                     continue
                 rep = witness.verify_instance(Instance(x, y, n))
-                assert rep.alpha_n_principal, (x, y, n)
+                assert rep.alpha_form.power(n) == qform.identity_form(rep.disc), (x, y, n)
                 assert n % rep.alpha_order == 0, (x, y, n)
                 if rep.alpha_order == n:
                     assert rep.n_divides_h, (x, y, n)

@@ -1,7 +1,11 @@
 """The library calls the benchmark's worker makes, in the same form, so an
 API change that would fail every benchmark op fails here first."""
 
-from quadclass import classgroup, families, witness
+from pathlib import Path
+
+from quadclass import classgroup, families, qform, witness
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 def test_search_call():
@@ -24,3 +28,19 @@ def test_group_call():
     g = classgroup.group_structure(-84)
     row = [g.h, list(g.elementary_divisors), [str(f) for f in g.generators]]
     assert row == [4, [2, 2], ["(3,0,7)", "(2,2,11)"]]
+
+
+def test_second_route_calls():
+    # run.py's second_route: the character sum for a fundamental disc, else
+    # the form count checked against the enumerated forms
+    assert classgroup.class_number_analytic(-1_000_039) == 877
+    count = qform.count_reduced(-4_000_004)
+    assert count == len(qform.enumerate_reduced(-4_000_004)) == 1032
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # the traced run builds this Tracer; a removed or renamed target raises TraceError
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    from tracer import TARGETS, Tracer
+
+    assert len(Tracer().stats) == len(TARGETS)

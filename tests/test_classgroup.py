@@ -7,7 +7,7 @@ from quadclass import classgroup, intmath, qform
 from quadclass.errors import InconsistencyError, InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
-from oracles import brute_reduced_forms, invariant_factors_by_count, trial_factor
+from oracles import brute_reduced_forms, invariant_factors_by_count, is_fundamental, trial_factor
 
 HEEGNER = {-3, -4, -7, -8, -11, -19, -43, -67, -163}
 
@@ -43,6 +43,10 @@ class TestClassNumberAnalytic:
     def test_examples(self, disc, h):
         assert classgroup.class_number_analytic(disc) == h
 
+    def test_cap(self):
+        with pytest.raises(ResourceCapError, match="exceeds enumeration cap 100000000"):
+            classgroup.class_number_analytic(-100000003)
+
     def test_rejects_non_fundamental(self):
         for disc in (
             -12,  # 4 * (-3)
@@ -55,13 +59,13 @@ class TestClassNumberAnalytic:
             with pytest.raises(InputError):
                 classgroup.class_number_analytic(disc)
         for disc in range(-3, -1000, -1):
-            if disc % 4 in (0, 1) and not classgroup.is_fundamental_discriminant(disc):
+            if disc % 4 in (0, 1) and not is_fundamental(disc):
                 with pytest.raises(InputError):
                     classgroup.class_number_analytic(disc)
 
     def test_matches_literal_sum(self):
         for disc in range(-3, -2000, -1):
-            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+            if disc % 4 in (0, 1) and is_fundamental(disc):
                 assert classgroup.class_number_analytic(disc) == brute_analytic(disc), disc
 
     @pytest.mark.parametrize("step", [64, 97])
@@ -69,7 +73,7 @@ class TestClassNumberAnalytic:
         # Short blocks start at lo > 0, so each table is entered at lo % p.
         monkeypatch.setattr(classgroup, "_STEP", step)
         for disc in range(-3, -5001, -1):
-            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+            if disc % 4 in (0, 1) and is_fundamental(disc):
                 assert classgroup.class_number_analytic(disc) == qform.count_reduced(disc), disc
 
     @pytest.mark.parametrize(
@@ -108,7 +112,7 @@ class TestClassNumberAnalytic:
     def test_genus_rule_holds_to_20000(self):
         # What the sum's self-check requires of h: 2^(mu-1) | h, h odd if mu = 1.
         for disc in range(-3, -20001, -1):
-            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+            if disc % 4 in (0, 1) and is_fundamental(disc):
                 h = qform.count_reduced(disc)
                 mu = len(trial_factor(disc))
                 assert h % 2 ** (mu - 1) == 0 and (mu > 1 or h % 2 == 1), disc
@@ -124,7 +128,7 @@ class TestClassNumberAnalytic:
 
     def test_dual_oracle_agreement_to_2000(self):
         for disc in range(-3, -2001, -1):
-            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+            if disc % 4 in (0, 1) and is_fundamental(disc):
                 assert classgroup.class_number_analytic(disc) == classgroup.class_number_forms(disc)
 
     @pytest.mark.parametrize(
@@ -167,13 +171,13 @@ class TestClassNumberAnalytic:
 
 class TestIsFundamental:
     def test_examples(self):
-        assert classgroup.is_fundamental_discriminant(-23)
-        assert classgroup.is_fundamental_discriminant(-4)
-        assert classgroup.is_fundamental_discriminant(-8)
-        assert not classgroup.is_fundamental_discriminant(-12)
-        assert not classgroup.is_fundamental_discriminant(-9)
-        assert not classgroup.is_fundamental_discriminant(-23 * 4)
-        assert not classgroup.is_fundamental_discriminant(5)
+        assert is_fundamental(-23)
+        assert is_fundamental(-4)
+        assert is_fundamental(-8)
+        assert not is_fundamental(-12)
+        assert not is_fundamental(-9)
+        assert not is_fundamental(-23 * 4)
+        assert not is_fundamental(5)
 
 
 class TestClassNumberOfField:
@@ -191,7 +195,7 @@ class TestClassNumberOfField:
     def test_class_number_one_fields_below_200(self):
         ones = set()
         for disc in range(-3, -201, -1):
-            if disc % 4 in (0, 1) and classgroup.is_fundamental_discriminant(disc):
+            if disc % 4 in (0, 1) and is_fundamental(disc):
                 if classgroup.class_number_forms(disc) == 1:
                     ones.add(disc)
         assert ones == HEEGNER
@@ -273,8 +277,9 @@ class TestGroupStructure:
             assert len(span) == info.h
 
     def test_structure_cap(self):
-        with pytest.raises(ResourceCapError):
-            classgroup.group_structure(-104, structure_cap=2)
+        # h(-99999983) = 10424 > DEFAULT_STRUCTURE_CAP
+        with pytest.raises(ResourceCapError, match="class number 10424 exceeds structure cap"):
+            classgroup.group_structure(-99999983)
 
     def test_no_count_from_2_to_the_61(self):
         # max_disc allows it, but the form count stops below 2^61
@@ -287,7 +292,7 @@ class TestGroupStructure:
 
         monkeypatch.setattr(qform, "reduced_forms", no_forms)
         with pytest.raises(ResourceCapError):
-            classgroup.group_structure(-104, structure_cap=2)
+            classgroup.group_structure(-99999983)
 
     def test_reads_a_prefix_of_the_forms(self, monkeypatch):
         drawn = 0

@@ -13,29 +13,6 @@ from quadclass.errors import InputError, ResourceCapError
 from oracles import brute_legendre, trial_factor
 
 
-class TestGcdExt:
-    def test_empty_convention(self):
-        assert intmath.gcd_ext(0, 0) == (0, 0, 0)
-
-    def test_simple(self):
-        g, u, v = intmath.gcd_ext(12, 8)
-        assert g == 4 and u * 12 + v * 8 == 4
-
-    def test_bezout_gives_inverse(self):
-        g, u, v = intmath.gcd_ext(3, 23)
-        assert g == 1
-        assert u * 3 + v * 23 == 1
-        assert u * 3 % 23 == 1
-
-    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
-    def test_identity_holds(self, a, b):
-        g, u, v = intmath.gcd_ext(a, b)
-        assert g == math.gcd(a, b)
-        assert u * a + v * b == g
-        if g:
-            assert a % g == 0 and b % g == 0
-
-
 class TestIsPrime:
     def test_examples(self):
         assert not intmath.is_prime(1)
@@ -200,17 +177,7 @@ class TestSquarefreePart:
 class TestFundamentalDiscriminant:
     @pytest.mark.parametrize("d,expected", [(-23, -23), (-1, -4), (-2, -8), (-7, -7), (-163, -163)])
     def test_values(self, d, expected):
-        assert intmath.fundamental_discriminant(d) == expected
-
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(InputError):
-            intmath.fundamental_discriminant(-4)
-
-    def test_rejects_non_negative(self):
-        with pytest.raises(InputError):
-            intmath.fundamental_discriminant(5)
-        with pytest.raises(InputError):
-            intmath.fundamental_discriminant(0)
+        assert intmath.field_discriminant(d) == expected
 
 
 class TestSqrtModPrime:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from quadclass import classgroup, intmath, witness
+from quadclass import classgroup, intmath, qform, witness
 from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 from quadclass.witness import Instance
@@ -75,7 +75,8 @@ class TestVerifyInstance:
         assert rep.h == 3
         assert rep.alpha_form == QuadForm(2, 1, 3)
         assert rep.alpha_order == 3 and rep.cofactor_s == 1
-        assert rep.n_divides_h and rep.alpha_n_principal
+        assert rep.n_divides_h
+        assert rep.alpha_form.power(3) == qform.identity_form(rep.disc)
 
     def test_below_threshold_253(self):
         rep = witness.verify_instance(Instance(2, 5, 3))
@@ -124,7 +125,7 @@ class TestVerifyInstance:
                     rep = witness.verify_instance(Instance(x, y, n))
                     assert rep.alpha_form.discriminant == rep.disc
                     assert rep.d * rep.t * rep.t == y**n - x * x
-                    assert rep.alpha_n_principal
+                    assert rep.alpha_form.power(n) == qform.identity_form(rep.disc)
                     assert n % rep.alpha_order == 0
                     assert rep.alpha_order * rep.cofactor_s == n
                     if rep.alpha_order == n:
