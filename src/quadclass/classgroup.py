@@ -88,6 +88,13 @@ def _times_periodic(chi: np.ndarray, table: np.ndarray, start: int) -> None:
     chi[full:] *= table[: chi.size - full]
 
 
+def _genus_ok(h: int, mu: int) -> bool:
+    """Whether h can be the class number of a fundamental discriminant with
+    mu prime discriminants: by genus theory 2^(mu-1) divides it, and it is
+    odd when mu = 1."""
+    return h % (1 << (mu - 1)) == 0 and (mu > 1 or h % 2 == 1)
+
+
 def _class_number_from_sum(disc: int, total: int, chi2: int, mu: int) -> int:
     """h = w * total / (2 * (2 - chi(2))), checked against what any class
     number of disc satisfies: it is a positive integer, and by genus theory
@@ -97,7 +104,7 @@ def _class_number_from_sum(disc: int, total: int, chi2: int, mu: int) -> int:
     w = 6 if disc == -3 else 4 if disc == -4 else 2
     den = 2 * (2 - chi2)
     h, rem = divmod(w * total, den)
-    if total <= 0 or rem or h % (1 << (mu - 1)) or (mu == 1 and h % 2 == 0):
+    if total <= 0 or rem or not _genus_ok(h, mu):
         raise InconsistencyError(
             f"character sum {total} for disc {disc} does not yield its class number"
         )
@@ -179,10 +186,27 @@ def _cross_checked(disc: int, h: int) -> int:
 
 
 def _read_h(file: result_cache.ResultCache, disc: int) -> int | None:
-    """h(disc) from the file, cross-checked; None when it is missing or
-    below 1, which no class number is, so that it is counted again."""
+    """h(disc) from the file, checked; None when it is missing or below 1,
+    which no class number is, so that it is counted again.
+
+    Up to ANALYTIC_CROSS_CHECK_LIMIT the character sum checks it.  Above,
+    it must pass the genus rule, mu being the number of primes dividing
+    |disc|, read from ``intmath.factor(-d_sf)``: that catches every h +- 1,
+    but not an error that is a multiple of 2^max(1, mu-1).  A value that
+    fails either raises InconsistencyError."""
     h = file.get_h(disc)
-    return None if h is None or h < 1 else _cross_checked(disc, h)
+    if h is None or h < 1:
+        return None
+    if -disc <= ANALYTIC_CROSS_CHECK_LIMIT:
+        return _cross_checked(disc, h)
+    d_sf = disc if disc % 4 == 1 else disc // 4
+    # 2 divides |disc| = 4|d_sf| but not d_sf exactly when disc = 4 (mod 8)
+    mu = len(intmath.factor(-d_sf).factors) + (disc % 8 == 4)
+    if not _genus_ok(h, mu):
+        raise InconsistencyError(
+            f"cached class number {h} of disc {disc} fails the genus rule (mu = {mu})"
+        )
+    return h
 
 
 def _lookup_h(disc: int, count) -> int:
@@ -207,7 +231,8 @@ def class_number_of_field(
     so d may carry square factors (h(-343) is h of Q(sqrt(-7))).  The form
     count, or a value read from the cache file, is cross-checked against the
     character sum when |disc| <= ANALYTIC_CROSS_CHECK_LIMIT before it is
-    memoized, so each discriminant is checked at most once per process.
+    memoized, so each discriminant is checked at most once per process;
+    above the limit a value read from the file must pass the genus rule.
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")

@@ -15,6 +15,11 @@ block.  From 2^16 on it splits the a in two.  The head, 4a^2 < |disc|, has
 c > a for every form, so a adds the number N(a) of b mod 2a with
 b^2 = disc (mod 4a) that give a primitive form; N is multiplicative, and
 one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
+``_root_counts`` reads the Legendre symbols of the unramified primes by one
+gather from a bit-packed table of the squares mod every prime up to the
+largest a asked for so far, grown lazily and kept read-only: 253 KB once it
+holds every prime up to sqrt(DEFAULT_DISC_CAP/3).  An odd prime p with
+p || disc only zeroes the multiples of p^2.
 The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned by ``_forms``:
 numpy tests a block of b at a time against the tail a with N(a) > 0.  No
 form is counted from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
@@ -27,9 +32,11 @@ are thus found by two different algorithms.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,6 +199,56 @@ def abs_disc(disc: int, max_disc: int) -> int:
     return -disc
 
 
+class _Residues(NamedTuple):
+    """The squares mod each prime p <= top, one bit per residue 0 <= r < p:
+    the i-th prime's ceil(p/8)-byte segment starts at bits[off[i]], packed
+    little-endian, so r is a square mod p (0 included) exactly when bit
+    r & 7 of bits[off[i] + (r >> 3)] is set."""
+
+    top: int
+    off: np.ndarray
+    bits: np.ndarray
+
+
+# The one residue table, read-only; _residue_table replaces it by a larger one.
+_residues = _Residues(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
+_residues_lock = threading.Lock()
+# The residue table holds the primes through this, the largest a_max of a
+# |disc| within DEFAULT_DISC_CAP: 757 primes in 253 KB, built in about 5 ms
+# (2-core x86-64 host).  Its size grows as a_max^2 / log(a_max), about 19 MB
+# at |disc| = 1e10, so the primes past it, which only a larger max_disc
+# reaches, take their symbols from intmath.kronecker instead.
+_RESIDUE_TOP = math.isqrt(DEFAULT_DISC_CAP // 3)
+
+
+def _residue_table(a_max: int) -> _Residues:
+    """The residue table through min(a_max, _RESIDUE_TOP) at least.  When
+    it stops short it grows to exactly that: the old segments are copied
+    once, and each new prime's squares are packed on their own."""
+    global _residues
+    top = min(a_max, _RESIDUE_TOP)
+    table = _residues
+    if table.top >= top:
+        return table
+    with _residues_lock:
+        table = _residues
+        if table.top >= top:
+            return table
+        new = intmath.primes_through(top)[table.off.size :]
+        segments = [table.bits]
+        for p in new.tolist():
+            square = np.zeros(p, dtype=bool)
+            k = np.arange(p // 2 + 1, dtype=np.int64)
+            square[k * k % p] = True
+            segments.append(np.packbits(square, bitorder="little"))
+        size = (new + 7) // 8
+        off = np.concatenate([table.off, table.bits.size + np.cumsum(size) - size])
+        bits = np.concatenate(segments)
+        off.flags.writeable = bits.flags.writeable = False
+        _residues = table = _Residues(top, off, bits)
+    return table
+
+
 @lru_cache(maxsize=1)
 def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     """N[a] for 0 <= a <= a_max, read-only: the number of b mod 2a with
@@ -203,43 +260,40 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     in Computational Algebraic Number Theory, sec. 5.3; Cox, Primes of the
     Form x^2 + ny^2, sec. 2).  For p not dividing abs_d,
     L_p(k) = 1 + (-abs_d | p) for every k >= 1; for p = 2 that is 2 when
-    abs_d = 7 (mod 8) and 0 when abs_d = 3 (mod 8).  For p | abs_d, L_p(k)
-    is counted over x mod p^k (``_apply_ramified``).  N(a) = 0 means that no
-    form has this a.  The unramified primes <= a_max are applied by one
-    unbuffered scatter over all their multiples, so an a with several of
-    them as factors takes each factor once.
+    abs_d = 7 (mod 8) and 0 when abs_d = 3 (mod 8).  The odd symbols are one
+    gather from the residue table (``_residue_table``) at r = -abs_d mod p;
+    only primes above _RESIDUE_TOP, which a max_disc above DEFAULT_DISC_CAP
+    reaches, take theirs from ``intmath.kronecker``.  These unramified primes
+    <= a_max are applied by one unbuffered scatter over all their multiples,
+    so an a with several of them as factors takes each factor once.  For an
+    odd p with p || abs_d, L_p = (1, 0, 0, ...): every multiple of p^2 is
+    zeroed.  For p = 2 and for p^2 | abs_d, L_p(k) is counted over x mod p^k
+    (``_apply_ramified``).  N(a) = 0 means that no form has this a.
     """
     roots = np.ones(a_max + 1, dtype=np.int32)
     roots[0] = 0
     p = intmath.primes_through(a_max)
     ramified = abs_d % p == 0
     for q in p[ramified].tolist():
-        _apply_ramified(roots, abs_d, q)
-    q = p[~ramified]
-    f = np.where(_euler_criterion(-abs_d, q) == 1, 2, 0).astype(np.int32)
-    f[q == 2] = 2 if abs_d % 8 == 7 else 0
+        if q > 2 and abs_d // q % q:
+            roots[q * q :: q * q] = 0
+        else:
+            _apply_ramified(roots, abs_d, q)
+    table = _residue_table(a_max)
+    held = p[: table.off.size]
+    r = (-abs_d) % held
+    square = (table.bits[table.off[: held.size] + (r >> 3)] >> (r & 7)) & 1
+    if held.size < p.size:
+        beyond = [intmath.kronecker(-abs_d, q) == 1 for q in p[held.size :].tolist()]
+        square = np.concatenate([square, beyond])
+    f = 2 * square.astype(np.int32)
+    f[p == 2] = 2 if abs_d % 8 == 7 else 0
+    q, f = p[~ramified], f[~ramified]
     n = a_max // q  # multiples of each q up to a_max
     k = np.arange(1, int(n.sum()) + 1) - np.repeat(np.cumsum(n) - n, n)
     np.multiply.at(roots, np.repeat(q, n) * k, np.repeat(f, n))
     roots.flags.writeable = False
     return roots
-
-
-def _euler_criterion(r: int, p: np.ndarray) -> np.ndarray:
-    """r^((p - 1)/2) mod p for each p of the array, by square and multiply:
-    for an odd prime p, 1 when r is a nonzero square mod p, p - 1 when it is
-    not, and 0 when p | r.  Needs p < 2^31, so that squares fit in int64."""
-    e = p >> 1
-    base = r % p
-    out = np.ones_like(p)
-    for _ in range(int(e.max(initial=0)).bit_length()):
-        step = out * base
-        step %= p
-        np.copyto(out, step, where=(e & 1).astype(bool))
-        base *= base
-        base %= p
-        e >>= 1
-    return out
 
 
 def _apply_ramified(roots: np.ndarray, abs_d: int, p: int) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadclass
-from quadclass import cli, intmath
+from quadclass import cli, intmath, qform
 from quadclass import cache as result_cache
 
 
@@ -356,8 +356,66 @@ class TestDeterminismAndCache:
         assert out == ""
         assert "consistency failure" in err
 
+    def test_cached_h_above_the_limit_that_fails_the_genus_rule(self, capsys, tmp_path, fresh_memo):
+        # 1000003 is prime, so h(-1000003) = 105 must be odd; the later line wins
+        cache_file = tmp_path / "cache.jsonl"
+        argv = ["classnum", "--json", "--cache", str(cache_file), "--", "-1000003"]
+        code, out, _ = run(argv, capsys)
+        assert (code, json.loads(out)["h"]) == (0, "105")
+        with cache_file.open("a") as fh:
+            fh.write('{"key":"h:-1000003","v":1,"value":"106"}\n')
+        result_cache._memo.clear()
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "consistency failure: cached class number 106 of disc -1000003 "
+            "fails the genus rule (mu = 1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "d, disc, h, wrong",
+        [
+            # 3 * 333337: mu = 2, so 2 | h
+            ("-1000011", "-1000011", 368, 367),
+            ("-1000011", "-1000011", 368, 369),
+            # 2 * 7 * 71429: mu = 3, so 4 | h
+            ("-1000006", "-4000024", 616, 615),
+            ("-1000006", "-4000024", 616, 617),
+            ("-1000006", "-4000024", 616, 618),
+            # 7 * 373 * 383 and the 2 of disc = 4 (mod 8): mu = 4, so 8 | h
+            ("-1000013", "-4000052", 832, 831),
+            ("-1000013", "-4000052", 832, 833),
+            ("-1000013", "-4000052", 832, 836),
+        ],
+    )
+    def test_cached_h_with_several_prime_discriminants(self, capsys, tmp_path, fresh_memo, d, disc, h, wrong):
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(json.dumps({"key": f"h:{disc}", "v": 1, "value": str(h)}) + "\n")
+        argv = ["classnum", "--json", "--cache", str(cache_file), "--", d]
+        code, out, err = run(argv, capsys)
+        assert (code, json.loads(out)["h"], err) == (0, str(h), "")
+        with cache_file.open("a") as fh:
+            fh.write(json.dumps({"key": f"h:{disc}", "v": 1, "value": str(wrong)}) + "\n")
+        result_cache._memo.clear()
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"cached class number {wrong} of disc {disc} fails the genus rule" in err
+
+    def test_correct_cached_h_above_the_limit_is_read_without_a_count(
+        self, capsys, tmp_path, fresh_memo, monkeypatch
+    ):
+        cache_file = tmp_path / "cache.jsonl"
+        argv = ["classnum", "--json", "--cache", str(cache_file), "--", "-1000013"]
+        _, cold, _ = run(argv, capsys)
+        result_cache._memo.clear()
+        calls = []
+        monkeypatch.setattr(qform, "_root_counts", lambda *args: calls.append(args))
+        code, warm, err = run(argv, capsys)
+        assert (code, warm, err) == (0, cold, "")
+        assert json.loads(warm)["h"] == "832"
+        assert calls == []
+
     def test_class_number_below_one_is_counted_again(self, capsys, tmp_path, fresh_memo):
-        # above the analytic cross-check limit a file value is trusted, but
         # no class number is below 1: such a line reads as missing
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text(
@@ -374,7 +432,8 @@ class TestDeterminismAndCache:
 
     def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
         # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a
-        # cached h = 7 above the analytic limit is read without a cross-check
+        # cached h = 7 above the analytic limit passes the genus rule, as
+        # 759371 is prime and 7 is odd
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"h:-759371","v":1,"value":"7"}\n')
         argv = ["witness", "--x", "2", "--y", "15", "--n", "5", "--cache", str(cache_file)]

@@ -388,7 +388,9 @@ class TestSearchSieve:
 
     def test_hit_recount_catches_a_wrong_file_entry(self, monkeypatch, tmp_path, capsys):
         lo, hi = self.NEAR_WINDOW
-        # a hit's field above the analytic cross-check, where no read is checked
+        # a hit's field above the analytic cross-check, where a read is only
+        # genus-checked: 7h keeps 3 | h and passes the genus rule (h + 3 no
+        # longer does), so the hit recount is what must catch it
         hit, member = next(
             (hit, m)
             for hit in families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
@@ -396,7 +398,7 @@ class TestSearchSieve:
             if classgroup.ANALYTIC_CROSS_CHECK_LIMIT < -m.disc < qform._NUMPY_MIN_DISC
         )
         path = tmp_path / "c.jsonl"
-        path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(member.h + 3), "v": 1}) + "\n")
+        path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(7 * member.h), "v": 1}) + "\n")
         monkeypatch.setattr(result_cache, "_memo", {})
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
                 "--max-hits", "1000", "--json", "--cache", str(path)]

@@ -261,6 +261,10 @@ def brute_root_count(abs_d, a):
     )
 
 
+# An empty residue table, so that a test builds its own.
+NO_RESIDUES = qform._Residues(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
+
+
 class TestHeadCount:
     """count_reduced above the threshold sums the root counts N(a) over the
     head 4a^2 < |disc| and scans only the tail; it must agree with the
@@ -331,9 +335,100 @@ class TestHeadCount:
         short = np.array([p for p in range(2, 100) if intmath.is_prime(p)])
         monkeypatch.setattr(intmath, "TRIAL_DIVISION_BOUND", 100)
         monkeypatch.setattr(intmath, "_small_prime_array", lambda: short)
+        monkeypatch.setattr(qform, "_residues", NO_RESIDUES)  # built from the fresh sieve
         qform._root_counts.cache_clear()  # else the last disc's array is reused
         assert intmath.primes_through(577)[-1] == 577
         assert [qform.count_reduced(-x) for x in discs] == expected
+
+
+def residue_bits(table, i, p):
+    """The bits of the i-th prime p's segment of a residue table, one per r < p."""
+    segment = table.bits[table.off[i] : table.off[i] + (p + 7) // 8]
+    return np.unpackbits(segment, bitorder="little")[:p].tolist()
+
+
+class TestResidueTable:
+    """The bit-packed squares mod each prime that _root_counts reads its
+    Legendre symbols from, and the ramified primes it handles without
+    _apply_ramified."""
+
+    def test_agrees_with_kronecker_at_every_residue(self):
+        top = math.isqrt(qform.DEFAULT_DISC_CAP // 3)
+        primes = intmath.primes_through(top).tolist()
+        table = qform._residue_table(top)
+        assert (table.top, table.off.size) == (qform._RESIDUE_TOP, len(primes))
+        assert table.bits.size == sum((p + 7) // 8 for p in primes)
+        assert not table.off.flags.writeable and not table.bits.flags.writeable
+        for i, p in enumerate(primes):
+            expected = [int(r == 0 or intmath.kronecker(r, p) == 1) for r in range(p)]
+            assert residue_bits(table, i, p) == expected, p
+
+    def test_grown_in_two_steps_equals_built_at_once(self, monkeypatch):
+        monkeypatch.setattr(qform, "_residues", NO_RESIDUES)
+        assert qform._residue_table(300).top == 300
+        grown = qform._residue_table(5773)
+        monkeypatch.setattr(qform, "_residues", NO_RESIDUES)
+        once = qform._residue_table(5773)
+        assert grown.top == once.top == 5773
+        assert np.array_equal(grown.off, once.off)
+        assert np.array_equal(grown.bits, once.bits)
+        # a smaller a_max reads the same table; a larger one stops at the cap
+        assert qform._residue_table(1000) is once
+        assert qform._residue_table(10**6).top == qform._RESIDUE_TOP
+
+    # |disc| up to 1e8: 6 of each class mod 4, then p^2 | |disc| for p = 2, 3,
+    # 5, 7, and p || |disc| for odd p with the rest of |disc| prime to p
+    ORACLE_SAMPLE = (
+        [4 * k + r for r in (0, 3) for k in random.Random(50 + r).sample(range(1 << 14, 25 * 10**6), 6)]
+        + [p * p * m for p, m in ((2, 4 * 1_234_567), (2, 4_999_999), (3, 11_111_111), (5, 3_999_999),
+                                  (7, 2_040_815), (3, 7 * 7 * 123_463))]
+        + [3 * 1_000_001, 5 * 19_999_999, 7 * 13 * 17 * 10_009, 3 * 5 * 7 * 11 * 13 * 19 * 23]
+    )
+
+    @pytest.mark.parametrize("abs_d", ORACLE_SAMPLE)
+    def test_root_counts_by_definition_up_to_1e8(self, abs_d):
+        assert abs_d % 4 in (0, 3) and 1 << 16 <= abs_d <= 10**8
+        a_max = math.isqrt(abs_d // 3)
+        roots = qform._root_counts(abs_d, a_max)
+        largest_prime = int(intmath.primes_through(a_max)[-1])
+        rng = random.Random(abs_d)
+        for a in [*range(1, 121), *rng.sample(range(121, a_max + 1), 8), largest_prime]:
+            assert roots[a] == brute_root_count(abs_d, a), (abs_d, a)
+
+    def test_primes_above_the_table_take_kronecker(self):
+        # |disc| above DEFAULT_DISC_CAP: the primes in (_RESIDUE_TOP, a_max]
+        abs_d = 120_000_007
+        a_max = math.isqrt(abs_d // 3)
+        roots = qform._root_counts(abs_d, a_max)
+        assert qform._residues.top == qform._RESIDUE_TOP < a_max
+        for a in intmath.primes_through(a_max).tolist():
+            if a > qform._RESIDUE_TOP:
+                assert roots[a] == brute_root_count(abs_d, a), a
+
+    @pytest.mark.parametrize(
+        "abs_d, expected",
+        [
+            (3 * 5 * 7 * 11 * 13 * 17, []),
+            (19_399_380, [2]),  # 4*3*5*7*11*13*17*19
+            (2**4 * 3**5 * 7**2, [2, 3, 7]),
+            (5 * 5 * 7 * 11 * 11 * 13, [5, 11]),
+            (4 * 11 * 11 * 100_003, [2, 11]),
+        ],
+    )
+    def test_apply_ramified_only_for_two_and_squared_primes(self, monkeypatch, abs_d, expected):
+        calls = []
+        apply = qform._apply_ramified
+
+        def record(roots, d, p):
+            calls.append(p)
+            apply(roots, d, p)
+
+        monkeypatch.setattr(qform, "_apply_ramified", record)
+        a_max = math.isqrt(abs_d // 3)
+        roots = qform._root_counts.__wrapped__(abs_d, a_max)
+        assert calls == expected
+        a_top = min(a_max, 300)
+        assert roots[1 : a_top + 1].tolist() == [brute_root_count(abs_d, a) for a in range(1, a_top + 1)]
 
 
 class TestWindowedSieve:
