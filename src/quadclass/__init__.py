@@ -41,7 +41,7 @@ from .families import (
     search_successive,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ClassGroupInfo",

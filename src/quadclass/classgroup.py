@@ -185,39 +185,28 @@ def _cross_checked(disc: int, h: int) -> int:
     return h
 
 
-def _read_h(file: result_cache.ResultCache, disc: int) -> int | None:
-    """h(disc) from the file, checked; None when it is missing or below 1,
-    which no class number is, so that it is counted again.
+def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
+    """h(disc) from the file, checked, disc being the discriminant of d_sf;
+    None when it is missing or below 1, which no class number is, so that
+    it is counted again.
 
     Up to ANALYTIC_CROSS_CHECK_LIMIT the character sum checks it.  Above,
     it must pass the genus rule, mu being the number of primes dividing
-    |disc|, read from ``intmath.factor(-d_sf)``: that catches every h +- 1,
-    but not an error that is a multiple of 2^max(1, mu-1).  A value that
-    fails either raises InconsistencyError."""
+    |disc|, read from ``intmath.factor(d_sf, use_cache=False)``, which files
+    nothing: that catches every h +- 1, but not an error that is a multiple
+    of 2^max(1, mu-1).  A value that fails either raises InconsistencyError."""
     h = file.get_h(disc)
     if h is None or h < 1:
         return None
     if -disc <= ANALYTIC_CROSS_CHECK_LIMIT:
         return _cross_checked(disc, h)
-    d_sf = disc if disc % 4 == 1 else disc // 4
     # 2 divides |disc| = 4|d_sf| but not d_sf exactly when disc = 4 (mod 8)
-    mu = len(intmath.factor(-d_sf).factors) + (disc % 8 == 4)
+    mu = len(intmath.factor(d_sf, use_cache=False).factors) + (disc % 8 == 4)
     if not _genus_ok(h, mu):
         raise InconsistencyError(
             f"cached class number {h} of disc {disc} fails the genus rule (mu = {mu})"
         )
     return h
-
-
-def _lookup_h(disc: int, count) -> int:
-    """h(disc) from the memo or the cache file, else ``count()``; a value
-    read or counted is cross-checked, then memoized and filed."""
-    return result_cache.lookup(
-        f"h:{disc}",
-        lambda: _cross_checked(disc, count()),
-        read=lambda file: _read_h(file, disc),
-        write=lambda file, value: file.put_h(disc, value),
-    )
 
 
 def class_number_of_field(
@@ -241,10 +230,17 @@ def class_number_of_field(
 
 def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> FieldClassNumber:
     """``class_number_of_field`` for a square-free d_sf < 0 the caller
-    already holds, so d_sf is not factored again."""
+    already holds.  h comes from the memo, else the cache file through
+    ``_read_h``, else the cross-checked form count; it is then memoized and
+    filed."""
     disc = intmath.field_discriminant(d_sf)
     qform.abs_disc(disc, max_disc)
-    h = _lookup_h(disc, lambda: class_number_forms(disc, max_disc))
+    h = result_cache.lookup(
+        f"h:{disc}",
+        lambda: _cross_checked(disc, class_number_forms(disc, max_disc)),
+        read=lambda file: _read_h(file, d_sf, disc),
+        write=lambda file, value: file.put_h(disc, value),
+    )
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
 
 
@@ -262,7 +258,7 @@ def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:
     if f.power(h) != ident:
         raise InconsistencyError(f"power(f, {h}) is not principal; {h} is not a multiple of the order")
     m = h
-    for p, _ in intmath.factor(h, budget).factors:
+    for p, _ in intmath.factor(h, budget, use_cache=False).factors:
         while m % p == 0 and f.power(m // p) == ident:
             m //= p
     return m

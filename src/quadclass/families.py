@@ -51,7 +51,10 @@ class FamilyReport:
     parameters: dict[str, int]
     base_d: int
     members: tuple[FamilyMember, ...]
-    all_asserted_pass: bool
+
+    @property
+    def all_asserted_pass(self) -> bool:
+        return all(m.divisible for m in self.members if m.asserted)
 
 
 class CohnResult(NamedTuple):
@@ -117,42 +120,29 @@ def hoque_check(
     return HoqueResult(d_sf=d_sf, h=h, divisible=h % 3 == 0, note=note)
 
 
-def _squarefree_part_of_power(base: int, n: int, budget) -> intmath.SquarefreeDecomp:
-    """Square-free decomposition of base**n without expanding the power."""
-    fac = intmath.factor(base, budget)
-    d = fac.sign if n % 2 else 1
-    t = 1
-    for p, e in fac.factors:
-        en = e * n
-        if en % 2:
-            d *= p
-        t *= p ** (en // 2)
-    return intmath.SquarefreeDecomp(d=d, t=t)
-
-
-def _resolve_members(raw_members, max_disc, budget):
-    """Attach (d_sf, disc, h, divisible) to prepared member stubs.
+def _resolve_members(specs, modulus, max_disc, budget):
+    """FamilyMembers from (offset, value, number, asserted, note) specs:
+    d_sf is the square-free part of number, which has the value's
+    square-free part, and divisible means modulus | h.
 
     Stage one computes every member's discriminant (cheap factoring) and
     fails fast if any exceeds the cap, before any enumeration starts.
     """
     staged = []
-    for offset, value, decomp, asserted, note, modulus in raw_members:
+    for offset, value, number, asserted, note in specs:
         if value >= 0:
             raise InputError(f"member at offset {offset} has non-negative value {value}")
-        if decomp is None:
-            decomp = intmath.squarefree_part(value, budget)
-        d_sf = decomp.d
+        d_sf = intmath.squarefree_part(number, budget).d
         disc = intmath.field_discriminant(d_sf)
         if -disc > max_disc:
             raise ResourceCapError(
                 f"member at offset {offset} needs |discriminant| {-disc} over cap {max_disc}",
                 detail=disc,
             )
-        staged.append((offset, value, d_sf, disc, asserted, note, modulus))
+        staged.append((offset, value, d_sf, disc, asserted, note))
 
     members = []
-    for offset, value, d_sf, disc, asserted, note, modulus in staged:
+    for offset, value, d_sf, disc, asserted, note in staged:
         h = classgroup.class_number_of_squarefree(d_sf, max_disc).h
         members.append(
             FamilyMember(
@@ -167,17 +157,6 @@ def _resolve_members(raw_members, max_disc, budget):
             )
         )
     return tuple(members)
-
-
-def _finish_report(kind, parameters, base_d, members):
-    ok = all(m.divisible for m in members if m.asserted)
-    return FamilyReport(
-        family_kind=kind,
-        parameters=parameters,
-        base_d=base_d,
-        members=members,
-        all_asserted_pass=ok,
-    )
 
 
 def iizuka_family(
@@ -207,11 +186,10 @@ def iizuka_family(
     big = fact ** (n * l)
     y = big - 1
     base_d = (1 - big) ** n
-    raw = []
+    specs = []
     for x in range(0, m + 1):
         value = base_d + x * x
         if x == 0:
-            decomp = _squarefree_part_of_power(1 - big, n, budget)
             asserted = False
             note = (
                 "base member: equals (1 - V^n)^n with even V = ((m+1)!)^l; "
@@ -219,7 +197,6 @@ def iizuka_family(
                 "needs l large enough"
             )
         elif x == 1:
-            decomp = None
             is_exception = (y, n) == (3, 5)
             asserted = not is_exception and y >= 3
             note = (
@@ -228,16 +205,14 @@ def iizuka_family(
                 else "cohn exception (y, n) = (3, 5)"
             )
         else:
-            decomp = None
             asserted = False
             note = (
                 f"conditional: x = {x} member needs y above an ineffective threshold"
             )
-        raw.append((x * x, value, decomp, asserted, note, n))
-    members = _resolve_members(raw, max_disc, budget)
-    return _finish_report(
-        "iizuka_squares", {"n": n, "m": m, "l": l, "y": y}, base_d, members
-    )
+        # n is odd, so base_d = (1 - big)^n has the square-free part of 1 - big
+        specs.append((x * x, value, value if x else 1 - big, asserted, note))
+    members = _resolve_members(specs, n, max_disc, budget)
+    return FamilyReport("iizuka_squares", {"n": n, "m": m, "l": l, "y": y}, base_d, members)
 
 
 def cor5_family(
@@ -269,17 +244,15 @@ def cor5_family(
         raise InputError(
             f"parameters give non-negative member value {base_d + m_off}; increase l"
         )
-    raw = []
+    specs = []
     for offset, x in ((0, k - 1), (m_off, k)):
         gcd_ok = math.gcd(2 * x, y) == 1
         note = f"conditional: x = {x} member needs y above an ineffective threshold"
         if not gcd_ok:
             note = f"gcd(2x, y) != 1 for x = {x}: outside the construction's hypotheses"
-        raw.append((offset, base_d + offset, None, False, note, n))
-    members = _resolve_members(raw, max_disc, budget)
-    return _finish_report(
-        "cor5_pair", {"n": n, "k": k, "l": l, "y": y, "m": m_off}, base_d, members
-    )
+        specs.append((offset, base_d + offset, base_d + offset, False, note))
+    members = _resolve_members(specs, n, max_disc, budget)
+    return FamilyReport("cor5_pair", {"n": n, "k": k, "l": l, "y": y, "m": m_off}, base_d, members)
 
 
 def cor7_family(
@@ -303,22 +276,21 @@ def cor7_family(
     intmath.check_power(p, 6 * t, "p^(6t)")
     V = 3**k * p ** (2 * t)
     base_d = 1 - V**3
-    raw = [
-        (0, base_d, None, True, "unconditional: value is 1 - V^3 with odd V > 3", 3),
+    specs = [
+        (0, base_d, base_d, True, "unconditional: value is 1 - V^3 with odd V > 3"),
         (
             1,
             base_d + 1,
-            None,
+            base_d + 1,
             k % 2 == 1,
             "unconditional: value is -(3^m p^(2n) - 2) with odd m = 3k"
             if k % 2 == 1
             else "3k even: the unconditional -(3^m p^(2n) - 2) result needs odd m",
-            3,
         ),
-        (3, base_d + 3, None, False, "conditional: x = 2 member needs V above an ineffective threshold", 3),
+        (3, base_d + 3, base_d + 3, False, "conditional: x = 2 member needs V above an ineffective threshold"),
     ]
-    members = _resolve_members(raw, max_disc, budget)
-    return _finish_report("cor7_triple", {"p": p, "k": k, "t": t}, base_d, members)
+    members = _resolve_members(specs, 3, max_disc, budget)
+    return FamilyReport("cor7_triple", {"p": p, "k": k, "t": t}, base_d, members)
 
 
 def search_successive(
@@ -416,5 +388,4 @@ def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
         parameters={"n": n},
         base_d=d,
         members=tuple(members),
-        all_asserted_pass=True,
     )

@@ -445,7 +445,10 @@ def prime_form(disc: int, q: int) -> QuadForm | None:
     Ramified q (q | disc) yields the unique form of norm q when a primitive
     one exists.  Of the admissible square roots B, the smallest is chosen, so
     the output is deterministic; the other root would give the inverse class,
-    which has the same order.
+    which has the same order.  For odd q, with r <= q/2 the square root of
+    disc mod q from ``intmath.sqrt_mod_prime``, B is r when r = disc (mod 2),
+    else q - r: r and q - r differ in parity, and the other lifts q + r and
+    2q - r are larger.
     """
     validate_discriminant(disc)
     if q < 2 or not intmath.is_prime(q):
@@ -461,22 +464,10 @@ def prime_form(disc: int, q: int) -> QuadForm | None:
         else:  # disc = 5 mod 8
             return None
     else:
-        if disc % 2:
-            parity = 1
-        else:
-            parity = 0
-        ks = intmath.kronecker(disc, q)
-        if ks == -1:
+        r = intmath.sqrt_mod_prime(disc, q)
+        if r is None:
             return None
-        r = intmath.sqrt_mod_prime(disc % q, q)
-        if r is None:  # pragma: no cover - kronecker said residue
-            raise InconsistencyError(f"no sqrt of {disc} mod {q} despite kronecker 1")
-        candidates = [
-            x for x in (r, q - r, q + r, 2 * q - r) if 0 <= x < 2 * q and x % 2 == parity
-        ]
-        if not candidates:  # pragma: no cover - one of the four always matches
-            raise InconsistencyError("no admissible square root lift")
-        b = min(candidates)
+        b = r if (r - disc) % 2 == 0 else q - r
     num = b * b - disc
     if num % (4 * q):
         raise InconsistencyError(f"B^2 != disc (mod 4q) for disc={disc}, q={q}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from quadclass.errors import InputError
+
 
 def brute_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
     """All primitive reduced forms of disc by exhaustive (a, b, c) search."""
@@ -57,6 +59,19 @@ def brute_legendre(a: int, p: int) -> int:
         return 0
     roots = sum(1 for x in range(p) if x * x % p == a)
     return 1 if roots else -1
+
+
+def brute_prime_form(disc: int, q: int) -> tuple[int, int, int] | None:
+    """(q, B, C) with B the smallest in [0, 2q) such that B^2 = disc (mod 4q)
+    and C = (B^2 - disc) / 4q, by trying every B; None when there is no such
+    B; InputError when gcd(q, B, C) > 1, as no primitive form has norm q."""
+    for b in range(2 * q):
+        if (b * b - disc) % (4 * q) == 0:
+            c = (b * b - disc) // (4 * q)
+            if math.gcd(math.gcd(q, b), c) > 1:
+                raise InputError(f"no primitive form of norm {q} for {disc}")
+            return q, b, c
+    return None
 
 
 def trial_factor(n: int) -> list[tuple[int, int]]:

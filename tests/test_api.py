@@ -54,7 +54,7 @@ def test_exported_names():
 
 
 def test_version():
-    assert quadclass.__version__ == "0.2.0"
+    assert quadclass.__version__ == "0.3.0"
 
 
 def test_readme_quick_start():

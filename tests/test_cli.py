@@ -372,6 +372,28 @@ class TestDeterminismAndCache:
             "fails the genus rule (mu = 1)\n"
         )
 
+    def test_warm_read_above_the_limit_files_nothing(self, capsys, tmp_path, fresh_memo):
+        # the genus rule's factorization of d_sf is neither memoized nor filed
+        cache_file = tmp_path / "cache.jsonl"
+        argv = ["classnum", "--json", "--cache", str(cache_file), "--", "-1000003"]
+        _, cold, _ = run(argv, capsys)
+        lines = cache_file.read_text().splitlines()
+        assert len(lines) == 2
+        result_cache._memo.clear()
+        code, warm, err = run(argv, capsys)
+        assert (code, warm, err) == (0, cold, "")
+        assert cache_file.read_text().splitlines() == lines
+
+    def test_witness_files_the_field_alone(self, capsys, tmp_path, fresh_memo):
+        # the witness order's factorization of n is neither memoized nor filed
+        cache_file = tmp_path / "cache.jsonl"
+        argv = ["witness", "--x", "2", "--y", "201", "--n", "3", "--json", "--cache", str(cache_file)]
+        for _ in range(2):
+            assert run(argv, capsys)[0] == 0
+            result_cache._memo.clear()
+        keys = [json.loads(line)["key"] for line in cache_file.read_text().splitlines()]
+        assert keys == ["factor:8120597", "h:-32482388"]
+
     @pytest.mark.parametrize(
         "d, disc, h, wrong",
         [

@@ -178,6 +178,23 @@ class TestCor5:
             families.cor5_family(3, 2, 1)  # d = 0, not a field
 
 
+class TestFamilyReport:
+    def member(self, h, divisible, asserted):
+        return families.FamilyMember(
+            offset=0, value=-23, d_sf=-23, disc=-23, h=h, divisible=divisible, asserted=asserted
+        )
+
+    def test_all_asserted_pass_is_read_off_the_members(self):
+        failing = families.FamilyReport(
+            "custom_offsets", {"n": 3}, -23, (self.member(3, True, False), self.member(1, False, True))
+        )
+        assert failing.all_asserted_pass is False
+        unasserted = families.FamilyReport(
+            "custom_offsets", {"n": 3}, -23, (self.member(1, False, False),)
+        )
+        assert unasserted.all_asserted_pass is True
+
+
 class TestCor7:
     def test_exemplar(self):
         rep = families.cor7_family(5, 1, 1)

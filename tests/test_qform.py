@@ -10,7 +10,13 @@ from quadclass import intmath, qform
 from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
-from oracles import apply_unimodular, brute_reduced_forms, divisor_pairs, random_unimodular
+from oracles import (
+    apply_unimodular,
+    brute_prime_form,
+    brute_reduced_forms,
+    divisor_pairs,
+    random_unimodular,
+)
 
 SMALL_DISCS = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -47, -84, -104, -116, -120]
 
@@ -719,3 +725,29 @@ class TestPrimeForm:
     def test_composite_q_rejected(self):
         with pytest.raises(InputError):
             qform.prime_form(-23, 6)
+
+    def test_smallest_root_against_the_oracle(self):
+        # every disc in [-3000, -3] and prime q <= 60: the smallest B in
+        # [0, 2q) with B^2 = disc (mod 4q), None without one, InputError
+        # when the form (q, B, C) is not primitive
+        primes = [q for q in range(2, 61) if intmath.is_prime(q)]
+        seen = set()
+        for disc in range(-3, -3001, -1):
+            if disc % 4 not in (0, 1):
+                continue
+            for q in primes:
+                try:
+                    expected = brute_prime_form(disc, q)
+                except InputError:
+                    with pytest.raises(InputError):
+                        qform.prime_form(disc, q)
+                    seen.add("imprimitive")
+                    continue
+                f = qform.prime_form(disc, q)
+                if expected is None:
+                    assert f is None, (disc, q)
+                    seen.add("inert")
+                else:
+                    assert (f.a, f.b, f.c) == expected, (disc, q)
+                    seen.add("odd B" if f.b % 2 else "even B")
+        assert seen == {"imprimitive", "inert", "odd B", "even B"}
