@@ -397,8 +397,9 @@ def cmd_group(args) -> int:
 
 
 def _entry_matches(cache: result_cache.ResultCache, key: str, args) -> bool:
-    """Whether the entry under key equals a fresh computation; a key whose
-    argument is no integer, or one that is no valid input, does not match."""
+    """Whether the entry under key equals a fresh computation; a key of a
+    kind other than factor or h, one whose argument is no integer, or one
+    that is no valid input, does not match."""
     kind, _, arg = key.partition(":")
     try:
         value = int(arg)
@@ -411,8 +412,8 @@ def _entry_matches(cache: result_cache.ResultCache, key: str, args) -> bool:
         if kind == "h":
             return cache.get_h(value) == qform.count_reduced(value, args.max_disc)
     except InputError:
-        return False
-    return True
+        pass
+    return False
 
 
 def _run_verify_cache(cache: result_cache.ResultCache, args) -> int:

@@ -123,7 +123,8 @@ def hoque_check(
 def _resolve_members(specs, modulus, max_disc, budget):
     """FamilyMembers from (offset, value, number, asserted, note) specs:
     d_sf is the square-free part of number, which has the value's
-    square-free part, and divisible means modulus | h.
+    square-free part, and divisible means modulus | h.  Every builder and
+    every search hit makes its members here.
 
     Stage one computes every member's discriminant (cheap factoring) and
     fails fast if any exceeds the cap, before any enumeration starts.
@@ -169,12 +170,13 @@ def iizuka_family(
     """Members base_d + x^2 for x = 0..m, with base_d = (1 - ((m+1)!)^(nl))^n.
 
     With y = ((m+1)!)^(nl) - 1, the x = 1 member's value is exactly 1 - y^n,
-    so its divisibility is unconditional (cohn_check shape, y odd >= 3); it is
-    the family's hard anchor.  The x = 0 member would need the same result for
-    the even base ((m+1)!)^l, which genuinely fails for small l (e.g. n=3,
-    m=1, l=1 gives h(Q(sqrt(-7))) = 1), and members x >= 2 depend on y
-    exceeding an ineffective threshold - all of these are reported, not
-    asserted.
+    so its divisibility is unconditional (cohn_check shape); it is the
+    family's hard anchor and always asserted: (m+1)! is even and nl >= 3, so
+    y >= 2^3 - 1 = 7 is odd and cohn_check's exception (V, n) = (3, 5) cannot
+    occur.  The x = 0 member would need the same result for the even base
+    ((m+1)!)^l, which genuinely fails for small l (e.g. n=3, m=1, l=1 gives
+    h(Q(sqrt(-7))) = 1), and members x >= 2 depend on y exceeding an
+    ineffective threshold - all of these are reported, not asserted.
     """
     if n < 3 or n % 2 == 0:
         raise InputError(f"n must be odd and >= 3, got {n}")
@@ -190,27 +192,19 @@ def iizuka_family(
     for x in range(0, m + 1):
         value = base_d + x * x
         if x == 0:
-            asserted = False
             note = (
                 "base member: equals (1 - V^n)^n with even V = ((m+1)!)^l; "
                 "the unconditional odd-V result does not apply, divisibility "
                 "needs l large enough"
             )
         elif x == 1:
-            is_exception = (y, n) == (3, 5)
-            asserted = not is_exception and y >= 3
-            note = (
-                "unconditional: value is 1 - y^n with odd y"
-                if asserted
-                else "cohn exception (y, n) = (3, 5)"
-            )
+            note = "unconditional: value is 1 - y^n with odd y"
         else:
-            asserted = False
             note = (
                 f"conditional: x = {x} member needs y above an ineffective threshold"
             )
         # n is odd, so base_d = (1 - big)^n has the square-free part of 1 - big
-        specs.append((x * x, value, value if x else 1 - big, asserted, note))
+        specs.append((x * x, value, value if x else 1 - big, x == 1, note))
     members = _resolve_members(specs, n, max_disc, budget)
     return FamilyReport("iizuka_squares", {"n": n, "m": m, "l": l, "y": y}, base_d, members)
 
@@ -225,8 +219,9 @@ def cor5_family(
     """Pair d and d + (2k - 1) with d = (k-1)^2 + (1 - (k!)^l)^n.
 
     Both members are x^2 - y^n shapes (x = k-1 and x = k, y = (k!)^l - 1), so
-    both are conditional on the ineffective threshold; they are reported with
-    per-member gcd qualification but never hard-asserted.
+    both are conditional on the ineffective threshold and never hard-asserted.
+    gcd(2x, y) = 1 always: y is odd, and a prime p | x <= k divides k!, so
+    y = -1 (mod p).
     """
     if n < 3 or n % 2 == 0:
         raise InputError(f"n must be odd and >= 3, got {n}")
@@ -246,10 +241,7 @@ def cor5_family(
         )
     specs = []
     for offset, x in ((0, k - 1), (m_off, k)):
-        gcd_ok = math.gcd(2 * x, y) == 1
         note = f"conditional: x = {x} member needs y above an ineffective threshold"
-        if not gcd_ok:
-            note = f"gcd(2x, y) != 1 for x = {x}: outside the construction's hypotheses"
         specs.append((offset, base_d + offset, base_d + offset, False, note))
     members = _resolve_members(specs, n, max_disc, budget)
     return FamilyReport("cor5_pair", {"n": n, "k": k, "l": l, "y": y, "m": m_off}, base_d, members)
@@ -360,32 +352,16 @@ def search_successive(
 
 
 def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
-    members = []
-    for o in offsets:
-        value = d + o
-        h, disc, d_sf = classgroup.class_number_of_field(value, max_disc, budget)
-        # skips the memo and the cache file; below 2^16 the count reads the
-        # in-process table
-        fresh = qform.count_reduced(disc, max_disc)
-        if fresh != h or h % n:
+    """The hit at d as a report, each member recounted by
+    ``qform.count_reduced``, which skips the memo and the cache file (below
+    2^16 it reads the in-process table)."""
+    note = "found by exhaustive search; re-verified by fresh enumeration"
+    specs = [(o, d + o, d + o, False, note) for o in offsets]
+    members = _resolve_members(specs, n, max_disc, budget)
+    for m in members:
+        fresh = qform.count_reduced(m.disc, max_disc)
+        if fresh != m.h or not m.divisible:
             raise InconsistencyError(
-                f"re-verification failed at d={d}, offset={o}: h={h}, fresh={fresh}"
+                f"re-verification failed at d={d}, offset={m.offset}: h={m.h}, fresh={fresh}"
             )
-        members.append(
-            FamilyMember(
-                offset=o,
-                value=value,
-                d_sf=d_sf,
-                disc=disc,
-                h=h,
-                divisible=True,
-                asserted=False,
-                note="found by exhaustive search; re-verified by fresh enumeration",
-            )
-        )
-    return FamilyReport(
-        family_kind="custom_offsets",
-        parameters={"n": n},
-        base_d=d,
-        members=tuple(members),
-    )
+    return FamilyReport("custom_offsets", {"n": n}, d, members)

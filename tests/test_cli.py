@@ -273,10 +273,15 @@ class TestDeterminismAndCache:
 
     def test_corrupt_lines_skipped_with_warning(self, capsys, tmp_path):
         cache_file = tmp_path / "cache.jsonl"
-        cache_file.write_text('not json at all\n{"key":"h:-23","value":"3","v":1}\n')
+        cache_file.write_text(
+            'not json at all\n{"key":"h:-23","value":"3","v":1}\n'
+            '{"key":"h:-23","value":"9","v":2}\n{"key":5,"value":"3","v":1}\n'
+        )
         code, out, err = run(["classnum", "--cache", str(cache_file), "--json", "--", "-23"], capsys)
         assert code == 0
-        assert "corrupt cache line 1" in err
+        for lineno in (1, 3, 4):
+            assert f"corrupt cache line {lineno} " in err
+        assert "corrupt cache line 2 " not in err
         assert json.loads(out)["h"] == "3"
 
     def test_undecodable_line_skipped_with_warning(self, capsys, tmp_path, fresh_memo):
@@ -452,6 +457,40 @@ class TestDeterminismAndCache:
         with result_cache.ResultCache(str(cache_file)) as cache:
             assert (cache.get_h(-100003), cache.get_h(-40004)) == (39, 160)
 
+    @pytest.mark.parametrize(
+        "line, argv, out, superseding",
+        [
+            (
+                '{"key":"factor:-20","value":"-1:2x^1","v":1}',
+                ["squarefree", "--n", "-20"],
+                '{"d":"-5","n":"-20","t":"2"}\n',
+                '{"key":"factor:-20","v":1,"value":"-1:2^2,5^1"}',
+            ),
+            (
+                '{"key":"h:-23","value":"3.5","v":1}',
+                ["classnum", "--d", "-23"],
+                '{"d":"-23","d_sf":"-23","delta":"-23","h":"3"}\n',
+                '{"key":"h:-23","v":1,"value":"3"}',
+            ),
+        ],
+    )
+    def test_undecodable_value_is_recomputed(self, capsys, tmp_path, fresh_memo, line, argv, out, superseding):
+        # the line loads, but its value reads as missing
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(line + "\n")
+        result = run(argv + ["--json", "--cache", str(cache_file)], capsys)
+        assert result == (0, out, "")
+        assert superseding in cache_file.read_text().splitlines()[1:]
+
+    def test_memo_drops_its_oldest_entry(self, monkeypatch, fresh_memo):
+        monkeypatch.setattr(result_cache, "MEMO_MAX", 2)
+        monkeypatch.setattr(result_cache, "_active", None)
+        computed = []
+        for key in ("a", "b", "c", "b", "a"):
+            result_cache.lookup(key, lambda: computed.append(key) or key, read=None, write=None)
+        assert computed == ["a", "b", "c", "a"]
+        assert list(result_cache._memo) == ["c", "a"]
+
     def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
         # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a
         # cached h = 7 above the analytic limit passes the genus rule, as
@@ -482,7 +521,7 @@ class TestDeterminismAndCache:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("factor:abc", "+1:"), ("h:-23x", "3"), ("h:5", "1"), ("factor:0", "+1:")],
+        [("factor:abc", "+1:"), ("h:-23x", "3"), ("h:5", "1"), ("factor:0", "+1:"), ("x:5", "1")],
     )
     def test_verify_cache_reports_a_malformed_key(self, capsys, tmp_path, fresh_memo, key, value):
         cache_file = tmp_path / "cache.jsonl"

@@ -349,10 +349,11 @@ class TestSearchSieve:
 
     def test_near_window_hits_equal_field_by_field(self, monkeypatch, table_reads):
         factored, looked_up = [], []
-        real_factor, real_field = intmath.factor, classgroup.class_number_of_field
+        real_factor, real_field = intmath.factor, classgroup.class_number_of_squarefree
         monkeypatch.setattr(intmath, "factor", lambda *a, **k: factored.append(a) or real_factor(*a, **k))
+        # every field look-up, the search's and each hit member's, passes here
         monkeypatch.setattr(
-            classgroup, "class_number_of_field", lambda *a, **k: looked_up.append(a) or real_field(*a, **k)
+            classgroup, "class_number_of_squarefree", lambda *a, **k: looked_up.append(a) or real_field(*a, **k)
         )
         hits, memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
         assert table_reads, "the near window should reach the table"

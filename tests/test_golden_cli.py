@@ -56,6 +56,11 @@ COMMANDS = [
     ["group", "--disc", "-4689835"],
     ["group", "--disc", "-99999983"],
     ["group", "--disc", "-100000003"],
+    # a conditional x = 2 Iizuka member; both cor5 members, x = 1 and x = 2
+    ["family", "iizuka", "--n", "3", "--m", "2", "--l", "1"],
+    ["family", "cor5", "--n", "3", "--k", "2", "--l", "2"],
+    # hits at -110 and -237, whose offset-1 value -236 has square-free part -59
+    ["search", "--n", "3", "--offsets", "0,1,4", "--from", "-3000", "--to", "-1", "--max-hits", "2"],
 ]
 FORMATS = ([], ["--csv"], ["--json"])
 

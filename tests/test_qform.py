@@ -723,8 +723,9 @@ class TestPrimeForm:
         assert f is not None and f.a == 23 and f.b % 23 == 0
 
     def test_composite_q_rejected(self):
-        with pytest.raises(InputError):
-            qform.prime_form(-23, 6)
+        for q in (-3, 0, 1, 4, 6, 9, 15):
+            with pytest.raises(InputError, match=rf"^q must be prime, got {q}$"):
+                qform.prime_form(-23, q)
 
     def test_smallest_root_against_the_oracle(self):
         # every disc in [-3000, -3] and prime q <= 60: the smallest B in
