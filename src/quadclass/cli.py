@@ -7,7 +7,8 @@ default) and --csv print rows projected from it.
 
 Exit codes: 0 all requests satisfied; 1 a verified-false divisibility or a
 failed asserted member (or a failed internal consistency check); 2 input
-error; 3 resource cap exceeded.
+error, or output that cannot be written (a closed pipe, a full disk); 3
+resource cap exceeded.
 
 Math-valued fields in JSON are always decimal strings, regardless of size,
 so the schema does not depend on magnitudes.  The QUADCLASS_CACHE environment
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive search for offset patterns")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--offsets", type=str, required=True, help="comma-separated, e.g. 0,1,4")
+    p.add_argument("--offsets", type=str, required=True, help="distinct, comma-separated, e.g. 0,1,4")
     p.add_argument("--from", dest="d_from", type=int, required=True)
     p.add_argument("--to", dest="d_to", type=int, required=True)
     p.add_argument("--max-hits", type=int, default=1)
@@ -474,7 +475,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run main and exit with its code.  Output that cannot be written, to a
+    closed pipe or a full disk, exits 2 with one error line and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: os.devnull takes
+        # what the failed write left in its buffer
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -322,6 +322,8 @@ def search_successive(
         raise InputError("need at least one offset")
     if any(o < 0 for o in offsets):
         raise InputError("offsets must be non-negative")
+    if len(set(offsets)) < len(offsets):
+        raise InputError("offsets must be distinct")
     max_off = max(offsets)
     if d_from + max_off >= 0:
         raise InputError(

@@ -18,8 +18,10 @@ one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
 ``_root_counts`` reads the Legendre symbols of the unramified primes by one
 gather from a bit-packed table of the squares mod every prime up to the
 largest a asked for so far, grown lazily and kept read-only: 253 KB once it
-holds every prime up to sqrt(DEFAULT_DISC_CAP/3).  An odd prime p with
-p || disc only zeroes the multiples of p^2.
+holds every prime up to sqrt(DEFAULT_DISC_CAP/3).  A ramified prime p at
+which disc is fundamental, an odd p with p || disc or p = 2 with |disc| = 4
+or 8 (mod 16), only zeroes the multiples of p^2; ``_apply_ramified`` counts
+the other ramified primes, those at which disc is not fundamental.
 The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned by ``_forms``:
 numpy tests a block of b at a time against the tail a with N(a) > 0.  No
 form is counted from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
@@ -265,17 +267,31 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     only primes above _RESIDUE_TOP, which a max_disc above DEFAULT_DISC_CAP
     reaches, take theirs from ``intmath.kronecker``.  These unramified primes
     <= a_max are applied by one unbuffered scatter over all their multiples,
-    so an a with several of them as factors takes each factor once.  For an
-    odd p with p || abs_d, L_p = (1, 0, 0, ...): every multiple of p^2 is
-    zeroed.  For p = 2 and for p^2 | abs_d, L_p(k) is counted over x mod p^k
-    (``_apply_ramified``).  N(a) = 0 means that no form has this a.
+    so an a with several of them as factors takes each factor once.  N(a) = 0
+    means that no form has this a.
+
+    A ramified p at which the discriminant is fundamental, an odd p with
+    p || abs_d or p = 2 with abs_d = 4 or 8 (mod 16), has L_p = (1, 0, 0, ...),
+    so one strided write zeroes every multiple of p^2.  For odd p, a root b
+    of b^2 = -abs_d (mod 4p^k) is a multiple of p: at k = 1 that is one b mod
+    2p, and p does not divide c as p^2 does not divide b^2 + abs_d; at k >= 2
+    it would need p^2 | abs_d.  For p = 2 write
+    abs_d = 4m with m = 1 or 2 (mod 4).  At a = 2, b^2 = -4m (mod 8) leaves
+    b = 2b' with b' = m (mod 2), one b mod 4, and c = (b^2 + 4m)/8 is
+    (1 + m)/2 or m/2, both odd, so the form is primitive: L_2(1) = 1.  At
+    a = 2^k, k >= 2, b' would need b'^2 = -m (mod 4), but -m = 3 or 2 (mod 4)
+    is no square mod 4: L_2(k) = 0.  Only the ramified p at which the
+    discriminant is not fundamental, an odd p with p^2 | abs_d or p = 2 with
+    abs_d = 0 or 12 (mod 16), have L_p(k) counted over x mod p^k
+    (``_apply_ramified``).
     """
     roots = np.ones(a_max + 1, dtype=np.int32)
     roots[0] = 0
     p = intmath.primes_through(a_max)
     ramified = abs_d % p == 0
     for q in p[ramified].tolist():
-        if q > 2 and abs_d // q % q:
+        fundamental = abs_d % 16 in (4, 8) if q == 2 else abs_d // q % q != 0
+        if fundamental:
             roots[q * q :: q * q] = 0
         else:
             _apply_ramified(roots, abs_d, q)
@@ -297,7 +313,10 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
 
 
 def _apply_ramified(roots: np.ndarray, abs_d: int, p: int) -> None:
-    """Multiply roots[a] by L_p(k) for p^k || a, where p divides abs_d.
+    """Multiply roots[a] by L_p(k) for p^k || a, where p divides abs_d and
+    -abs_d is not fundamental at p: p^2 | abs_d for odd p, abs_d = 0 or 12
+    (mod 16) for p = 2.  ``_root_counts`` zeroes the multiples of p^2 itself
+    at the other ramified p, so no fundamental discriminant reaches here.
 
     L_p(k) counts the x mod p^k (b mod 2^(k+1) for p = 2) with
     x^2 = -abs_d (mod p^k, or 2^(k+2)) that leave (a, b, c) primitive at p.

@@ -184,6 +184,11 @@ class TestSearch:
             )
             assert code == 2, offsets
 
+    def test_duplicate_offsets_exit_two(self, capsys):
+        code, out, err = run(["search", "--n", "3", "--offsets", "0,0", "--from", "-30", "--to", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: offsets must be distinct\n"
+
 
 class TestGroup:
     def test_klein(self, capsys):
@@ -651,3 +656,47 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["h"] == "3"
+
+
+class TestWriteErrors:
+    """Output that cannot be written exits 2 with one error line on stderr,
+    without a traceback from the command or from the interpreter's final
+    flush."""
+
+    @staticmethod
+    def run_into(stdout, argv):
+        src = str(Path(quadclass.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "quadclass", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    @staticmethod
+    def assert_one_error_line(proc, reason):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.stderr == f"error: cannot write output: {reason}\n"
+
+    def test_closed_pipe(self):
+        # more rows than a pipe buffer holds, into a pipe read by nobody
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run_into(
+                write,
+                ["search", "--n", "3", "--offsets", "0", "--from", "-3000", "--to", "-1", "--max-hits", "1000"],
+            )
+        finally:
+            os.close(write)
+        self.assert_one_error_line(proc, "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_disk(self):
+        with open("/dev/full", "wb") as full:
+            proc = self.run_into(full, ["classnum", "--", "-23"])
+        self.assert_one_error_line(proc, "No space left on device")

@@ -264,6 +264,12 @@ class TestSearch:
         with pytest.raises(InputError):
             families.search_successive(3, [], -50, -1, max_hits=5)
 
+    @pytest.mark.parametrize("offsets", [[0, 0], [0, 1, 4, 1]])
+    def test_duplicate_offsets_rejected(self, offsets):
+        # a repeated offset would report one field as two members
+        with pytest.raises(InputError, match="offsets must be distinct"):
+            families.search_successive(3, offsets, -30, -1, max_hits=100)
+
     def test_triple_smallest_hit(self):
         hits = families.search_successive(3, [0, 1, 4], -2000, -1, max_hits=1)
         assert len(hits) == 1

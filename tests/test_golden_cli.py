@@ -61,6 +61,11 @@ COMMANDS = [
     ["family", "cor5", "--n", "3", "--k", "2", "--l", "2"],
     # hits at -110 and -237, whose offset-1 value -236 has square-free part -59
     ["search", "--n", "3", "--offsets", "0,1,4", "--from", "-3000", "--to", "-1", "--max-hits", "2"],
+    # even fundamental discriminants, |D| = 8 and 4 (mod 16), whose 2-part of
+    # the root counts is one write; -4000012 has conductor 2, |D| = 12 (mod 16)
+    ["classnum", "--d", "-1000002"],  # disc -4000008
+    ["group", "--disc", "-4000004"],
+    ["group", "--disc", "-4000012"],
 ]
 FORMATS = ([], ["--csv"], ["--json"])
 

@@ -15,6 +15,7 @@ from oracles import (
     brute_prime_form,
     brute_reduced_forms,
     divisor_pairs,
+    is_fundamental,
     random_unimodular,
 )
 
@@ -315,7 +316,8 @@ class TestHeadCount:
                 self.assert_agrees(f * f * d0, python=f * f * d0 < 3 * 10**6)
 
     def test_every_small_odd_prime_ramified(self):
-        # 4*3*5*7*11*13*17*19: every L_p is a local count
+        # 4*3*5*7*11*13*17*19 = 4 (mod 16): fundamental at every ramified
+        # prime, so each L_p is one strided write
         self.assert_agrees(19_399_380, python=False)
 
     @pytest.mark.parametrize("k", [128, 129, 1000, 2048, 4999, 5000])
@@ -353,6 +355,33 @@ def residue_bits(table, i, p):
     return np.unpackbits(segment, bitorder="little")[:p].tolist()
 
 
+def spied_ramified(monkeypatch):
+    """The primes that _apply_ramified is called for, in call order."""
+    calls = []
+    apply = qform._apply_ramified
+
+    def record(roots, d, p):
+        calls.append(p)
+        apply(roots, d, p)
+
+    monkeypatch.setattr(qform, "_apply_ramified", record)
+    return calls
+
+
+def seeded_fundamental(seed, residues, count):
+    """count fundamental |disc| in [2^16, 1e8] per class |disc| mod 16 in residues."""
+    rng = random.Random(seed)
+    out = []
+    for r in residues:
+        found = []
+        while len(found) < count:
+            abs_d = 16 * rng.randrange((1 << 16) // 16, 10**8 // 16) + r
+            if is_fundamental(-abs_d):
+                found.append(abs_d)
+        out += found
+    return out
+
+
 class TestResidueTable:
     """The bit-packed squares mod each prime that _root_counts reads its
     Legendre symbols from, and the ramified primes it handles without
@@ -382,10 +411,12 @@ class TestResidueTable:
         assert qform._residue_table(1000) is once
         assert qform._residue_table(10**6).top == qform._RESIDUE_TOP
 
-    # |disc| up to 1e8: 6 of each class mod 4, then p^2 | |disc| for p = 2, 3,
-    # 5, 7, and p || |disc| for odd p with the rest of |disc| prime to p
+    # |disc| up to 1e8: 6 of each class mod 4 and 4 each of |disc| = 4 and 8
+    # (mod 16), then p^2 | |disc| for p = 2, 3, 5, 7, and p || |disc| for odd
+    # p with the rest of |disc| prime to p
     ORACLE_SAMPLE = (
         [4 * k + r for r in (0, 3) for k in random.Random(50 + r).sample(range(1 << 14, 25 * 10**6), 6)]
+        + [16 * k + r for r in (4, 8) for k in random.Random(60 + r).sample(range(1 << 12, 10**8 // 16), 4)]
         + [p * p * m for p, m in ((2, 4 * 1_234_567), (2, 4_999_999), (3, 11_111_111), (5, 3_999_999),
                                   (7, 2_040_815), (3, 7 * 7 * 123_463))]
         + [3 * 1_000_001, 5 * 19_999_999, 7 * 13 * 17 * 10_009, 3 * 5 * 7 * 11 * 13 * 19 * 23]
@@ -398,8 +429,17 @@ class TestResidueTable:
         roots = qform._root_counts(abs_d, a_max)
         largest_prime = int(intmath.primes_through(a_max)[-1])
         rng = random.Random(abs_d)
-        for a in [*range(1, 121), *rng.sample(range(121, a_max + 1), 8), largest_prime]:
+        powers_of_two = [1 << k for k in range(7, a_max.bit_length())]
+        for a in [*range(1, 121), *rng.sample(range(121, a_max + 1), 8), largest_prime, *powers_of_two]:
             assert roots[a] == brute_root_count(abs_d, a), (abs_d, a)
+
+    def test_even_fundamental_at_two_by_definition(self):
+        # |disc| = 4 or 8 (mod 16) below 6000: L_2 = (1, 0, 0, ...) at every a
+        for abs_d in range(4, 6000, 4):
+            if abs_d % 16 in (4, 8):
+                a_max = math.isqrt(abs_d // 3)
+                roots = qform._root_counts.__wrapped__(abs_d, a_max)
+                assert roots[1:].tolist() == [brute_root_count(abs_d, a) for a in range(1, a_max + 1)], abs_d
 
     def test_primes_above_the_table_take_kronecker(self):
         # |disc| above DEFAULT_DISC_CAP: the primes in (_RESIDUE_TOP, a_max]
@@ -415,26 +455,30 @@ class TestResidueTable:
         "abs_d, expected",
         [
             (3 * 5 * 7 * 11 * 13 * 17, []),
-            (19_399_380, [2]),  # 4*3*5*7*11*13*17*19
+            (19_399_380, []),  # 4*3*5*7*11*13*17*19 = 4 (mod 16)
+            (8 * 3 * 5 * 7 * 11 * 13 * 17, []),  # 8 (mod 16)
             (2**4 * 3**5 * 7**2, [2, 3, 7]),
             (5 * 5 * 7 * 11 * 11 * 13, [5, 11]),
-            (4 * 11 * 11 * 100_003, [2, 11]),
+            (4 * 11 * 11 * 100_003, [2, 11]),  # 12 (mod 16)
+            (4 * 9 * 100_001, [3]),  # 4 (mod 16), with 3^2 || |disc|
+            (4 * 1_000_003, [2]),  # 12 (mod 16), conductor 2
         ],
     )
     def test_apply_ramified_only_for_two_and_squared_primes(self, monkeypatch, abs_d, expected):
-        calls = []
-        apply = qform._apply_ramified
-
-        def record(roots, d, p):
-            calls.append(p)
-            apply(roots, d, p)
-
-        monkeypatch.setattr(qform, "_apply_ramified", record)
+        calls = spied_ramified(monkeypatch)
         a_max = math.isqrt(abs_d // 3)
         roots = qform._root_counts.__wrapped__(abs_d, a_max)
         assert calls == expected
         a_top = min(a_max, 300)
         assert roots[1 : a_top + 1].tolist() == [brute_root_count(abs_d, a) for a in range(1, a_top + 1)]
+
+    def test_no_apply_ramified_for_fundamental_discriminants(self, monkeypatch):
+        # three of each odd class mod 16, and of |disc| = 4 and 8 (mod 16)
+        sample = seeded_fundamental(70, (3, 7, 11, 15, 4, 8), 3)
+        calls = spied_ramified(monkeypatch)
+        for abs_d in sample:
+            qform._root_counts.__wrapped__(abs_d, math.isqrt(abs_d // 3))
+            assert calls == [], abs_d
 
 
 class TestWindowedSieve:
