@@ -23,6 +23,7 @@ spot check.
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 import threading
@@ -99,6 +100,9 @@ class ResultCache:
         self._fh = open(path, "a", encoding="utf-8")
 
     def _load(self) -> None:
+        # a device may never end a line, and opening a FIFO waits for a writer
+        if os.path.exists(self.path) and not os.path.isfile(self.path):
+            raise OSError("not a regular file")
         try:
             fh = open(self.path, "rb")
         except FileNotFoundError:

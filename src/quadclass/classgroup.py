@@ -10,9 +10,10 @@ is the product of the periodic characters of the prime discriminants
 dividing D, each multiplied into a block of chi a period at a time with no
 tiled copy; the Legendre tables of the small primes are cached across calls.
 The sum's result must pass the genus-theory rule (2^(mu-1) | h for mu prime
-discriminants, h odd when mu = 1), which any sum off by one fails.  The two
-routes must agree exactly; ``class_number_of_field`` cross-checks them at
-most once per discriminant and process, while |D| <= ANALYTIC_CROSS_CHECK_LIMIT.
+discriminants, h odd when mu = 1), which any sum off by one fails.  Below
+2^16 the form count reads qform's table, which acceptance criterion 1 proves
+equal to the sum at every fundamental discriminant there: no run repeats
+that proof, and a cached h there must equal the table's count.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .errors import InconsistencyError, InputError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP, QuadForm
 
 DEFAULT_STRUCTURE_CAP = 10**4
-# |disc| up to which class_number_of_field runs the analytic cross-check.
-ANALYTIC_CROSS_CHECK_LIMIT = 20_000
 
 
 def class_number_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
@@ -174,38 +173,28 @@ class FieldClassNumber(NamedTuple):
     d_sf: int
 
 
-def _cross_checked(disc: int, h: int) -> int:
-    """h, once the character sum confirms it; trusted above the check limit."""
-    if -disc <= ANALYTIC_CROSS_CHECK_LIMIT:
-        ha = class_number_analytic(disc)
-        if ha != h:
-            raise InconsistencyError(
-                f"class number mismatch at disc {disc}: {h}, analytic {ha}"
-            )
-    return h
-
-
 def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
     """h(disc) from the file, checked, disc being the discriminant of d_sf;
     None when it is missing or below 1, which no class number is, so that
     it is counted again.
 
-    Up to ANALYTIC_CROSS_CHECK_LIMIT the character sum checks it.  Above,
-    it must pass the genus rule, mu being the number of primes dividing
-    |disc|, read from ``intmath.factor(d_sf, use_cache=False)``, which files
-    nothing: that catches every h +- 1, but not an error that is a multiple
-    of 2^max(1, mu-1).  A value that fails either raises InconsistencyError."""
+    Below 2^16 it must equal the table's count, ``qform.count_reduced``.
+    From there on it must pass the genus rule, mu being the number of primes
+    dividing |disc|, read from ``intmath.factor(d_sf, use_cache=False)``,
+    which files nothing: that catches every h +- 1, but not an error that is
+    a multiple of 2^max(1, mu-1).  A value that fails raises InconsistencyError."""
     h = file.get_h(disc)
     if h is None or h < 1:
         return None
-    if -disc <= ANALYTIC_CROSS_CHECK_LIMIT:
-        return _cross_checked(disc, h)
-    # 2 divides |disc| = 4|d_sf| but not d_sf exactly when disc = 4 (mod 8)
-    mu = len(intmath.factor(d_sf, use_cache=False).factors) + (disc % 8 == 4)
-    if not _genus_ok(h, mu):
-        raise InconsistencyError(
-            f"cached class number {h} of disc {disc} fails the genus rule (mu = {mu})"
-        )
+    if -disc < qform._NUMPY_MIN_DISC:
+        table = qform.count_reduced(disc)
+        wrong = "" if h == table else f"differs from the table's {table}"
+    else:
+        # 2 divides |disc| = 4|d_sf| but not d_sf exactly when disc = 4 (mod 8)
+        mu = len(intmath.factor(d_sf, use_cache=False).factors) + (disc % 8 == 4)
+        wrong = "" if _genus_ok(h, mu) else f"fails the genus rule (mu = {mu})"
+    if wrong:
+        raise InconsistencyError(f"cached class number {h} of disc {disc} {wrong}")
     return h
 
 
@@ -217,11 +206,9 @@ def class_number_of_field(
     """Class number of Q(sqrt(d)) for any negative integer d.
 
     Normalizes through the square-free part and the fundamental discriminant,
-    so d may carry square factors (h(-343) is h of Q(sqrt(-7))).  The form
-    count, or a value read from the cache file, is cross-checked against the
-    character sum when |disc| <= ANALYTIC_CROSS_CHECK_LIMIT before it is
-    memoized, so each discriminant is checked at most once per process;
-    above the limit a value read from the file must pass the genus rule.
+    so d may carry square factors (h(-343) is h of Q(sqrt(-7))).  h is the
+    form count, or a value read from the cache file, which must equal the
+    table's count when |disc| < 2^16 and pass the genus rule from there on.
     """
     if d >= 0:
         raise InputError(f"only imaginary quadratic fields are supported, got d={d}")
@@ -230,14 +217,13 @@ def class_number_of_field(
 
 def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> FieldClassNumber:
     """``class_number_of_field`` for a square-free d_sf < 0 the caller
-    already holds.  h comes from the memo, else the cache file through
-    ``_read_h``, else the cross-checked form count; it is then memoized and
-    filed."""
+    already holds: h from the memo, else the file through ``_read_h``, which
+    checks it, else the form count; then memoized and filed."""
     disc = intmath.field_discriminant(d_sf)
     qform.abs_disc(disc, max_disc)
     h = result_cache.lookup(
         f"h:{disc}",
-        lambda: _cross_checked(disc, class_number_forms(disc, max_disc)),
+        lambda: class_number_forms(disc, max_disc),
         read=lambda file: _read_h(file, d_sf, disc),
         write=lambda file, value: file.put_h(disc, value),
     )

@@ -52,8 +52,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="recompute a sample of cache entries and compare")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse drops a failed write
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadclass",
         description="Class groups of imaginary quadratic fields and class-number divisibility certificates",
     )
@@ -450,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 cache = result_cache.ResultCache(cache_path)
             except OSError as exc:
-                raise InputError(f"cannot open cache {cache_path}: {exc.strerror}") from exc
+                raise InputError(f"cannot open cache {cache_path}: {exc.strerror or exc}") from exc
             result_cache.activate(cache)
         if args.verify_cache:
             if cache is None:
@@ -475,10 +480,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    """Run main and exit with its code.  Output that cannot be written, to a
-    closed pipe or a full disk, exits 2 with one error line and no traceback."""
+    """Run main and exit with its code.  Output that cannot be written (help
+    too), to a closed pipe or a full disk, exits 2 with one error line."""
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's exit after --help or a usage error
+            code = exc.code
         sys.stdout.flush()
     except OSError as exc:
         # the interpreter flushes stdout again at exit: os.devnull takes

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadclass
-from quadclass import cli, intmath, qform
+from quadclass import classgroup, cli, intmath, qform
 from quadclass import cache as result_cache
 
 
@@ -358,13 +358,44 @@ class TestDeterminismAndCache:
         assert (code, out) == (3, "")
         assert err == f"resource cap: factoring budget exhausted; unfactored cofactor {p}\n"
 
-    def test_wrong_class_number_entry_fails_the_cross_check(self, capsys, tmp_path, fresh_memo):
+    def test_wrong_class_number_entry_fails_the_table_check(self, capsys, tmp_path, fresh_memo):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"h:-23","value":"5","v":1}\n')
         code, out, err = run(["classnum", "--d", "-23", "--json", "--cache", str(cache_file)], capsys)
         assert code == 1
         assert out == ""
         assert "consistency failure" in err
+
+    def test_cached_h_below_2_16_that_passes_the_genus_rule_fails_the_table_check(
+        self, capsys, tmp_path, fresh_memo
+    ):
+        # 20011 is prime and h(-20011) = 37: 259 = 7 * 37 is odd, as the
+        # genus rule asks, but below 2^16 the table's count decides
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text('{"key":"h:-20011","v":1,"value":"259"}\n')
+        code, out, err = run(["classnum", "--json", "--cache", str(cache_file), "--", "-20011"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "consistency failure: cached class number 259 of disc -20011 "
+            "differs from the table's 37\n"
+        )
+
+    def test_no_serving_path_runs_the_character_sum(self, capsys, tmp_path, fresh_memo, monkeypatch):
+        # the sum is the tests' second route; a run reads the table instead
+        def refused(disc):
+            pytest.fail(f"character sum run for disc {disc}")
+
+        monkeypatch.setattr(classgroup, "class_number_analytic", refused)
+        cache_file = tmp_path / "cache.jsonl"
+        argv = ["search", "--n", "3", "--offsets", "0,1,4", "--from", "-9200", "--to", "-9001",
+                "--max-hits", "1000", "--json", "--cache", str(cache_file)]
+        code, cold, _ = run(argv, capsys)
+        assert code == 0 and len(json.loads(cold)["hits"]) > 5
+        result_cache._memo.clear()
+        assert run(argv, capsys) == (0, cold, "")
+        result_cache._memo.clear()
+        code, out, _ = run(["classnum", "--json", "--cache", str(cache_file), "--", "-23"], capsys)
+        assert (code, json.loads(out)["h"]) == (0, "3")
 
     def test_cached_h_above_the_limit_that_fails_the_genus_rule(self, capsys, tmp_path, fresh_memo):
         # 1000003 is prime, so h(-1000003) = 105 must be odd; the later line wins
@@ -498,7 +529,7 @@ class TestDeterminismAndCache:
 
     def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
         # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a
-        # cached h = 7 above the analytic limit passes the genus rule, as
+        # cached h = 7 above 2^16 passes the genus rule, as
         # 759371 is prime and 7 is odd
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"h:-759371","v":1,"value":"7"}\n')
@@ -514,6 +545,21 @@ class TestDeterminismAndCache:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot open cache")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+    def test_cache_that_is_not_a_regular_file_is_input_error(self):
+        # /dev/zero never ends a line; the child's address space is capped
+        # so that reading it would fail fast instead of filling memory
+        import resource
+
+        limit = 1 << 30
+        proc = TestWriteErrors.run_into(
+            subprocess.PIPE,
+            ["classnum", "--cache", "/dev/zero", "--", "-23"],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: cannot open cache /dev/zero: not a regular file\n"
 
     def test_env_var_overrides_flag(self, capsys, tmp_path, monkeypatch):
         env_cache = tmp_path / "env.jsonl"
@@ -664,7 +710,7 @@ class TestWriteErrors:
     flush."""
 
     @staticmethod
-    def run_into(stdout, argv):
+    def run_into(stdout, argv, **kwargs):
         src = str(Path(quadclass.__file__).parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
@@ -674,6 +720,7 @@ class TestWriteErrors:
             text=True,
             env={**os.environ, "PYTHONPATH": path},
             timeout=60,
+            **kwargs,
         )
 
     @staticmethod
@@ -699,4 +746,30 @@ class TestWriteErrors:
     def test_full_disk(self):
         with open("/dev/full", "wb") as full:
             proc = self.run_into(full, ["classnum", "--", "-23"])
+        self.assert_one_error_line(proc, "No space left on device")
+
+    # a buffered stdout fails at the final flush, an unbuffered one in
+    # argparse's own write
+    @pytest.fixture(params=["buffered", "unbuffered"])
+    def stdout_mode(self, request, monkeypatch):
+        if request.param == "unbuffered":
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+    def test_help_into_a_closed_pipe(self, argv, stdout_mode):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run_into(write, argv)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(proc, "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+    def test_help_into_a_full_disk(self, argv, stdout_mode):
+        with open("/dev/full", "wb") as full:
+            proc = self.run_into(full, argv)
         self.assert_one_error_line(proc, "No space left on device")

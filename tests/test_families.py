@@ -393,33 +393,34 @@ class TestSearchSieve:
 
     def test_warm_cache_entries_are_not_sieved(self, monkeypatch, tmp_path, capsys, table_reads):
         lo, hi = self.NEAR_WINDOW
+        path = tmp_path / "c.jsonl"
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
-                "--max-hits", "1000", "--json", "--cache", str(tmp_path / "c.jsonl")]
+                "--max-hits", "1000", "--json", "--cache", str(path)]
         monkeypatch.setattr(result_cache, "_memo", {})
         assert cli.main(args) == 0
         cold = len(table_reads)
+        filed = path.read_text()
         monkeypatch.setattr(result_cache, "_memo", {})
         assert cli.main(args) == 0
-        out = json.loads(capsys.readouterr().out.splitlines()[-1])
-        # the warm run reads the table only to recount each hit's small fields
-        recounts = [
-            m for hit in out["hits"] for m in hit["members"]
-            if -int(m["delta"]) < qform._NUMPY_MIN_DISC
-        ]
-        assert len(out["hits"]) > 5
-        assert len(table_reads) - cold == len(recounts) > 0
-        assert cold > 2 * len(recounts)
+        cold_out, warm_out = capsys.readouterr().out.splitlines()
+        # below 2^16 a warm read is checked against the table, so the warm
+        # run reads it once per field and hit recount, as the cold run does
+        assert warm_out == cold_out
+        assert len(json.loads(warm_out)["hits"]) > 5
+        assert len(table_reads) - cold == cold > 0
+        assert path.read_text() == filed
 
     def test_hit_recount_catches_a_wrong_file_entry(self, monkeypatch, tmp_path, capsys):
-        lo, hi = self.NEAR_WINDOW
-        # a hit's field above the analytic cross-check, where a read is only
-        # genus-checked: 7h keeps 3 | h and passes the genus rule (h + 3 no
-        # longer does), so the hit recount is what must catch it
+        # |disc| = 4|d_sf| of these fields straddles 2^16
+        lo, hi = -16_700, -16_100
+        # a hit's field from 2^16 up, where a read is only genus-checked: 7h
+        # keeps 3 | h and passes the genus rule (h + 3 no longer does), so
+        # the hit recount is what must catch it
         hit, member = next(
             (hit, m)
             for hit in families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
             for m in hit.members
-            if classgroup.ANALYTIC_CROSS_CHECK_LIMIT < -m.disc < qform._NUMPY_MIN_DISC
+            if -m.disc >= qform._NUMPY_MIN_DISC
         )
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(7 * member.h), "v": 1}) + "\n")

@@ -533,7 +533,7 @@ class TestWindowedSieve:
         [
             (3, 600),
             (4, 600),
-            (19_801, 20_200),  # across ANALYTIC_CROSS_CHECK_LIMIT = 20000
+            (19_801, 20_200),  # mid-table, across the block edge at 19,968
             (qform._NUMPY_MIN_DISC - 400, qform._NUMPY_MIN_DISC - 1),
             ((1 << 18) - 400, (1 << 18) - 1),
         ],
@@ -588,8 +588,8 @@ class TestWindowedSieve:
         assert qform.count_reduced(-top) == python_count(top)
         assert reads == [top - 1, top - 1]
 
-    # a seeded sample of |disc| in [20000, 2^16), above the analytic
-    # cross-check, 100 of each class mod 4
+    # a seeded sample of |disc| in [20000, 2^16), the table's upper part,
+    # 100 of each class mod 4
     TABLE_SAMPLE = [
         4 * k + r
         for r in (0, 3)
