@@ -84,8 +84,7 @@ def cohn_check(
     """
     if V < 3 or V % 2 == 0:
         raise InputError(f"V must be odd and >= 3, got {V}")
-    if n < 3 or n % 2 == 0:
-        raise InputError(f"n must be odd and >= 3, got {n}")
+    intmath.check_odd_exponent(n)
     intmath.check_power(V, n, "V^n")
     h, _, _ = classgroup.class_number_of_field(1 - V**n, max_disc, budget)
     return CohnResult(h=h, divisible=h % n == 0, is_exception=(V, n) == (3, 5))
@@ -178,8 +177,7 @@ def iizuka_family(
     h(Q(sqrt(-7))) = 1), and members x >= 2 depend on y exceeding an
     ineffective threshold - all of these are reported, not asserted.
     """
-    if n < 3 or n % 2 == 0:
-        raise InputError(f"n must be odd and >= 3, got {n}")
+    intmath.check_odd_exponent(n)
     if m < 1 or l < 1:
         raise InputError(f"m and l must be positive, got m={m}, l={l}")
     intmath.check_power(m + 1, m + 1, "(m+1)!")  # (m+1)! <= (m+1)^(m+1)
@@ -223,8 +221,7 @@ def cor5_family(
     gcd(2x, y) = 1 always: y is odd, and a prime p | x <= k divides k!, so
     y = -1 (mod p).
     """
-    if n < 3 or n % 2 == 0:
-        raise InputError(f"n must be odd and >= 3, got {n}")
+    intmath.check_odd_exponent(n)
     if k < 2:
         raise InputError(f"k must be >= 2 (k = 1 degenerates to d = 0), got {k}")
     if l < 1:

@@ -187,12 +187,17 @@ def _budget_exhausted(v: int) -> ResourceCapError:
     )
 
 
-def _primality_cost(v: int) -> int:
-    """Budget units charged before ``is_prime(v)`` for v above the
-    deterministic limit: every Miller-Rabin round of the worst case, each a
-    modular power of bits squarings costing one unit per started 64 bits."""
-    bits = v.bit_length()
-    return (len(_MR_BASES) + _MR_RANDOM_ROUNDS) * bits * -(-bits // 64)
+def _charged_is_prime(v: int, budget: int) -> tuple[bool, int]:
+    """``is_prime(v)`` and the budget left.  Above the deterministic limit the
+    test is charged first, at every Miller-Rabin round of the worst case,
+    each a modular power of bits squarings costing one unit per started
+    64 bits; a budget that cannot cover it raises ResourceCapError."""
+    if v >= _MR_DETERMINISTIC_LIMIT:
+        bits = v.bit_length()
+        budget -= (len(_MR_BASES) + _MR_RANDOM_ROUNDS) * bits * -(-bits // 64)
+        if budget < 0:
+            raise _budget_exhausted(v)
+    return is_prime(v), budget
 
 
 def _factor_impl(n: int, budget: int) -> Factorization:
@@ -215,11 +220,8 @@ def _factor_impl(n: int, budget: int) -> Factorization:
     rng = None
     while stack:
         v = stack.pop()
-        if v >= _MR_DETERMINISTIC_LIMIT:
-            budget -= _primality_cost(v)
-            if budget < 0:
-                raise _budget_exhausted(v)
-        if is_prime(v):
+        prime, budget = _charged_is_prime(v, budget)
+        if prime:
             counts[v] = counts.get(v, 0) + 1
             continue
         if rng is None:
@@ -252,11 +254,8 @@ def _is_factorization(n: int, sign: int, factors, budget: int) -> bool:
         # than factoring n would
         if not prev < p <= limit or not 1 <= e <= limit.bit_length():
             return False
-        if p >= _MR_DETERMINISTIC_LIMIT:
-            budget -= _primality_cost(p)
-            if budget < 0:
-                raise _budget_exhausted(p)
-        if not is_prime(p):
+        prime, budget = _charged_is_prime(p, budget)
+        if not prime:
             return False
         value *= p**e
         prev = p
@@ -333,6 +332,12 @@ def check_power(base: int, exponent: int, what: str) -> None:
         raise ResourceCapError(
             f"{what} would have more than {MAX_POWER_BITS} bits", detail=what
         )
+
+
+def check_odd_exponent(n: int) -> None:
+    """Raise InputError unless n is odd and >= 3, as the n of x^2 - y^n is."""
+    if n < 3 or n % 2 == 0:
+        raise InputError(f"n must be odd and >= 3, got {n}")
 
 
 @dataclass(frozen=True)

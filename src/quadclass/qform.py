@@ -109,31 +109,30 @@ class QuadForm:
     def compose(self, other: "QuadForm") -> "QuadForm":
         """Gauss composition; reduced output, well-defined on classes.
 
-        The formula needs two primitive forms of one discriminant, reduced
-        or not, so the inputs are used as they are."""
+        Cohen's Algorithm 5.4.7 (A Course in Computational Algebraic Number
+        Theory, GTM 138, sec. 5.4): one gcd pair and two modular inverses.
+        It needs two primitive forms of one discriminant, reduced or not, so
+        the inputs are used as they are.  As pow(x, -1, 1) is 0, the
+        algorithm's special cases a1 | a2 (y1 = 0) and d | s (x2 = 0,
+        y2 = -1) are its general lines."""
         if self.discriminant != other.discriminant:
             raise InputError(
                 f"discriminant mismatch: {self.discriminant} vs {other.discriminant}"
             )
-        a1, b1, c1 = self.a, self.b, self.c
-        a2, b2, c2 = other.a, other.b, other.c
-        s0 = (b1 + b2) // 2
-        h0 = (b2 - b1) // 2
-        w = math.gcd(math.gcd(a1, a2), s0)
-        j = w
-        s = a1 // w
-        t = a2 // w
-        u = s0 // w
-        # solve (t*u) k = h0*u + s*c1 (mod s*t), then refine mod s
-        k0, period = _solve_linear(t * u, h0 * u + s * c1, s * t)
-        n0, _ = _solve_linear(t * period, h0 - t * k0, s)
-        k = k0 + period * n0
-        l = (k * t - h0) // s
-        m = (t * u * k - h0 * u - s * c1) // (s * t)
-        a3 = s * t
-        b3 = j * u - (k * t + l * s)
-        c3 = k * l - j * m
-        return QuadForm(*_reduce(a3, b3, c3))
+        f, g = (self, other) if self.a <= other.a else (other, self)
+        a1, a2, b2, c2 = f.a, g.a, g.b, g.c
+        s = (f.b + b2) // 2
+        n = b2 - s
+        d = math.gcd(a1, a2)
+        y1 = pow(a2 // d, -1, a1 // d)
+        d1 = math.gcd(s, d)
+        x2 = pow(s // d1, -1, d // d1)
+        y2 = (x2 * s - d1) // d
+        v1, v2 = a1 // d1, a2 // d1
+        r = (y1 * y2 * n - x2 * c2) % v1
+        return QuadForm(
+            *_reduce(v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1)
+        )
 
     def power(self, k: int) -> "QuadForm":
         """Reduced k-th power of the class, square-and-multiply; k >= 0.
@@ -164,18 +163,6 @@ def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
         s = (c + b) // (2 * c)
         a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
     return a, b, c
-
-
-def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
-    """Smallest x >= 0 with a*x = b (mod m), plus the solution period m/gcd."""
-    if m == 1:
-        return 0, 1
-    g = math.gcd(a, m)
-    if b % g:
-        raise InconsistencyError(f"no solution to {a} x = {b} (mod {m})")
-    mg = m // g
-    inv = pow((a // g) % mg, -1, mg)
-    return (b // g) % mg * inv % mg, mg
 
 
 def identity_form(disc: int) -> QuadForm:

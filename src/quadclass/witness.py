@@ -30,8 +30,7 @@ class Instance:
     def __post_init__(self):
         if self.x < 1 or self.y < 1:
             raise InputError(f"x and y must be positive, got x={self.x}, y={self.y}")
-        if self.n < 3 or self.n % 2 == 0:
-            raise InputError(f"n must be odd and >= 3, got {self.n}")
+        intmath.check_odd_exponent(self.n)
         intmath.check_power(self.y, self.n, "y^n")
         if self.x * self.x >= self.y**self.n:
             raise InputError(
@@ -190,8 +189,7 @@ def scan(
         raise InputError(f"variant must be 'standard' or 'four', got {variant!r}")
     if x < 1:
         raise InputError(f"x must be positive, got {x}")
-    if n < 3 or n % 2 == 0:
-        raise InputError(f"n must be odd and >= 3, got {n}")
+    intmath.check_odd_exponent(n)
     worker = _scan_standard if variant == "standard" else _scan_four
 
     return [

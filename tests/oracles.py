@@ -9,9 +9,11 @@ unarguable.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from quadclass.errors import InputError
+from quadclass.qform import QuadForm
 
 
 def brute_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
@@ -119,6 +121,42 @@ def apply_unimodular(form, p: int, q: int, r: int, s: int):
     b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
     c2 = a * q * q + b * q * s + c * s * s
     return a2, b2, c2
+
+
+def dirichlet_compose(f, g) -> QuadForm:
+    """The composite of the primitive forms f and g of one discriminant D by
+    Dirichlet's rule (Cox, Primes of the Form x^2 + ny^2, Lemma 3.2): move g
+    to a form (a2, b2, c2) with gcd(a1, a2) = 1, find the one B mod 2*a1*a2
+    with B = b1 (mod 2*a1), B = b2 (mod 2*a2) and B^2 = D (mod 4*a1*a2) by
+    trying each, and return (a1*a2, B, (B^2 - D)/(4*a1*a2)) reduced by
+    ``QuadForm.reduced``, which the tests check on its own.
+
+    g is moved by the change of variable whose first column is the first
+    coprime (x, y) (by |x| + y, with y >= 0) at which gcd(g(x, y), a1) = 1."""
+    disc = f.discriminant
+    a1, b1 = f.a, f.b
+    columns = (
+        (x, t - abs(x))
+        for t in itertools.count(1)
+        for x in range(t, -t - 1, -1)
+        if math.gcd(x, t - abs(x)) == 1
+    )
+    x, y = next(
+        (x, y) for x, y in columns if math.gcd(g.a * x * x + g.b * x * y + g.c * y * y, a1) == 1
+    )
+    # the second column (q, s) has x*s - q*y = 1
+    s = pow(x, -1, y) if y else x
+    q = (x * s - 1) // y if y else 0
+    a2, b2, _ = apply_unimodular(g, x, q, y, s)
+    a3 = a1 * a2
+    roots = [
+        b
+        for b in range(b1 % (2 * a1), 2 * a3, 2 * a1)
+        if (b - b2) % (2 * a2) == 0 and (b * b - disc) % (4 * a3) == 0
+    ]
+    assert len(roots) == 1, (f, g, a2, b2, roots)
+    b3 = roots[0]
+    return QuadForm(a3, b3, (b3 * b3 - disc) // (4 * a3)).reduced()
 
 
 def random_unimodular(rng, bound: int = 12) -> tuple[int, int, int, int]:

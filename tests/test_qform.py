@@ -14,6 +14,7 @@ from oracles import (
     apply_unimodular,
     brute_prime_form,
     brute_reduced_forms,
+    dirichlet_compose,
     divisor_pairs,
     is_fundamental,
     random_unimodular,
@@ -662,6 +663,25 @@ class TestCompose:
         assert reduced.inverse() == QuadForm(2, -1, 3)
         # the three outputs, and the two forms the asserts compare them with
         assert len(built) == 5
+
+    def test_matches_dirichlet_composition_to_800(self):
+        # every ordered pair of reduced forms at every discriminant down to
+        # -800, fundamental or not; the pairs reach the swap a1 > a2, a1 | a2
+        # with a1 > 1, and gcd(s, gcd(a1, a2)) < gcd(a1, a2)
+        pairs, swapped, divides, partial = 0, 0, 0, 0
+        for disc in range(-3, -801, -1):
+            if disc % 4 not in (0, 1):
+                continue
+            forms = qform.enumerate_reduced(disc)
+            for f, g in product(forms, repeat=2):
+                assert f.compose(g) == dirichlet_compose(f, g), (f, g)
+                pairs += 1
+                d = math.gcd(f.a, g.a)
+                swapped += f.a > g.a
+                divides += 1 < f.a < g.a and g.a % f.a == 0
+                partial += math.gcd((f.b + g.b) // 2, d) < d
+        assert pairs == 36978
+        assert swapped and divides and partial
 
     def test_group_laws_full_tables(self):
         for disc in (-23, -84, -104, -120):
