@@ -11,9 +11,9 @@ dividing D, each multiplied into a block of chi a period at a time with no
 tiled copy; the Legendre tables of the small primes are cached across calls.
 The sum's result must pass the genus-theory rule (2^(mu-1) | h for mu prime
 discriminants, h odd when mu = 1), which any sum off by one fails.  Below
-2^16 the form count reads qform's table, which acceptance criterion 1 proves
-equal to the sum at every fundamental discriminant there: no run repeats
-that proof, and a cached h there must equal the table's count.
+2^16 the form count reads qform's shipped table, which acceptance criterion 1
+proves equal to the sum at every fundamental discriminant there: no run
+repeats that proof, and a cached h there must equal the table's entry.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
     None when it is missing or below 1, which no class number is, so that
     it is counted again.
 
-    Below 2^16 it must equal the table's count, ``qform.count_reduced``.
+    Below 2^16 it must equal the shipped table's, ``qform.count_reduced``.
     From there on it must pass the genus rule, mu being the number of primes
     dividing |disc|, read from ``intmath.factor(d_sf, use_cache=False)``,
     which files nothing: that catches every h +- 1, but not an error that is
@@ -186,7 +186,7 @@ def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
     h = file.get_h(disc)
     if h is None or h < 1:
         return None
-    if -disc < qform._NUMPY_MIN_DISC:
+    if -disc < qform._TABLE_TOP:
         table = qform.count_reduced(disc)
         wrong = "" if h == table else f"differs from the table's {table}"
     else:
@@ -414,7 +414,7 @@ def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupIn
 
     h is the form count; an h above DEFAULT_STRUCTURE_CAP raises
     ResourceCapError before any form is built.  Below |disc| = 2^16 h is
-    read from qform's block table, while the forms come from the root-count
+    read from qform's shipped table, while the forms come from the root-count
     scan, so the two routes check each other.  G is the direct sum of its
     Sylow subgroups G_p, p^a || h, each built from the p-parts f^(h/p^a) of
     the forms (see ``_Sylow``); element orders come from walks inside G_p

@@ -12,7 +12,7 @@ Builders for three constructions and a brute-force search:
 * search_successive: exhaustive scan for offset patterns at small |d|,
   one d after another.  Each field's h is looked up as
   ``classgroup.class_number_of_field`` finds it: a field with |disc| < 2^16
-  is read from qform's block table, a larger one counted on its own.  Every
+  is read from qform's shipped table, a larger one counted on its own.  Every
   hit is recounted before it is reported.  Every builder and the search run
   sequentially; the search's ``threads`` keyword accepts only 1.
 
@@ -353,7 +353,7 @@ def search_successive(
 def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
     """The hit at d as a report, each member recounted by
     ``qform.count_reduced``, which skips the memo and the cache file (below
-    2^16 it reads the in-process table)."""
+    2^16 it reads the shipped table, checked by its SHA-256)."""
     note = "found by exhaustive search; re-verified by fresh enumeration"
     specs = [(o, d + o, d + o, False, note) for o in offsets]
     members = _resolve_members(specs, n, max_disc, budget)

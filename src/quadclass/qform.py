@@ -8,13 +8,14 @@ representative per class (|b| <= a <= c, b >= 0 at the boundaries), so class
 arithmetic is plain value arithmetic on reduced triples.
 
 Class numbers are counts of reduced forms.  ``count_reduced`` reads
-|disc| < 2^16 from a table filled lazily, one block of _TABLE_BLOCK values
-at a time: ``_window_counts`` makes one numpy pass over the (a, b) pairs and
-places each form a X^2 + b XY + c Y^2 at its |disc| = 4ac - b^2 in the
-block.  From 2^16 on it splits the a in two.  The head, 4a^2 < |disc|, has
-c > a for every form, so a adds the number N(a) of b mod 2a with
-b^2 = disc (mod 4a) that give a primitive form; N is multiplicative, and
-one numpy sieve over the primes finds it for every a <= sqrt(|disc|/3).
+|disc| < 2^16 from the table shipped with the package, class_numbers.u16,
+read on first use and checked against its pinned size and SHA-256; the
+tests regenerate it byte for byte by a numpy pass over the (a, b) pairs of
+reduced forms.  From 2^16 on it splits the a in two.  The head,
+4a^2 < |disc|, has c > a for every form, so a adds the number N(a) of
+b mod 2a with b^2 = disc (mod 4a) that give a primitive form; N is
+multiplicative, and one numpy sieve over the primes finds it for every
+a <= sqrt(|disc|/3).
 ``_root_counts`` reads the Legendre symbols of the unramified primes by one
 gather from a bit-packed table of the squares mod every prime up to the
 largest a asked for so far, grown lazily and kept read-only: 253 KB once it
@@ -38,6 +39,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -45,20 +47,29 @@ import numpy as np
 from .errors import InconsistencyError, InputError, ResourceCapError
 from . import intmath
 
+# hashlib loads OpenSSL, about 3 ms and 3.5 MB of RSS, so the table's
+# SHA-256 comes from the builtin module where there is one, as the random
+# module's SHA-512 does.
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 DEFAULT_DISC_CAP = 10**8
 
-# count_reduced reads |disc| below this from its block table, and counts
-# each larger |disc| on its own by the head-and-tail count.  Near 2^16 a
-# table block costs 0.004 ms per disc when all of its 128 are read, against
-# 0.063 ms per head-and-tail count, but 0.5 ms when only one is (2-core x86-64
-# host).  The 256 blocks below 2^16 stay cached in about 0.5 MB.
-_NUMPY_MIN_DISC = 1 << 16
+# count_reduced reads h(-X) for X = |disc| below this from the shipped
+# table, entry X // 4 * 2 + (X % 4 == 3) of little-endian uint16s (entry 0,
+# X = 0, is 0), and counts each larger X on its own by the head-and-tail
+# count.  The largest h there is 424.
+_TABLE_TOP = 1 << 16
+_TABLE_FILE = "class_numbers.u16"
+_TABLE_BYTES = _TABLE_TOP  # two bytes for each X = 0 or 3 (mod 4)
+_TABLE_SHA256 = "ddb323e8aadaef92b58bcddc629b1c2847f0da117814311e1f184a3479959031"
 # Guard for the int64 kernels; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
-# Values of |disc| per block of count_reduced's table.  A wider block makes
-# fewer passes but more (a, b, X) triples at once: a process searching
-# search-near's plan peaked at 34.9 MB with 2048, 32.3 MB with 256.
-_TABLE_BLOCK = 256
 
 
 def validate_discriminant(disc: int) -> None:
@@ -398,50 +409,38 @@ def enumerate_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> list[QuadF
 def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """len(enumerate_reduced(disc)) without building the forms.
 
-    Below 2^16 it is read from the block of ``_window_counts`` that holds
-    |disc|.  From there on the head a <= A = isqrt(|disc| - 1) // 2 adds its
+    Below 2^16 it is read from the shipped table, ``_class_numbers``.
+    From there on the head a <= A = isqrt(|disc| - 1) // 2 adds its
     root counts N(a): as 4a^2 < |disc|, each of its forms has c > a.  Only
     the tail a > A is scanned, by ``_forms``.
     """
     abs_d = abs_disc(disc, max_disc)
-    if abs_d < _NUMPY_MIN_DISC:
-        lo = abs_d - abs_d % _TABLE_BLOCK
-        return int(_window_counts(lo, lo + _TABLE_BLOCK - 1)[abs_d - lo])
+    if abs_d < _TABLE_TOP:
+        return int(_class_numbers()[abs_d // 4 * 2 + (abs_d % 4 == 3)])
     a_max = math.isqrt(abs_d // 3)
     roots = _root_counts(abs_d, a_max)
     a_min = math.isqrt(abs_d - 1) // 2 + 1
     return int(roots[:a_min].sum()) + len(_forms(abs_d, roots, a_min, a_max))
 
 
-@lru_cache(maxsize=_NUMPY_MIN_DISC // _TABLE_BLOCK)
-def _window_counts(lo: int, hi: int) -> np.ndarray:
-    """Numbers of primitive reduced forms of discriminant -X for X = lo..hi,
-    read-only, in one numpy pass over the (a, b) pairs; entries of X = 1 or
-    2 (mod 4) are 0.  ``count_reduced`` passes the blocks of its table, so
-    the cache holds them all.
-
-    For each pair 0 <= b <= a <= sqrt(hi/3), the least X >= max(lo, 4a^2 - b^2)
-    with X = -b^2 (mod 4a) gives c = (X + b^2)/(4a) >= a, and X steps by 4a
-    up to hi.  A primitive form counts twice when 0 < b < a < c, because
-    (a, -b, c) is then reduced too.
-    """
-    a, b = np.tril_indices(math.isqrt(hi // 3) + 1)  # the pairs b <= a
-    a, b = a[1:], b[1:]  # a >= 1
-    start = np.maximum(4 * a * a - b * b, lo)
-    x = start + (-b * b - start) % (4 * a)
-    keep = x <= hi
-    a, b, x = a[keep], b[keep], x[keep]
-    steps = (hi - x) // (4 * a) + 1
-    a, b, x = (np.repeat(v, steps) for v in (a, b, x))
-    x += 4 * a * (np.arange(x.size) - np.repeat(np.cumsum(steps) - steps, steps))
-    c = (x + b * b) // (4 * a)
-    primitive = np.gcd(np.gcd(a, b), c) == 1
-    twice = primitive & (b > 0) & (b < a) & (a < c)
-    width = hi - lo + 1
-    counts = np.bincount(x[primitive] - lo, minlength=width)
-    counts += np.bincount(x[twice] - lo, minlength=width)
-    counts.flags.writeable = False
-    return counts
+@lru_cache(maxsize=1)
+def _class_numbers() -> np.ndarray:
+    """The shipped table of h(-X), X < _TABLE_TOP, read-only, read once per
+    process on first use.  A file that is missing, or whose size or SHA-256
+    is not the pinned one, raises InconsistencyError, so no h is read from
+    a damaged table."""
+    try:
+        data = resources.files(__package__).joinpath(_TABLE_FILE).read_bytes()
+    except OSError as exc:
+        raise InconsistencyError(
+            f"cannot read the class-number table {_TABLE_FILE}: {exc.strerror or exc}"
+        ) from exc
+    if len(data) != _TABLE_BYTES or sha256(data).hexdigest() != _TABLE_SHA256:
+        raise InconsistencyError(
+            f"the class-number table {_TABLE_FILE} ({len(data)} bytes) does not "
+            "match its pinned size and SHA-256"
+        )
+    return np.frombuffer(data, dtype="<u2")
 
 
 def prime_form(disc: int, q: int) -> QuadForm | None:

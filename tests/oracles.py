@@ -4,13 +4,17 @@ Everything here is deliberately written against the definitions, not against
 the production algorithms: reduced forms come from an exhaustive triple
 search or from trial division of each (b^2 + |disc|)/4, Legendre symbols
 from counting residues, factorizations from plain trial division.  Slow but
-unarguable.
+unarguable.  The one sieve here, ``window_counts``, generates the
+class-number table that qform ships; the tests hold it against those
+per-discriminant routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 from quadclass.errors import InputError
 from quadclass.qform import QuadForm
@@ -40,6 +44,36 @@ def brute_reduced_forms(disc: int) -> set[tuple[int, int, int]]:
     # but the loop above also misses nothing: 3a^2 <= 4ac - b^2 = |disc| holds
     # for every reduced form.
     return out
+
+
+def window_counts(lo: int, hi: int) -> np.ndarray:
+    """Numbers of primitive reduced forms of discriminant -X for X = lo..hi,
+    read-only, in one numpy pass over the (a, b) pairs; entries of X = 1 or
+    2 (mod 4) are 0.  ``test_class_number_table`` builds the shipped table
+    of ``qform.count_reduced`` from its blocks of 256 values.
+
+    For each pair 0 <= b <= a <= sqrt(hi/3), the least X >= max(lo, 4a^2 - b^2)
+    with X = -b^2 (mod 4a) gives c = (X + b^2)/(4a) >= a, and X steps by 4a
+    up to hi.  A primitive form counts twice when 0 < b < a < c, because
+    (a, -b, c) is then reduced too.
+    """
+    a, b = np.tril_indices(math.isqrt(hi // 3) + 1)  # the pairs b <= a
+    a, b = a[1:], b[1:]  # a >= 1
+    start = np.maximum(4 * a * a - b * b, lo)
+    x = start + (-b * b - start) % (4 * a)
+    keep = x <= hi
+    a, b, x = a[keep], b[keep], x[keep]
+    steps = (hi - x) // (4 * a) + 1
+    a, b, x = (np.repeat(v, steps) for v in (a, b, x))
+    x += 4 * a * (np.arange(x.size) - np.repeat(np.cumsum(steps) - steps, steps))
+    c = (x + b * b) // (4 * a)
+    primitive = np.gcd(np.gcd(a, b), c) == 1
+    twice = primitive & (b > 0) & (b < a) & (a < c)
+    width = hi - lo + 1
+    counts = np.bincount(x[primitive] - lo, minlength=width)
+    counts += np.bincount(x[twice] - lo, minlength=width)
+    counts.flags.writeable = False
+    return counts
 
 
 def divisor_pairs(abs_d: int, lo: int, hi: int):

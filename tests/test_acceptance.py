@@ -31,7 +31,7 @@ def test_criterion_01_dual_oracle_class_numbers():
     fundamental discriminant with |disc| < 2^16: the whole domain of qform's
     table, which the library then trusts without running the sum."""
     checked = 0
-    for disc in _fundamental_range(1 - qform._NUMPY_MIN_DISC):
+    for disc in _fundamental_range(1 - qform._TABLE_TOP):
         assert classgroup.class_number_forms(disc) == classgroup.class_number_analytic(disc), disc
         checked += 1
     assert checked == 19933

@@ -308,20 +308,17 @@ class TestGroupStructure:
         info = classgroup.group_structure(-4873699)
         assert 0 < drawn < info.h == 552
 
-    def test_two_routes_below_the_table_top(self, monkeypatch):
-        # h from count_reduced's block table, the forms from the root-count
+    def test_two_routes_below_the_table_top(self, monkeypatch, table_reads):
+        # h from count_reduced's shipped table, the forms from the root-count
         # scan: two algorithms that check each other
-        tables, roots = [], []
-        window_counts, root_counts = qform._window_counts, qform._root_counts
-        monkeypatch.setattr(
-            qform, "_window_counts", lambda lo, hi: tables.append((lo, hi)) or window_counts(lo, hi)
-        )
+        roots = []
+        root_counts = qform._root_counts
         monkeypatch.setattr(
             qform, "_root_counts", lambda abs_d, a_max: roots.append(abs_d) or root_counts(abs_d, a_max)
         )
         info = classgroup.group_structure(-10627)
         assert (info.h, info.elementary_divisors, info.generators) == (9, (9,), (QuadForm(29, -25, 97),))
-        assert tables == [(10496, 10751)]
+        assert table_reads == [10627 // 4 * 2 + 1]
         assert roots == [10627]
 
     def test_prime_powers_equal_trial_division(self):

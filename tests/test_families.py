@@ -310,21 +310,13 @@ class TestSearch:
 
 
 class TestSearchSieve:
-    """search_successive reads each field below 2^16 from qform's table,
-    which the windowed sieve fills one block at a time, and counts larger
-    fields on their own.  Its hits, memo and cache file must be those of a
-    search that counts every field by enumerating its forms."""
+    """search_successive reads each field below 2^16 from qform's shipped
+    table, and counts larger fields on their own.  Its hits, memo and cache
+    file must be those of a search that counts every field by enumerating
+    its forms.  ``table_reads`` (conftest) spies on the table's entries."""
 
     WINDOW = (-1_000_150, -1_000_001)
     NEAR_WINDOW = (-9200, -9001)
-
-    @pytest.fixture
-    def table_reads(self, monkeypatch):
-        """The (lo, hi) of every read of the table."""
-        reads = []
-        real = qform._window_counts
-        monkeypatch.setattr(qform, "_window_counts", lambda lo, hi: reads.append((lo, hi)) or real(lo, hi))
-        return reads
 
     @staticmethod
     def count_by_enumeration(monkeypatch):
@@ -344,9 +336,8 @@ class TestSearchSieve:
         hits, memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         # values with a large square factor have small fields
         assert table_reads, "the deep window should reach the table"
-        block = qform._TABLE_BLOCK
-        assert all(lo % block == 0 and hi == lo + block - 1 for lo, hi in table_reads)
-        assert max(hi for _, hi in table_reads) < qform._NUMPY_MIN_DISC
+        # every read is an entry of a discriminant: none is entry 0, X = 0
+        assert min(table_reads) > 0
         self.count_by_enumeration(monkeypatch)
         reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
         assert hits == reference
@@ -420,7 +411,7 @@ class TestSearchSieve:
             (hit, m)
             for hit in families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
             for m in hit.members
-            if -m.disc >= qform._NUMPY_MIN_DISC
+            if -m.disc >= qform._TABLE_TOP
         )
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(7 * member.h), "v": 1}) + "\n")

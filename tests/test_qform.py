@@ -18,6 +18,7 @@ from oracles import (
     divisor_pairs,
     is_fundamental,
     random_unimodular,
+    window_counts,
 )
 
 SMALL_DISCS = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -47, -84, -104, -116, -120]
@@ -133,8 +134,8 @@ class TestEnumerate:
     def test_numpy_kernel_agrees_with_python(self):
         for abs_d in (
             # straddle the table's top and the numpy route's old threshold
-            qform._NUMPY_MIN_DISC,
-            qform._NUMPY_MIN_DISC + 3,
+            qform._TABLE_TOP,
+            qform._TABLE_TOP + 3,
             1 << 18,
             (1 << 18) + 3,
             300_000,
@@ -209,11 +210,11 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("lo", [10_000_003, 10_000_000, 90_000_003, 90_000_000])
     def test_count_matches_the_windowed_sieve(self, lo, monkeypatch):
-        # the windowed sieve fills the table below 2^16 only, and a sieve
+        # the windowed sieve generates the table below 2^16 only, and a sieve
         # this high would take gigabytes, so the independent route here is
         # the full enumeration, which scans every a where the count sums the
         # head's root counts
-        monkeypatch.setattr(qform, "_window_counts", no_table)
+        monkeypatch.setattr(qform, "_class_numbers", no_table)
         for disc in (-lo, -(lo + 4)):
             assert qform.count_reduced(disc) == len(qform.enumerate_reduced(disc)), disc
 
@@ -255,8 +256,8 @@ def python_forms(abs_d):
     return [QuadForm(*t) for t in sorted(triples)]
 
 
-def no_table(lo, hi):
-    raise AssertionError(f"the table was read for [{lo}, {hi}]")
+def no_table():
+    raise AssertionError("the table was read")
 
 
 def brute_root_count(abs_d, a):
@@ -286,13 +287,13 @@ class TestHeadCount:
             assert count == python_count(abs_d), abs_d
 
     def test_every_disc_in_a_range_above_the_threshold(self):
-        lo = qform._NUMPY_MIN_DISC
+        lo = qform._TABLE_TOP
         values = [x for x in range(lo, lo + 20_000) if x % 4 in (0, 3)]
         # |disc| = 3 and 7 (mod 8), and 4, 8, 12 and 0 (mod 16), all present
         assert {x % 8 for x in values if x % 2} == {3, 7}
         assert {x % 16 for x in values if x % 2 == 0} == {0, 4, 8, 12}
         # one windowed sieve counts both classes mod 4
-        counts = qform._window_counts(lo, lo + 19_999)
+        counts = window_counts(lo, lo + 19_999)
         for x in values:
             assert qform.count_reduced(-x) == counts[x - lo] == python_count(x), x
         for x in values[::25]:
@@ -313,7 +314,7 @@ class TestHeadCount:
     def test_non_fundamental(self, f):
         # f^2 D0 for fundamental D0 of each class mod 8, and -3 and -4
         for d0 in (3, 4, 7, 8, 15, 20, 23, 24, 104, 163, 1003, 20_003, 99_995, 400_004):
-            if qform._NUMPY_MIN_DISC <= f * f * d0 <= 10**8:
+            if qform._TABLE_TOP <= f * f * d0 <= 10**8:
                 self.assert_agrees(f * f * d0, python=f * f * d0 < 3 * 10**6)
 
     def test_every_small_odd_prime_ramified(self):
@@ -483,12 +484,12 @@ class TestResidueTable:
 
 
 class TestWindowedSieve:
-    """qform._window_counts, and count_reduced's table of its blocks below
-    2^16, against per-disc routes."""
+    """oracles.window_counts, which generates count_reduced's table below
+    2^16, and that table, against per-disc routes."""
 
     @staticmethod
     def window(lo, hi):
-        counts = qform._window_counts(lo, hi)
+        counts = window_counts(lo, hi)
         assert not counts.flags.writeable
         # one pass counts both classes mod 4 and leaves the others at 0
         assert not any(counts[x - lo] for x in range(lo, hi + 1) if x % 4 in (1, 2))
@@ -505,8 +506,8 @@ class TestWindowedSieve:
             (5_603, 5_999),
             (5_600, 6_000),
             # around the numpy form count's threshold, now and as it was
-            (qform._NUMPY_MIN_DISC - 201, qform._NUMPY_MIN_DISC + 199),
-            (qform._NUMPY_MIN_DISC - 200, qform._NUMPY_MIN_DISC + 200),
+            (qform._TABLE_TOP - 201, qform._TABLE_TOP + 199),
+            (qform._TABLE_TOP - 200, qform._TABLE_TOP + 200),
             ((1 << 18) - 201, (1 << 18) + 199),
             ((1 << 18) - 200, (1 << 18) + 200),
             (999_903, 1_000_103),
@@ -535,13 +536,13 @@ class TestWindowedSieve:
             (3, 600),
             (4, 600),
             (19_801, 20_200),  # mid-table, across the block edge at 19,968
-            (qform._NUMPY_MIN_DISC - 400, qform._NUMPY_MIN_DISC - 1),
+            (qform._TABLE_TOP - 400, qform._TABLE_TOP - 1),
             ((1 << 18) - 400, (1 << 18) - 1),
         ],
     )
     def test_sieved_small_windows_match_count_reduced(self, lo, hi):
-        # below 2^16 count_reduced reads the table's blocks, which start
-        # elsewhere than these windows; from 2^16 on it counts on its own
+        # below 2^16 count_reduced reads the table, generated in blocks that
+        # start elsewhere than these windows; from 2^16 on it counts on its own
         for x, count in self.window(lo, hi).items():
             assert count == qform.count_reduced(-x) == python_count(x), x
 
@@ -552,7 +553,7 @@ class TestWindowedSieve:
 
     def test_sieved_rejects_bad_discriminants(self, monkeypatch):
         # bad input and caps are refused before the table is read
-        monkeypatch.setattr(qform, "_window_counts", no_table)
+        monkeypatch.setattr(qform, "_class_numbers", no_table)
         with pytest.raises(InputError):
             qform.count_reduced(-65_533)
         with pytest.raises(InputError):
@@ -560,34 +561,31 @@ class TestWindowedSieve:
         with pytest.raises(ResourceCapError):
             qform.count_reduced(-60_003, max_disc=60_000)
 
-    # each block's first and last two values of both classes, blocks 0, 1,
-    # 2, 127, 128 and 255 above all
+    # the last two values of both classes before every multiple of 256 and
+    # the first two from it: the seams of the 256-value blocks that generate
+    # the table
     EDGES = sorted(
         x
-        for k in range(0, 1 << 16, qform._TABLE_BLOCK)
+        for k in range(0, 1 << 16, 256)
         for x in range(k - 8, k + 8)
         if 3 <= x < 1 << 16 and x % 4 in (0, 3)
     )
 
     def test_table_at_the_block_edges(self):
-        assert {x - x % qform._TABLE_BLOCK for x in self.EDGES} == set(
-            range(0, 1 << 16, qform._TABLE_BLOCK)
-        )
+        assert {x - x % 256 for x in self.EDGES} == set(range(0, 1 << 16, 256))
         for x in self.EDGES:
             assert qform.count_reduced(-x) == python_count(x), x
 
-    def test_table_at_its_top(self, monkeypatch):
-        top = qform._NUMPY_MIN_DISC
-        reads = []
-        real = qform._window_counts
-        monkeypatch.setattr(qform, "_window_counts", lambda lo, hi: reads.append(hi) or real(lo, hi))
+    def test_table_at_its_top(self, table_reads):
+        top = qform._TABLE_TOP
         for x in range(top - 4, top):
             if x % 4 in (0, 3):
                 assert qform.count_reduced(-x) == python_count(x), x
-        assert reads == [top - 1, top - 1]
+        # 65532 and 65535, the table's last two entries
+        assert table_reads == [top // 2 - 2, top // 2 - 1]
         # 2^16 itself is counted on its own
         assert qform.count_reduced(-top) == python_count(top)
-        assert reads == [top - 1, top - 1]
+        assert table_reads == [top // 2 - 2, top // 2 - 1]
 
     # a seeded sample of |disc| in [20000, 2^16), the table's upper part,
     # 100 of each class mod 4
@@ -601,13 +599,15 @@ class TestWindowedSieve:
         for x in self.TABLE_SAMPLE:
             assert qform.count_reduced(-x) == python_count(x) == len(qform.enumerate_reduced(-x)), x
 
-    def test_table_blocks_are_built_once(self):
-        qform._window_counts.cache_clear()
+    def test_table_file_is_read_once(self):
+        qform._class_numbers.cache_clear()
         for x in (65_532, 65_535, 65_283, 65_280, 3, 255):
             qform.count_reduced(-x)
-        info = qform._window_counts.cache_info()
-        assert (info.misses, info.hits) == (2, 4)
-        assert info.maxsize == (1 << 16) // qform._TABLE_BLOCK
+        info = qform._class_numbers.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        table = qform._class_numbers()
+        assert not table.flags.writeable
+        assert table.dtype == np.dtype("<u2") and table.size == (1 << 16) // 2
 
 
 class TestIdentityInverse:
