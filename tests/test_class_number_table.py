@@ -8,6 +8,7 @@ generator with
 
 A copy of the package whose table is missing, short or one byte off must
 refuse to read it: ``classnum`` exits 1 with one consistency-failure line.
+With no builtin SHA-256 module the check runs on ``hashlib``'s.
 """
 
 import hashlib
@@ -74,6 +75,28 @@ def test_damaged_table_exits_one_with_one_line(damage, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("consistency failure: "), proc.stderr
     assert qform._TABLE_FILE in lines[0]
+
+
+def test_digest_falls_back_to_hashlib():
+    # with neither builtin SHA-256 module, qform takes hashlib's, and the
+    # table still passes its check: h(-65531) is read from it
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from quadclass import qform\n"
+        "assert qform.sha256 is hashlib.sha256\n"
+        "assert qform.count_reduced(-65531) == 78\n"
+    )
+    src = str(Path(qform.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 if __name__ == "__main__":

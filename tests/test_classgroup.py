@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 
@@ -340,11 +341,12 @@ class TestGroupStructure:
         assert invariant_factors_by_count(qform.enumerate_reduced(-20124)) == (4, 16)
 
     def test_classes_running_out_raises(self, monkeypatch):
-        # every class reported as order 1: none can extend the subgroup
-        def all_order_one(forms, h):
-            return {f: 1 for f in forms}, {f: ([f], 1) for f in forms}
+        # every class a walk meets reported as order 1: none can extend the subgroup
+        def all_order_one(self, walk):
+            for g in walk:
+                self.orders[g], self._places[g] = 1, ([g], 1)
 
-        monkeypatch.setattr(classgroup, "_element_orders", all_order_one)
+        monkeypatch.setattr(classgroup._Sylow, "_place", all_order_one)
         with pytest.raises(InconsistencyError, match="ran out"):
             classgroup.group_structure(-84)
 
@@ -434,33 +436,44 @@ class TestWrongClassNumber:
         self.assert_raises_with_count(monkeypatch, wrong)
 
 
+def sylows(disc):
+    """The Sylow subgroups of disc's class group, built as group_structure
+    builds them, with h = the number of reduced forms."""
+    forms = qform.enumerate_reduced(disc)
+    h, ident = len(forms), qform.identity_form(disc)
+    return forms, h, [classgroup._Sylow(p, p**a, h, forms, ident) for p, a in trial_factor(h)]
+
+
 class TestCyclicWalk:
     def test_walked_orders_equal_order_of_class(self):
         for disc in range(-3, -3001, -1):
             if disc % 4 not in (0, 1):
                 continue
-            forms = qform.enumerate_reduced(disc)
-            h = len(forms)
-            orders, _ = classgroup._element_orders(forms, h)
-            assert orders == {f: classgroup.order_of_class(f, h) for f in forms}
+            forms, h, parts = sylows(disc)
+            for s in parts:
+                assert set(s.orders) == s.group, disc
+            for f in forms:
+                order = math.prod(s.order(s.part(f)) for s in parts)
+                assert order == classgroup.order_of_class(f, h), (disc, f)
 
     @pytest.mark.parametrize("disc", [-84, -231, -1391, -20055, -20124])
     def test_walk_indexed_powers_equal_power(self, disc):
         # non-cyclic groups, (2, 2, 30) and (4, 16) among them, so many classes
         # sit inside another class's walk
-        forms = qform.enumerate_reduced(disc)
-        orders, places = classgroup._element_orders(forms, len(forms))
-        assert set(places) == set(forms)
-        for g in forms:
-            walk, k = places[g]
-            assert walk[k - 1] == g
-            for j in range(1, orders[g] + 1):
-                assert walk[(k * j - 1) % len(walk)] == g.power(j)
+        _, _, parts = sylows(disc)
+        for s in parts:
+            assert set(s._places) == s.group
+            for g in s.group:
+                walk, k = s._places[g]
+                assert walk[k - 1] == g
+                for j in range(1, s.orders[g] + 1):
+                    assert s._power(g, j) == g.power(j)
 
     def test_order_not_dividing_h_raises(self):
-        # as order_of_class does for a wrong multiple of the order
+        # as order_of_class does for a wrong multiple of the order: h(-23) = 3
+        # passed as 4 makes the class (2, 1, 3) of order 3 a 2-part
         with pytest.raises(InconsistencyError, match="does not divide"):
-            classgroup._element_orders(qform.enumerate_reduced(-23), 4)
+            classgroup._Sylow(2, 4, 4, qform.enumerate_reduced(-23), qform.identity_form(-23))
 
     @pytest.mark.parametrize(
         "disc,h,divisors,generators",
@@ -534,15 +547,16 @@ class TestCyclicWalk:
         assert 0 < calls <= info.h / 2
 
     @pytest.mark.parametrize("disc", [-4873699, -4689835, -3835384])
-    def test_growth_makes_h_minus_one_compositions(self, monkeypatch, disc):
+    def test_growth_skips_the_principal_row(self, monkeypatch, disc):
         # cyclic, (2, 2, 124) and (4, 124): each H_p grows by composing its
-        # classes only with f_p, ..., f_p^(n-1), never with the identity, so
-        # the growth after the last Sylow walk makes p^a - 1 compositions per
-        # p^a || h, outside ``power``; that is h - 1 only for a p-group
+        # classes other than 1 with f_p, ..., f_p^(n-1), so the growth after
+        # the last Sylow build makes (p^a - 1) - sum_i (p^e_i - 1) compositions
+        # per p^a || h, outside ``power``, the p^e_i being the p-parts of the
+        # elementary divisors: none for a cyclic group
         calls = 0
         in_power = False
         compose, power = QuadForm.compose, QuadForm.power
-        element_orders = classgroup._element_orders
+        build = classgroup._Sylow.__init__
 
         def counted(f, g):
             nonlocal calls
@@ -557,15 +571,17 @@ class TestCyclicWalk:
             finally:
                 in_power = False
 
-        def walked(forms, h):
+        def built(self, *args):
             nonlocal calls
-            result = element_orders(forms, h)
+            build(self, *args)
             calls = 0
-            return result
 
         monkeypatch.setattr(QuadForm, "compose", counted)
         monkeypatch.setattr(QuadForm, "power", uncounted)
-        monkeypatch.setattr(classgroup, "_element_orders", walked)
+        monkeypatch.setattr(classgroup._Sylow, "__init__", built)
         info = classgroup.group_structure(disc)
-        assert calls == sum(p**a - 1 for p, a in trial_factor(info.h))
-        assert calls < info.h - 1
+        expected = 0
+        for p, a in trial_factor(info.h):
+            p_parts = [math.gcd(d, p**a) for d in info.elementary_divisors]
+            expected += (p**a - 1) - sum(e - 1 for e in p_parts)
+        assert calls == expected == {-4873699: 0, -4689835: 10, -3835384: 9}[disc]

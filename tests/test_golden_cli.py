@@ -2,7 +2,9 @@
 
 Every subcommand runs in table, CSV and JSON form, and each run must
 reproduce the stdout bytes and exit code stored in ``golden/cli.json``:
-without a cache, with a cold cache and with the warm cache the cold run left.
+without a cache, with a cold cache, with the warm cache the cold run left
+and with that cache under ``--verify-cache``; the last two runs must leave
+the cache file byte for byte as the cold run wrote it.
 
 The goldens were captured from ``python -m quadclass``.  Regenerate them,
 only for an intended output change, with
@@ -76,13 +78,19 @@ def _cases():
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: " ".join(case["argv"]))
 def test_output_matches_golden(case, capsys, tmp_path, monkeypatch):
-    cache_file = str(tmp_path / "cache.jsonl")
-    for extra in ([], ["--cache", cache_file], ["--cache", cache_file]):
+    cache_file = tmp_path / "cache.jsonl"
+    cache = ["--cache", str(cache_file)]
+    filed = []
+    for extra in ([], cache, cache, cache + ["--verify-cache"]):
         # an empty memo makes the warm run read the file, not the process memory
         monkeypatch.setattr(result_cache, "_memo", {})
         code = cli.main(case["argv"] + extra)
         out = capsys.readouterr().out
         assert (code, out.encode()) == (case["exit"], case["stdout"].encode()), extra
+        if extra:
+            filed.append(cache_file.read_bytes() if cache_file.exists() else None)
+    # the warm and the verified run leave the file as the cold run wrote it
+    assert filed[1:] == filed[:1] * 2
 
 
 def _capture() -> list[dict]:
