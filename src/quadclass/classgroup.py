@@ -314,7 +314,8 @@ class _Sylow:
     G_p is built from the p-parts f^(h/p^a) of the forms, drawn in form
     order: each new p-part g is walked, each power checked to be reduced,
     and G_p grows by the cosets of <g> until it has p^a classes.  Each walk
-    places the classes it meets (``_place``); then the classes of G_p that
+    places the classes it meets (``_place``), one record per class holding
+    its walk, its place in it and its order; then the classes of G_p that
     no walk has placed are walked, in sorted order.  A walk of n classes
     places every generator of its cyclic subgroup for the first time, at
     least phi(n) classes, so the walks make at most p^a * p/(p - 1) <= 2 p^a
@@ -326,8 +327,7 @@ class _Sylow:
         self._cofactor = h // q
         self._disc = ident.discriminant
         self._parts: dict[QuadForm, QuadForm] = {}
-        self.orders: dict[QuadForm, int] = {}
-        self._places: dict[QuadForm, tuple[list[QuadForm], int]] = {}
+        self._places: dict[QuadForm, tuple[list[QuadForm], int, int]] = {}
         group = {ident}
         for f in forms:
             if len(group) == q:
@@ -350,22 +350,23 @@ class _Sylow:
                 f"of order {len(group)} < {q}"
             )
         for g in sorted(group):
-            if g not in self.orders:
+            if g not in self._places:
                 self._place(_walk(g, ident, q))
         self.group = group
         self.subgroup = {ident}
 
     def _place(self, walk: list[QuadForm]) -> None:
-        """Record each class g = walk[k-1] = f^k of f's walk, n = ord(f) =
-        len(walk): ord(g) = n / gcd(k, n), and g^j = walk[(k*j - 1) % n] with
-        no further composition.  A class met with two different orders raises
+        """Record (walk, k, ord(g)) for each class g = walk[k-1] = f^k of f's
+        walk, n = ord(f) = len(walk), unless an earlier walk met g: ord(g) =
+        n / gcd(k, n), and g^j = walk[(k*j - 1) % n] with no further
+        composition.  A class met with two different orders raises
         InconsistencyError."""
         n = len(walk)
         for k, g in enumerate(walk, 1):
             order = n // math.gcd(k, n)
-            if self.orders.setdefault(g, order) != order:
-                raise InconsistencyError(f"class {g} met with orders {self.orders[g]} and {order}")
-            self._places.setdefault(g, (walk, k))
+            placed = self._places.setdefault(g, (walk, k, order))[2]
+            if placed != order:
+                raise InconsistencyError(f"class {g} met with orders {placed} and {order}")
 
     def part(self, f: QuadForm) -> QuadForm:
         """f^(h/p^a), memoized; it must be a reduced form."""
@@ -376,30 +377,30 @@ class _Sylow:
         return g
 
     def order(self, g: QuadForm) -> int:
-        n = self.orders.get(g)
-        if n is None:
+        place = self._places.get(g)
+        if place is None:
             raise InconsistencyError(f"{g} is not in the {self.p}-part of its class group")
-        return n
+        return place[2]
 
     def _power(self, g: QuadForm, j: int) -> QuadForm:
         """g^j, read off g's walk: g = walk[k-1] = f^k gives g^j = f^(kj)."""
-        walk, k = self._places[g]
+        walk, k, _ = self._places[g]
         return walk[(k * j - 1) % len(walk)]
 
     def powers(self, g: QuadForm) -> list[QuadForm]:
         """g, g^2, ..., g^(n-1) for n = ord(g)."""
-        return [self._power(g, j) for j in range(1, self.orders[g])]
+        return [self._power(g, j) for j in range(1, self._places[g][2])]
 
     def free(self, g: QuadForm) -> bool:
         """Whether <g> meets H_p only in 1.  Every nontrivial subgroup of the
         cyclic p-group <g> holds g^(n/p), n = ord(g), so one lookup decides."""
-        n = self.orders[g]
+        n = self._places[g][2]
         return n == 1 or self._power(g, n // self.p) not in self.subgroup
 
     def exponent(self) -> int:
         """exp(G_p/H_p), the largest order of a g in G_p with <g> meeting H_p
         only in 1, since H_p stays a direct summand of G_p."""
-        return max(n for g, n in self.orders.items() if self.free(g))
+        return max(n for g, (_, _, n) in self._places.items() if self.free(g))
 
 
 def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupInfo:
@@ -427,10 +428,10 @@ def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupIn
     the sum direct; the orders t of the picks are the elementary divisors,
     largest first.  A form is tested first by whether f^t is principal, then
     by ord(f) = prod_p ord(f_p) and the p-parts; one that fails the power
-    test, or whose <f> meets H, fails in every later round too and is
-    dropped.  The first round skips the power test: with H = 1 every order
-    divides t = exp(G).  A form of order 1 is skipped, so t = 1 while H < G
-    ends in "ran out".
+    test, or whose <f> meets H, fails in every later round too, and its
+    order is recorded as 0, which no t is.  The first round skips the power
+    test: with H = 1 every order divides t = exp(G).  A form of order 1 is
+    skipped, so t = 1 while H < G ends in "ran out".
 
     Each H_p grows by composing its classes other than 1 with f_p, ...,
     f_p^(ord(f_p)-1), read off f_p's walk, and checks that the sum is direct;
@@ -439,7 +440,8 @@ def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupIn
     the p^e_i being the p-parts of the elementary divisors: none for a
     cyclic G_p.  With the walks of G_p, at most 2 p^a, and its growth, under
     p^a, each Sylow subgroup costs fewer than 4 p^a compositions besides the
-    p-parts f^(h/p^a).
+    p-parts f^(h/p^a).  None of these compositions, nor any inside
+    ``QuadForm.power``, has the principal class as an operand.
     """
     h = class_number_forms(disc, max_disc)
     if h > DEFAULT_STRUCTURE_CAP:
@@ -452,25 +454,23 @@ def group_structure(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> ClassGroupIn
         _Sylow(p, p**a, h, copy.copy(forms), ident)
         for p, a in intmath.factor(h, use_cache=False).factors
     ]
+    # ord(f) in G for each form f tried, 0 once f can never be picked
     orders: dict[QuadForm, int] = {}
-    dropped: set[QuadForm] = set()
     picks: list[tuple[QuadForm, int]] = []
     while any(len(s.subgroup) < s.q for s in sylows):
         t = math.prod(s.exponent() for s in sylows)
         for f in copy.copy(forms):
-            if f in dropped:
-                continue
             n = orders.get(f)
             if n is None:
                 if picks and f.power(t) != ident:
-                    dropped.add(f)
+                    orders[f] = 0
                     continue
                 n = orders[f] = math.prod(s.order(s.part(f)) for s in sylows)
             if n != t or n == 1:
                 continue
             if all(s.free(s.part(f)) for s in sylows):
                 break
-            dropped.add(f)
+            orders[f] = 0
         else:
             raise InconsistencyError(
                 f"the classes of disc {disc} ran out at a subgroup of order "

@@ -23,4 +23,7 @@ class ResourceCapError(QuadclassError, RuntimeError):
 
 
 class InconsistencyError(QuadclassError, RuntimeError):
-    """An internal invariant failed.  Indicates a bug, not bad input."""
+    """An internal invariant failed, or data the package reads back failed
+    its check: a damaged shipped class-number table, or a cached class
+    number that disagrees with the table or fails the genus rule.  Indicates
+    a bug or damaged data, not bad input."""

@@ -148,15 +148,17 @@ class QuadForm:
     def power(self, k: int) -> "QuadForm":
         """Reduced k-th power of the class, square-and-multiply; k >= 0.
 
-        The lowest set bit of k starts the product, so no composition is
-        spent on the identity."""
+        No composition has the principal class as an operand: that is the
+        one reduced form with a = 1.  The squaring stops once the running
+        square is principal, since every later bit adds nothing, and a
+        principal or empty product takes the square as it is."""
         if k < 0:
             raise InputError(f"exponent must be non-negative, got {k}")
         result = None
         base = self.reduced()
-        while k:
+        while k and base.a != 1:
             if k & 1:
-                result = base if result is None else result.compose(base)
+                result = base if result is None or result.a == 1 else result.compose(base)
             k >>= 1
             if k:
                 base = base.compose(base)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import classgroup, intmath
-from .errors import InconsistencyError, InputError, QuadclassError
+from .errors import InconsistencyError, InputError, ResourceCapError
 from .qform import DEFAULT_DISC_CAP, QuadForm
 
 
@@ -149,7 +149,7 @@ def _scan_standard(x, n, y, max_disc, budget):
         if x * x >= y**n:
             return ScanRecord(y=y, status="skipped", reason="x^2 >= y^n")
         report = verify_instance(Instance(x, y, n), max_disc, budget)
-    except QuadclassError as exc:
+    except ResourceCapError as exc:
         return ScanRecord(y=y, status="error", reason=str(exc))
     return ScanRecord(y=y, status="ok", witness=report)
 
@@ -164,7 +164,7 @@ def _scan_four(x, n, y, max_disc, budget):
         value = x * x - 4 * y**n
         decomp = intmath.squarefree_part(value, budget)
         h, disc, d_sf = classgroup.class_number_of_squarefree(decomp.d, max_disc)
-    except QuadclassError as exc:
+    except ResourceCapError as exc:
         return ScanRecord(y=y, status="error", reason=str(exc))
     rec = FourVariantRecord(d=-d_sf, t=decomp.t, disc=disc, h=h, divisible=h % n == 0)
     return ScanRecord(y=y, status="ok", four=rec)
@@ -182,8 +182,9 @@ def scan(
     """One record per y in [y_from, y_to]: witness reports (standard variant),
     divisibility-only records (four variant), or skip/error markers.
 
-    Per-instance failures are captured in the record instead of aborting the
-    sweep; records always come back in ascending y order.
+    An instance over a cap (disc cap, factoring budget, power-bits bound) is
+    captured as an error record instead of aborting the sweep; a failed
+    consistency check raises.  Records always come back in ascending y order.
     """
     if variant not in ("standard", "four"):
         raise InputError(f"variant must be 'standard' or 'four', got {variant!r}")

@@ -27,3 +27,18 @@ def table_reads(monkeypatch):
 
     monkeypatch.setattr(qform, "_class_numbers", Spy)
     return reads
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """The operands (f, g) of every ``QuadForm.compose`` call made during
+    the test, in order."""
+    calls = []
+    compose = qform.QuadForm.compose
+
+    def recorded(f, g):
+        calls.append((f, g))
+        return compose(f, g)
+
+    monkeypatch.setattr(qform.QuadForm, "compose", recorded)
+    return calls

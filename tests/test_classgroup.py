@@ -344,7 +344,7 @@ class TestGroupStructure:
         # every class a walk meets reported as order 1: none can extend the subgroup
         def all_order_one(self, walk):
             for g in walk:
-                self.orders[g], self._places[g] = 1, ([g], 1)
+                self._places[g] = ([g], 1, 1)
 
         monkeypatch.setattr(classgroup._Sylow, "_place", all_order_one)
         with pytest.raises(InconsistencyError, match="ran out"):
@@ -451,7 +451,7 @@ class TestCyclicWalk:
                 continue
             forms, h, parts = sylows(disc)
             for s in parts:
-                assert set(s.orders) == s.group, disc
+                assert s._places.keys() == s.group, disc
             for f in forms:
                 order = math.prod(s.order(s.part(f)) for s in parts)
                 assert order == classgroup.order_of_class(f, h), (disc, f)
@@ -464,10 +464,22 @@ class TestCyclicWalk:
         for s in parts:
             assert set(s._places) == s.group
             for g in s.group:
-                walk, k = s._places[g]
+                walk, k, n = s._places[g]
                 assert walk[k - 1] == g
-                for j in range(1, s.orders[g] + 1):
+                for j in range(1, n + 1):
                     assert s._power(g, j) == g.power(j)
+
+    def test_class_met_with_two_orders_raises(self):
+        # (2, 1, 3) has order 3 at -23; a walk that closes after it says 2
+        (s,) = sylows(-23)[2]
+        with pytest.raises(InconsistencyError, match=r"\(2,1,3\) met with orders 3 and 2"):
+            s._place([QuadForm(2, 1, 3), qform.identity_form(-23)])
+
+    def test_class_outside_the_p_part_raises(self):
+        # h(-87) = 6: the classes of order 3 are not in the 2-part
+        _, _, (two, three) = sylows(-87)
+        with pytest.raises(InconsistencyError, match="not in the 2-part"):
+            two.order(max(three.group))
 
     def test_order_not_dividing_h_raises(self):
         # as order_of_class does for a wrong multiple of the order: h(-23) = 3
@@ -528,6 +540,44 @@ class TestCyclicWalk:
         monkeypatch.setattr(classgroup._Sylow, "free", lambda self, g: True)
         with pytest.raises(InconsistencyError, match="grows a subgroup"):
             classgroup.group_structure(disc)
+
+    def test_growth_past_the_p_part_raises(self, monkeypatch):
+        # a growth that returns all 6 classes of -87 to the 2-part, of order 2
+        forms = qform.enumerate_reduced(-87)
+        monkeypatch.setattr(classgroup, "_grown", lambda subgroup, steps, by: set(forms))
+        with pytest.raises(InconsistencyError, match="2-part of disc -87 outgrows 2 classes"):
+            classgroup.group_structure(-87)
+
+    def test_subgroup_other_than_the_group_raises(self, monkeypatch):
+        # once the rounds start, each growth of H_p puts a class of order 6
+        # in place of its largest class: H_p reaches |G_p| classes, not G_p
+        forms = qform.enumerate_reduced(-87)
+        grown, exponent = classgroup._grown, classgroup._Sylow.exponent
+        rounds = False
+
+        def swapped(subgroup, steps, by):
+            out = grown(subgroup, steps, by)
+            if rounds:
+                out = out - {max(out)} | {min(f for f in forms if f not in out)}
+            return out
+
+        def flagged(self):
+            nonlocal rounds
+            rounds = True
+            return exponent(self)
+
+        monkeypatch.setattr(classgroup, "_grown", swapped)
+        monkeypatch.setattr(classgroup._Sylow, "exponent", flagged)
+        with pytest.raises(InconsistencyError, match="does not exhaust"):
+            classgroup.group_structure(-87)
+
+    @pytest.mark.parametrize("disc", [-4873699, -4689835, -3835384])
+    def test_no_principal_operand(self, compositions, disc):
+        # cyclic, (2, 2, 124) and (4, 124): the principal class, the one
+        # reduced form with a = 1, is never composed, inside ``power`` or out
+        classgroup.group_structure(disc)
+        assert compositions
+        assert [(f, g) for f, g in compositions if f.a == 1 or g.a == 1] == []
 
     def test_compose_calls_bounded(self, monkeypatch):
         calls = 0

@@ -539,6 +539,26 @@ class TestDeterminismAndCache:
         assert out == ""
         assert "consistency failure: witness order 5 does not divide h = 7" in err
 
+    @pytest.mark.parametrize(
+        "argv,disc",
+        [
+            (["--x", "2", "--n", "3", "--from", "3", "--to", "5", "--json"], -23),
+            (["--x", "1", "--n", "3", "--from", "3", "--to", "3", "--variant", "four"], -107),
+        ],
+        ids=["standard", "four"],
+    )
+    def test_scan_fails_on_a_wrong_cached_class_number(self, capsys, tmp_path, fresh_memo,
+                                                       argv, disc):
+        # only an instance over a cap becomes an error record; a failed
+        # consistency check exits 1, as in every other command
+        cache_file = tmp_path / "cache.jsonl"
+        cache_file.write_text(f'{{"key":"h:{disc}","v":1,"value":"6"}}\n')
+        code, out, err = run(["scan", *argv, "--cache", str(cache_file)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"consistency failure: cached class number 6 of disc {disc} differs from the table's 3\n"
+        )
+
     def test_cache_in_missing_directory_is_input_error(self, capsys, tmp_path):
         cache_file = tmp_path / "missing" / "c.jsonl"
         code, out, err = run(["classnum", "--d", "-23", "--cache", str(cache_file)], capsys)

@@ -116,6 +116,13 @@ class TestVerifyInstance:
         assert rep.d == 8120597 and rep.disc == -32482388
         assert factored == [8120597, 3]
 
+    @pytest.mark.parametrize("x,y,n", [(2, 3, 3), (2, 5, 3), (1, 3, 5), (2, 15, 5), (40, 3, 9)])
+    def test_no_principal_operand(self, compositions, x, y, n):
+        # witness orders 3, 1, 1, 5 and 3: the powers in ``order_of_class``
+        # never compose with the principal class, the reduced form with a = 1
+        witness.verify_instance(Instance(x, y, n))
+        assert [(f, g) for f, g in compositions if f.a == 1 or g.a == 1] == []
+
     def test_structural_invariants_small_sweep(self):
         for n in (3, 5):
             for x in (1, 2, 3):
