@@ -233,6 +233,14 @@ def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> F
     return FieldClassNumber(h=h, disc=disc, d_sf=d_sf)
 
 
+def h_needs_recount(disc: int) -> bool:
+    """Whether the h that ``class_number_of_squarefree`` gave for disc may be
+    a cache file's value that only the genus rule checked: |disc| is at least
+    2^16 and ``lookup`` has read from a cache file in this process.  Any
+    other h equals the shipped table's entry or the form count."""
+    return -disc >= qform._TABLE_TOP and result_cache.file_was_read()
+
+
 def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:
     """Multiplicative order of the class [f], given a multiple h of it.
 

@@ -218,8 +218,10 @@ class TestOutputFlags:
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty in-process memo, so a run reads its cache file."""
+    """An empty in-process memo, so a run reads its cache file, in a process
+    that has read no cache file."""
     monkeypatch.setattr(result_cache, "_memo", {})
+    monkeypatch.setattr(result_cache, "_file_read", False)
 
 
 class TestDeterminismAndCache:
@@ -526,6 +528,19 @@ class TestDeterminismAndCache:
             result_cache.lookup(key, lambda: computed.append(key) or key, read=None, write=None)
         assert computed == ["a", "b", "c", "a"]
         assert list(result_cache._memo) == ["c", "a"]
+        # computed values read no file; a value read from one marks the
+        # process for good, after the file is deactivated and the memo has
+        # dropped the value
+        assert not result_cache.file_was_read()
+        monkeypatch.setattr(result_cache, "_active", object())
+        result_cache.lookup("d", None, read=lambda file: "filed", write=lambda file, value: None)
+        result_cache.activate(None)
+        assert result_cache.file_was_read()
+        for key in ("e", "f"):
+            result_cache.lookup(key, lambda: key, read=None, write=None)
+        assert list(result_cache._memo) == ["e", "f"]
+        assert result_cache.lookup("d", lambda: "counted", read=None, write=None) == "counted"
+        assert result_cache.file_was_read()
 
     def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
         # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a

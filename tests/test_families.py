@@ -4,7 +4,13 @@ import pytest
 
 from quadclass import cache as result_cache
 from quadclass import classgroup, cli, families, intmath, qform
-from quadclass.errors import InputError, ResourceCapError
+from quadclass.errors import InconsistencyError, InputError, ResourceCapError
+
+
+def empty_memo(monkeypatch):
+    """An empty memo in a process that has read no cache file."""
+    monkeypatch.setattr(result_cache, "_memo", {})
+    monkeypatch.setattr(result_cache, "_file_read", False)
 
 
 class TestCohn:
@@ -91,7 +97,7 @@ class TestIizuka:
             factored.append(n)
             return factor(n, *args, **kwargs)
 
-        monkeypatch.setattr(result_cache, "_memo", {})
+        empty_memo(monkeypatch)
         monkeypatch.setattr(intmath, "factor", recorded)
         rep = families.iizuka_family(3, 1, 1)
         assert [m.d_sf for m in rep.members] == [-7, -38]
@@ -317,6 +323,8 @@ class TestSearchSieve:
 
     WINDOW = (-1_000_150, -1_000_001)
     NEAR_WINDOW = (-9200, -9001)
+    # |disc| = 4|d_sf| of these fields straddles 2^16
+    STRADDLE = (-16_700, -16_100)
 
     @staticmethod
     def count_by_enumeration(monkeypatch):
@@ -327,7 +335,7 @@ class TestSearchSieve:
 
     @staticmethod
     def search_from_cold_memo(monkeypatch, window):
-        monkeypatch.setattr(result_cache, "_memo", {})
+        empty_memo(monkeypatch)
         lo, hi = window
         hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
         return hits, dict(result_cache._memo)
@@ -367,7 +375,7 @@ class TestSearchSieve:
             lo, hi = window
             args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to",
                     str(hi), "--max-hits", "1000", "--json", "--cache", str(path)]
-            monkeypatch.setattr(result_cache, "_memo", {})
+            empty_memo(monkeypatch)
             assert cli.main(args) == 0
             return capsys.readouterr().out, sorted(path.read_text().splitlines())
 
@@ -387,15 +395,15 @@ class TestSearchSieve:
         path = tmp_path / "c.jsonl"
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
                 "--max-hits", "1000", "--json", "--cache", str(path)]
-        monkeypatch.setattr(result_cache, "_memo", {})
+        empty_memo(monkeypatch)
         assert cli.main(args) == 0
         cold = len(table_reads)
         filed = path.read_text()
-        monkeypatch.setattr(result_cache, "_memo", {})
+        empty_memo(monkeypatch)
         assert cli.main(args) == 0
         cold_out, warm_out = capsys.readouterr().out.splitlines()
         # below 2^16 a warm read is checked against the table, so the warm
-        # run reads it once per field and hit recount, as the cold run does
+        # run reads it once per field, as the cold run does
         assert warm_out == cold_out
         assert len(json.loads(warm_out)["hits"]) > 5
         assert len(table_reads) - cold == cold > 0
@@ -415,7 +423,7 @@ class TestSearchSieve:
         )
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(7 * member.h), "v": 1}) + "\n")
-        monkeypatch.setattr(result_cache, "_memo", {})
+        empty_memo(monkeypatch)
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
                 "--max-hits", "1000", "--json", "--cache", str(path)]
         assert cli.main(args) == 1
@@ -423,6 +431,102 @@ class TestSearchSieve:
         assert "re-verification failed" in captured.err
         assert f"d={hit.base_d}" in captured.err
         assert str(hit.base_d) not in captured.out
+
+    @staticmethod
+    def counted_discs(monkeypatch):
+        """The disc of every ``qform.count_reduced`` call from now on, in order."""
+        discs = []
+        count = qform.count_reduced
+
+        def recorded(disc, *args, **kwargs):
+            discs.append(disc)
+            return count(disc, *args, **kwargs)
+
+        monkeypatch.setattr(qform, "count_reduced", recorded)
+        return discs
+
+    def test_cold_search_counts_each_field_once(self, monkeypatch):
+        monkeypatch.setattr(result_cache, "_active", None)
+        discs = self.counted_discs(monkeypatch)
+        hits, _ = self.search_from_cold_memo(monkeypatch, self.WINDOW)
+        assert len(hits) > 5
+        # a hit's fields were counted by its look-ups; none is counted again
+        assert len(discs) == len(set(discs)) > 0
+        assert {m.disc for hit in hits for m in hit.members} <= set(discs)
+
+    def test_warm_search_recounts_only_hit_members_from_the_table_top(self, monkeypatch, tmp_path):
+        lo, hi = self.STRADDLE
+
+        def search(path):
+            empty_memo(monkeypatch)
+            with result_cache.ResultCache(str(path)) as file:
+                result_cache.activate(file)
+                try:
+                    return families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
+                finally:
+                    result_cache.activate(None)
+
+        path = tmp_path / "c.jsonl"
+        discs = self.counted_discs(monkeypatch)
+        cold = search(path)
+        # the cold run reads nothing from its file, so it recounts nothing
+        assert len(discs) == len(set(discs)) > 0
+        discs.clear()
+        assert search(path) == cold
+        members = [m.disc for hit in cold for m in hit.members]
+        high = sorted(disc for disc in members if -disc >= qform._TABLE_TOP)
+        low = [disc for disc in members if -disc < qform._TABLE_TOP]
+        assert high and low
+        # from 2^16 up every count is a hit member's recount, one per member
+        assert sorted(disc for disc in discs if -disc >= qform._TABLE_TOP) == high
+        # below it each count is a file entry's table check, one per field
+        below = [disc for disc in discs if -disc < qform._TABLE_TOP]
+        assert len(below) == len(set(below)) and set(low) <= set(below)
+
+    def wrong_file(self, tmp_path):
+        """A hit, its first member from 2^16 up, and a cache file holding 7h
+        for that member, which keeps 3 | h and passes the genus rule."""
+        lo, hi = self.STRADDLE
+        hit, member = next(
+            (hit, m)
+            for hit in families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
+            for m in hit.members
+            if -m.disc >= qform._TABLE_TOP
+        )
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(7 * member.h), "v": 1}) + "\n")
+        failure = (
+            rf"re-verification failed at d={hit.base_d}, offset={member.offset}: "
+            rf"h={7 * member.h}, fresh={member.h}$"
+        )
+        return hit, member, path, failure
+
+    def test_wrong_file_entry_fails_the_hit_after_the_file_is_deactivated(self, monkeypatch, tmp_path):
+        hit, member, path, failure = self.wrong_file(tmp_path)
+        empty_memo(monkeypatch)
+        with result_cache.ResultCache(str(path)) as file:
+            result_cache.activate(file)
+            try:
+                # 7h passes the genus rule, so the read enters the memo
+                assert classgroup.class_number_of_squarefree(member.d_sf).h == 7 * member.h
+            finally:
+                result_cache.activate(None)
+        with pytest.raises(InconsistencyError, match=failure):
+            families.search_successive(3, [0, 1, 4], hit.base_d, hit.base_d)
+
+    @pytest.mark.parametrize("memo_max", [1, 2, 3, 4, 5, 6, 8])
+    def test_wrong_file_entry_fails_the_hit_when_the_memo_drops_it(self, monkeypatch, tmp_path, memo_max):
+        # a small memo drops the filed value between the hit's look-ups
+        hit, _, path, failure = self.wrong_file(tmp_path)
+        empty_memo(monkeypatch)
+        monkeypatch.setattr(result_cache, "MEMO_MAX", memo_max)
+        with result_cache.ResultCache(str(path)) as file:
+            result_cache.activate(file)
+            try:
+                with pytest.raises(InconsistencyError, match=failure):
+                    families.search_successive(3, [0, 1, 4], hit.base_d, hit.base_d)
+            finally:
+                result_cache.activate(None)
 
     def test_value_over_the_cap_still_raises(self):
         with pytest.raises(ResourceCapError):

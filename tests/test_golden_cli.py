@@ -84,6 +84,7 @@ def test_output_matches_golden(case, capsys, tmp_path, monkeypatch):
     for extra in ([], cache, cache, cache + ["--verify-cache"]):
         # an empty memo makes the warm run read the file, not the process memory
         monkeypatch.setattr(result_cache, "_memo", {})
+        monkeypatch.setattr(result_cache, "_file_read", False)
         code = cli.main(case["argv"] + extra)
         out = capsys.readouterr().out
         assert (code, out.encode()) == (case["exit"], case["stdout"].encode()), extra
