@@ -3,12 +3,9 @@ over an optional append-only, line-delimited file.
 
 ``lookup`` is the one path to a cached value: the memo, then the active file,
 then a fresh computation, written through to both.  The memo holds decoded
-values, at most ``MEMO_MAX`` of them, dropping the oldest first.
-``file_was_read`` tells whether any value has come from a file in this
-process; it stays true after the file is deactivated and after the memo
-drops that value, so that a search recounts only in a process a file has
-supplied.  Callers check what they read from the file before it enters the
-memo.
+values, at most ``MEMO_MAX`` of them, dropping the oldest first.  This
+module only stores values; callers judge what they read from the file, in
+their ``read``, before it enters the memo.
 
 The file format is one JSON object per line: {"key": ..., "value": ..., "v": 1}.
 Keys are canonical strings ("factor:<n>" or "h:<disc>"); values are canonical
@@ -38,7 +35,6 @@ MEMO_MAX = 1 << 18
 _active: "ResultCache | None" = None
 _active_lock = threading.Lock()
 _memo: dict = {}
-_file_read = False  # set by the first value ``read`` returns, never cleared
 _memo_lock = threading.Lock()
 
 
@@ -55,10 +51,8 @@ def lookup(key: str, compute, read, write):
     returns None for a missing or rejected entry, and last calls
     ``compute()``.  The value is then memoized and, when a file is active,
     stored there with ``write(file, value)``, so a memo hit also fills a file
-    that lacks the entry.  A value from ``read`` makes ``file_was_read()``
-    true for the rest of the process.
+    that lacks the entry.
     """
-    global _file_read
     file = _active
     value = _memo.get(key)
     if value is None:
@@ -66,8 +60,6 @@ def lookup(key: str, compute, read, write):
             value = read(file)
         if value is None:
             value = compute()
-        else:
-            _file_read = True
         with _memo_lock:
             if len(_memo) >= MEMO_MAX:
                 del _memo[next(iter(_memo))]
@@ -75,13 +67,6 @@ def lookup(key: str, compute, read, write):
     if file is not None:
         write(file, value)
     return value
-
-
-def file_was_read() -> bool:
-    """Whether ``lookup`` has read any value from a cache file in this
-    process, whether or not that file is still active or the memo still
-    holds the value."""
-    return _file_read
 
 
 def encode_factorization(sign: int, factors) -> str:

@@ -176,6 +176,13 @@ class FieldClassNumber(NamedTuple):
     d_sf: int
 
 
+# Set by the first h from 2^16 up that ``_read_h`` reads from a cache file,
+# never cleared: a single bool assignment, and one per process, since a set of
+# discs would grow with the file and a mark kept with the memo would be lost
+# when the memo drops the value.
+_genus_read = False
+
+
 def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
     """h(disc) from the file, checked, disc being the discriminant of d_sf;
     None when it is missing or below 1, which no class number is, so that
@@ -185,7 +192,10 @@ def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
     From there on it must pass the genus rule, mu being the number of primes
     dividing |disc|, read from ``intmath.factor(d_sf, use_cache=False)``,
     which files nothing: that catches every h +- 1, but not an error that is
-    a multiple of 2^max(1, mu-1).  A value that fails raises InconsistencyError."""
+    a multiple of 2^max(1, mu-1), so such a read sets ``_genus_read`` for the
+    rest of the process (see ``h_needs_recount``).  A value that fails raises
+    InconsistencyError."""
+    global _genus_read
     h = file.get_h(disc)
     if h is None or h < 1:
         return None
@@ -193,6 +203,7 @@ def _read_h(file: result_cache.ResultCache, d_sf: int, disc: int) -> int | None:
         table = qform.count_reduced(disc)
         wrong = "" if h == table else f"differs from the table's {table}"
     else:
+        _genus_read = True
         # 2 divides |disc| = 4|d_sf| but not d_sf exactly when disc = 4 (mod 8)
         mu = len(intmath.factor(d_sf, use_cache=False).factors) + (disc % 8 == 4)
         wrong = "" if _genus_ok(h, mu) else f"fails the genus rule (mu = {mu})"
@@ -236,9 +247,10 @@ def class_number_of_squarefree(d_sf: int, max_disc: int = DEFAULT_DISC_CAP) -> F
 def h_needs_recount(disc: int) -> bool:
     """Whether the h that ``class_number_of_squarefree`` gave for disc may be
     a cache file's value that only the genus rule checked: |disc| is at least
-    2^16 and ``lookup`` has read from a cache file in this process.  Any
-    other h equals the shipped table's entry or the form count."""
-    return -disc >= qform._TABLE_TOP and result_cache.file_was_read()
+    2^16 and ``_read_h`` has read an h from 2^16 up from a cache file in this
+    process, also one deactivated since or whose value the memo has dropped.
+    Any other h equals the shipped table's entry or the form count."""
+    return -disc >= qform._TABLE_TOP and _genus_read
 
 
 def order_of_class(f: QuadForm, h: int, budget: int | None = None) -> int:

@@ -13,11 +13,11 @@ Builders for three constructions and a brute-force search:
   one d after another.  Each field's h is looked up as
   ``classgroup.class_number_of_field`` finds it: a field with |disc| < 2^16
   is read from qform's shipped table, a larger one counted on its own.  A
-  hit member with |disc| >= 2^16 is recounted before it is reported once
-  the process has read any value from a cache file, as its h may be one
-  that only the genus rule checked.  No other member is: below 2^16 a
-  cached h was already checked against the table, and with no file read a
-  counted h would only be counted again.
+  hit member from |disc| = 2^16 up is recounted before it is reported once
+  the process has read an h from 2^16 up from a cache file, as its h may
+  be one that only the genus rule checked.  No other member is: below 2^16
+  a cached h was already checked against the table, and with no such read
+  an h from 2^16 up was counted and would only be counted again.
   Every builder and the search run sequentially; the search's ``threads``
   keyword accepts only 1.
 
@@ -304,9 +304,9 @@ def search_successive(
     By default the scan starts at the end nearest zero, so the first hits are
     the minimal exemplars, and it stops at the max_hits-th hit, so only the
     fields of the d checked so far are looked up, memoized and filed.  Once
-    the process has read a cache file, each hit member from |disc| = 2^16 up
-    is re-verified with a fresh form count, outside the memo and the cache
-    file, before the hit is reported.
+    the process has read an h from 2^16 up from a cache file, each hit
+    member from |disc| = 2^16 up is re-verified with a fresh form count,
+    outside the memo and the cache file, before the hit is reported.
 
     The search runs in order on the calling thread.  ``threads`` must be 1
     and any other value raises InputError; the keyword is kept only because
@@ -359,13 +359,14 @@ def search_successive(
 def _hit_report(d, n, offsets, max_disc, budget) -> FamilyReport:
     """The hit at d as a report.  A member for which
     ``classgroup.h_needs_recount`` holds, |disc| at least 2^16 in a process
-    that has read a cache file (also one deactivated since), is recounted
-    by ``qform.count_reduced``, which skips the memo and the file: its h may
-    be a file value that ``classgroup._read_h`` checked only by the genus
-    rule.  No other member is: below 2^16 ``_read_h`` already compared a
-    cached h with the shipped table's entry (checked by its SHA-256), which
-    a recount would read again, and with no file read h was counted, and
-    would be counted the same way twice.
+    that has read an h from 2^16 up from a cache file (also one deactivated
+    since), is recounted by ``qform.count_reduced``, which skips the memo
+    and the file: its h may be a file value that ``classgroup._read_h``
+    checked only by the genus rule.  No other member is: below 2^16
+    ``_read_h`` already compared a cached h with the shipped table's entry
+    (checked by its SHA-256), which a recount would read again, and with no
+    such read an h from 2^16 up was counted, and would be counted the same
+    way twice.
     The members' note keeps its words, which the golden CLI outputs pin,
     although no route enumerates."""
     note = "found by exhaustive search; re-verified by fresh enumeration"

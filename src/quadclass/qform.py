@@ -458,8 +458,6 @@ def prime_form(disc: int, q: int) -> QuadForm | None:
     2q - r are larger.
     """
     validate_discriminant(disc)
-    if q < 2 or not intmath.is_prime(q):
-        raise InputError(f"q must be prime, got {q}")
     if q == 2:
         rem = disc % 8
         if rem == 1:
@@ -471,7 +469,10 @@ def prime_form(disc: int, q: int) -> QuadForm | None:
         else:  # disc = 5 mod 8
             return None
     else:
-        r = intmath.sqrt_mod_prime(disc, q)
+        try:  # its primality test is the only one q gets
+            r = intmath.sqrt_mod_prime(disc, q)
+        except InputError:
+            raise InputError(f"q must be prime, got {q}") from None
         if r is None:
             return None
         b = r if (r - disc) % 2 == 0 else q - r

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from quadclass import qform
+from quadclass import cache as result_cache
+from quadclass import classgroup, qform
 
 settings.register_profile(
     "quadclass",
@@ -11,6 +12,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("quadclass")
+
+
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """A callable that empties the memo and clears ``classgroup``'s mark of a
+    genus-checked cache read, as in a process that has read no cache file;
+    the fixture calls it once before the test."""
+
+    def reset():
+        monkeypatch.setattr(result_cache, "_memo", {})
+        monkeypatch.setattr(classgroup, "_genus_read", False)
+
+    reset()
+    return reset
 
 
 @pytest.fixture

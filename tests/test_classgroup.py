@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -200,6 +202,59 @@ class TestClassNumberOfField:
                 if classgroup.class_number_forms(disc) == 1:
                     ones.add(disc)
         assert ones == HEEGNER
+
+    @staticmethod
+    def look_up(path, d_sf):
+        with result_cache.ResultCache(str(path)) as file:
+            result_cache.activate(file)
+            try:
+                return classgroup.class_number_of_squarefree(d_sf).h
+            finally:
+                result_cache.activate(None)
+
+    def test_only_a_genus_checked_cache_read_marks_the_process(self, tmp_path, monkeypatch, fresh_process):
+        # 1000003 is prime: h(-1000003) = 105, counted, then read from 2^16 up
+        assert self.look_up(tmp_path / "counted.jsonl", -1000003) == 105
+        assert not classgroup._genus_read
+        # h(-23) = 3 read from a file below 2^16 is checked against the table
+        below = tmp_path / "below.jsonl"
+        below.write_text('{"key":"h:-23","v":1,"value":"3"}\n')
+        assert self.look_up(below, -23) == 3
+        assert not classgroup._genus_read
+        assert not classgroup.h_needs_recount(-1000003)
+        fresh_process()
+        assert self.look_up(tmp_path / "counted.jsonl", -1000003) == 105
+        # the mark outlives the file, deactivated, and the value, dropped
+        assert classgroup._genus_read
+        monkeypatch.setattr(result_cache, "MEMO_MAX", 1)
+        assert classgroup.class_number_of_squarefree(-1000033).h
+        assert "h:-1000003" not in result_cache._memo
+        assert classgroup._genus_read
+        assert classgroup.h_needs_recount(-1000003)
+        assert not classgroup.h_needs_recount(-23)
+
+    def test_threads_share_one_cache_file(self, tmp_path, fresh_process):
+        lo = -1_000_300
+
+        def look_up_all(path, windows, workers):
+            with result_cache.ResultCache(str(path)) as file:
+                result_cache.activate(file)
+                try:
+                    with ThreadPoolExecutor(workers) as pool:
+                        return list(pool.map(lambda w: {d: classgroup.class_number_of_field(d) for d in w}, windows))
+                finally:
+                    result_cache.activate(None)
+
+        [alone] = look_up_all(tmp_path / "alone.jsonl", [range(lo, lo + 300)], 1)
+        fresh_process()
+        # four overlapping windows of 150 d, so most d are looked up twice
+        windows = [range(lo + 50 * i, lo + 50 * i + 150) for i in range(4)]
+        for window, found in zip(windows, look_up_all(tmp_path / "shared.jsonl", windows, 4)):
+            assert found == {d: alone[d] for d in window}
+        lines = (tmp_path / "shared.jsonl").read_text().splitlines()
+        keys = [json.loads(line)["key"] for line in lines]
+        assert len(keys) == len(set(keys)) == 600
+        assert sorted(lines) == sorted((tmp_path / "alone.jsonl").read_text().splitlines())
 
 
 class TestOrderOfClass:

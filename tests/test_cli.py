@@ -216,14 +216,6 @@ class TestOutputFlags:
         assert code == 2
 
 
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty in-process memo, so a run reads its cache file, in a process
-    that has read no cache file."""
-    monkeypatch.setattr(result_cache, "_memo", {})
-    monkeypatch.setattr(result_cache, "_file_read", False)
-
-
 class TestDeterminismAndCache:
     ARGS = ["family", "cor7", "--p", "5", "--k", "1", "--t", "1", "--json"]
 
@@ -274,6 +266,33 @@ class TestDeterminismAndCache:
         assert code == 1
         assert "FAILED" in err
 
+    # The fixed-seed sample of 16 among the 40 keys h:-3 .. h:-80 below; a
+    # change to it changes which entries of a user's file are checked.
+    SAMPLE = ["h:-15", "h:-19", "h:-23", "h:-28", "h:-31", "h:-4", "h:-43", "h:-44",
+              "h:-55", "h:-56", "h:-59", "h:-63", "h:-67", "h:-68", "h:-7", "h:-76"]
+
+    def test_verify_cache_checks_a_fixed_sample(self, capsys, tmp_path, fresh_process):
+        discs = [d for d in range(-3, -81, -1) if d % 4 in (0, 1)]
+        entries = {f"h:{d}": qform.count_reduced(d) for d in discs}
+        assert len(entries) == 40 and set(self.SAMPLE) < set(entries)
+
+        def write(path, wrong=()):
+            path.write_text("".join(
+                json.dumps({"key": key, "value": str(h + (key in wrong)), "v": 1}) + "\n"
+                for key, h in entries.items()
+            ))
+            return ["classnum", "--d", "-23", "--cache", str(path), "--verify-cache"]
+
+        code, _, err = run(write(tmp_path / "ok.jsonl"), capsys)
+        assert (code, err) == (0, "cache verification ok (40 entries, sample checked)\n")
+        # h:-7 is in the sample and h:-3 is not, so only h:-7 is reported
+        argv = write(tmp_path / "bad.jsonl", wrong={"h:-7", "h:-3"})
+        for _ in range(2):
+            fresh_process()
+            assert run(argv, capsys) == (1, "", "cache verification FAILED for: h:-7\n")
+        with result_cache.ResultCache(str(tmp_path / "bad.jsonl")) as cache:
+            assert cache.sample_keys(16) == self.SAMPLE
+
     def test_verify_cache_without_cache_is_input_error(self, capsys):
         code, _, _ = run(["classnum", "--verify-cache", "--", "-23"], capsys)
         assert code == 2
@@ -291,7 +310,7 @@ class TestDeterminismAndCache:
         assert "corrupt cache line 2 " not in err
         assert json.loads(out)["h"] == "3"
 
-    def test_undecodable_line_skipped_with_warning(self, capsys, tmp_path, fresh_memo):
+    def test_undecodable_line_skipped_with_warning(self, capsys, tmp_path, fresh_process):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_bytes(
             b'{"key":"h:-23","value":"3","v":1}\n'
@@ -306,7 +325,7 @@ class TestDeterminismAndCache:
             assert cache.get_h(-23) == 3
             assert cache.get_factor(-23) == (-1, ((23, 1),))
 
-    def test_append_after_a_torn_last_line(self, capsys, tmp_path, fresh_memo):
+    def test_append_after_a_torn_last_line(self, capsys, tmp_path, fresh_process):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"h:-23","value":"3","v":1}')  # no newline
         for _ in range(2):
@@ -320,7 +339,7 @@ class TestDeterminismAndCache:
             assert cache.get_h(-104) == 6
         assert cache_file.read_text().startswith('{"key":"h:-23","value":"3","v":1}\n{')
 
-    def test_wrong_factor_entry_is_recomputed(self, capsys, tmp_path, fresh_memo):
+    def test_wrong_factor_entry_is_recomputed(self, capsys, tmp_path, fresh_process):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"factor:-20","value":"-1:2^1,5^1","v":1}\n')
         code, out, err = run(["squarefree", "--n", "-20", "--json", "--cache", str(cache_file)], capsys)
@@ -330,7 +349,7 @@ class TestDeterminismAndCache:
         with result_cache.ResultCache(str(cache_file)) as cache:
             assert cache.get_factor(-20) == (-1, ((2, 2), (5, 1)))
 
-    def test_poisoned_factor_entry_is_refused_within_the_budget(self, capsys, tmp_path, fresh_memo):
+    def test_poisoned_factor_entry_is_refused_within_the_budget(self, capsys, tmp_path, fresh_process):
         # no Miller-Rabin base divides v, so checking the entry "v is prime"
         # would run full rounds on a 13995-bit number: the budget must refuse
         # the test before it runs, and the message must not print v
@@ -345,7 +364,7 @@ class TestDeterminismAndCache:
         assert err.startswith("resource cap: factoring budget exhausted; unfactored cofactor of 13995 bits")
         assert err.count("\n") == 1 and len(err.encode()) < 300
 
-    def test_cached_prime_above_the_deterministic_limit(self, capsys, tmp_path, fresh_memo,
+    def test_cached_prime_above_the_deterministic_limit(self, capsys, tmp_path, fresh_process,
                                                         monkeypatch):
         # its check costs 52 rounds of 100 * 2 units, and nothing is recomputed
         p = 633825300114114700748351602943
@@ -360,7 +379,7 @@ class TestDeterminismAndCache:
         assert (code, out) == (3, "")
         assert err == f"resource cap: factoring budget exhausted; unfactored cofactor {p}\n"
 
-    def test_wrong_class_number_entry_fails_the_table_check(self, capsys, tmp_path, fresh_memo):
+    def test_wrong_class_number_entry_fails_the_table_check(self, capsys, tmp_path, fresh_process):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text('{"key":"h:-23","value":"5","v":1}\n')
         code, out, err = run(["classnum", "--d", "-23", "--json", "--cache", str(cache_file)], capsys)
@@ -369,7 +388,7 @@ class TestDeterminismAndCache:
         assert "consistency failure" in err
 
     def test_cached_h_below_2_16_that_passes_the_genus_rule_fails_the_table_check(
-        self, capsys, tmp_path, fresh_memo
+        self, capsys, tmp_path, fresh_process
     ):
         # 20011 is prime and h(-20011) = 37: 259 = 7 * 37 is odd, as the
         # genus rule asks, but below 2^16 the table's count decides
@@ -382,7 +401,7 @@ class TestDeterminismAndCache:
             "differs from the table's 37\n"
         )
 
-    def test_no_serving_path_runs_the_character_sum(self, capsys, tmp_path, fresh_memo, monkeypatch):
+    def test_no_serving_path_runs_the_character_sum(self, capsys, tmp_path, fresh_process, monkeypatch):
         # the sum is the tests' second route; a run reads the table instead
         def refused(disc):
             pytest.fail(f"character sum run for disc {disc}")
@@ -399,7 +418,7 @@ class TestDeterminismAndCache:
         code, out, _ = run(["classnum", "--json", "--cache", str(cache_file), "--", "-23"], capsys)
         assert (code, json.loads(out)["h"]) == (0, "3")
 
-    def test_cached_h_above_the_limit_that_fails_the_genus_rule(self, capsys, tmp_path, fresh_memo):
+    def test_cached_h_above_the_limit_that_fails_the_genus_rule(self, capsys, tmp_path, fresh_process):
         # 1000003 is prime, so h(-1000003) = 105 must be odd; the later line wins
         cache_file = tmp_path / "cache.jsonl"
         argv = ["classnum", "--json", "--cache", str(cache_file), "--", "-1000003"]
@@ -415,7 +434,7 @@ class TestDeterminismAndCache:
             "fails the genus rule (mu = 1)\n"
         )
 
-    def test_warm_read_above_the_limit_files_nothing(self, capsys, tmp_path, fresh_memo):
+    def test_warm_read_above_the_limit_files_nothing(self, capsys, tmp_path, fresh_process):
         # the genus rule's factorization of d_sf is neither memoized nor filed
         cache_file = tmp_path / "cache.jsonl"
         argv = ["classnum", "--json", "--cache", str(cache_file), "--", "-1000003"]
@@ -427,7 +446,7 @@ class TestDeterminismAndCache:
         assert (code, warm, err) == (0, cold, "")
         assert cache_file.read_text().splitlines() == lines
 
-    def test_witness_files_the_field_alone(self, capsys, tmp_path, fresh_memo):
+    def test_witness_files_the_field_alone(self, capsys, tmp_path, fresh_process):
         # the witness order's factorization of n is neither memoized nor filed
         cache_file = tmp_path / "cache.jsonl"
         argv = ["witness", "--x", "2", "--y", "201", "--n", "3", "--json", "--cache", str(cache_file)]
@@ -453,7 +472,7 @@ class TestDeterminismAndCache:
             ("-1000013", "-4000052", 832, 836),
         ],
     )
-    def test_cached_h_with_several_prime_discriminants(self, capsys, tmp_path, fresh_memo, d, disc, h, wrong):
+    def test_cached_h_with_several_prime_discriminants(self, capsys, tmp_path, fresh_process, d, disc, h, wrong):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text(json.dumps({"key": f"h:{disc}", "v": 1, "value": str(h)}) + "\n")
         argv = ["classnum", "--json", "--cache", str(cache_file), "--", d]
@@ -467,7 +486,7 @@ class TestDeterminismAndCache:
         assert f"cached class number {wrong} of disc {disc} fails the genus rule" in err
 
     def test_correct_cached_h_above_the_limit_is_read_without_a_count(
-        self, capsys, tmp_path, fresh_memo, monkeypatch
+        self, capsys, tmp_path, fresh_process, monkeypatch
     ):
         cache_file = tmp_path / "cache.jsonl"
         argv = ["classnum", "--json", "--cache", str(cache_file), "--", "-1000013"]
@@ -480,7 +499,7 @@ class TestDeterminismAndCache:
         assert json.loads(warm)["h"] == "832"
         assert calls == []
 
-    def test_class_number_below_one_is_counted_again(self, capsys, tmp_path, fresh_memo):
+    def test_class_number_below_one_is_counted_again(self, capsys, tmp_path, fresh_process):
         # no class number is below 1: such a line reads as missing
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text(
@@ -512,7 +531,7 @@ class TestDeterminismAndCache:
             ),
         ],
     )
-    def test_undecodable_value_is_recomputed(self, capsys, tmp_path, fresh_memo, line, argv, out, superseding):
+    def test_undecodable_value_is_recomputed(self, capsys, tmp_path, fresh_process, line, argv, out, superseding):
         # the line loads, but its value reads as missing
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text(line + "\n")
@@ -520,7 +539,7 @@ class TestDeterminismAndCache:
         assert result == (0, out, "")
         assert superseding in cache_file.read_text().splitlines()[1:]
 
-    def test_memo_drops_its_oldest_entry(self, monkeypatch, fresh_memo):
+    def test_memo_drops_its_oldest_entry(self, monkeypatch, fresh_process):
         monkeypatch.setattr(result_cache, "MEMO_MAX", 2)
         monkeypatch.setattr(result_cache, "_active", None)
         computed = []
@@ -528,21 +547,16 @@ class TestDeterminismAndCache:
             result_cache.lookup(key, lambda: computed.append(key) or key, read=None, write=None)
         assert computed == ["a", "b", "c", "a"]
         assert list(result_cache._memo) == ["c", "a"]
-        # computed values read no file; a value read from one marks the
-        # process for good, after the file is deactivated and the memo has
-        # dropped the value
-        assert not result_cache.file_was_read()
+        # a value read from a file is dropped like a computed one
         monkeypatch.setattr(result_cache, "_active", object())
         result_cache.lookup("d", None, read=lambda file: "filed", write=lambda file, value: None)
         result_cache.activate(None)
-        assert result_cache.file_was_read()
         for key in ("e", "f"):
             result_cache.lookup(key, lambda: key, read=None, write=None)
         assert list(result_cache._memo) == ["e", "f"]
         assert result_cache.lookup("d", lambda: "counted", read=None, write=None) == "counted"
-        assert result_cache.file_was_read()
 
-    def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_memo):
+    def test_wrong_class_number_fails_the_witness_lagrange_check(self, capsys, tmp_path, fresh_process):
         # 15^5 - 2^2 = 759371: h = 325 and the witness has order 5, but a
         # cached h = 7 above 2^16 passes the genus rule, as
         # 759371 is prime and 7 is odd
@@ -562,7 +576,7 @@ class TestDeterminismAndCache:
         ],
         ids=["standard", "four"],
     )
-    def test_scan_fails_on_a_wrong_cached_class_number(self, capsys, tmp_path, fresh_memo,
+    def test_scan_fails_on_a_wrong_cached_class_number(self, capsys, tmp_path, fresh_process,
                                                        argv, disc):
         # only an instance over a cap becomes an error record; a failed
         # consistency check exits 1, as in every other command
@@ -609,7 +623,7 @@ class TestDeterminismAndCache:
         "key, value",
         [("factor:abc", "+1:"), ("h:-23x", "3"), ("h:5", "1"), ("factor:0", "+1:"), ("x:5", "1")],
     )
-    def test_verify_cache_reports_a_malformed_key(self, capsys, tmp_path, fresh_memo, key, value):
+    def test_verify_cache_reports_a_malformed_key(self, capsys, tmp_path, fresh_process, key, value):
         cache_file = tmp_path / "cache.jsonl"
         cache_file.write_text(json.dumps({"key": key, "value": value, "v": 1}) + "\n")
         code, out, err = run(
@@ -619,7 +633,7 @@ class TestDeterminismAndCache:
         assert out == ""
         assert err == f"cache verification FAILED for: {key}\n"
 
-    def test_budget_verdicts_do_not_depend_on_the_cache(self, capsys, tmp_path, fresh_memo):
+    def test_budget_verdicts_do_not_depend_on_the_cache(self, capsys, tmp_path, fresh_process):
         # At this budget some of the y^9 - 4 fit the rho budget and some do
         # not; a warm cache skips the factorizations it holds, which must not
         # change whether a later one fits.

@@ -7,12 +7,6 @@ from quadclass import classgroup, cli, families, intmath, qform
 from quadclass.errors import InconsistencyError, InputError, ResourceCapError
 
 
-def empty_memo(monkeypatch):
-    """An empty memo in a process that has read no cache file."""
-    monkeypatch.setattr(result_cache, "_memo", {})
-    monkeypatch.setattr(result_cache, "_file_read", False)
-
-
 class TestCohn:
     def test_examples(self):
         assert families.cohn_check(3, 3) == (6, True, False)
@@ -87,7 +81,7 @@ class TestIizuka:
         assert m1.asserted and m1.divisible  # 1 - 7^3 shape, unconditional
         assert rep.all_asserted_pass
 
-    def test_members_are_factored_once(self, monkeypatch):
+    def test_members_are_factored_once(self, monkeypatch, fresh_process):
         # -342 = -2 * 3^2 * 19: h is looked up for d_sf = -38 without
         # factoring it; the base member's part comes from factoring 1 - 2 = -7
         factored = []
@@ -97,7 +91,7 @@ class TestIizuka:
             factored.append(n)
             return factor(n, *args, **kwargs)
 
-        empty_memo(monkeypatch)
+        fresh_process()
         monkeypatch.setattr(intmath, "factor", recorded)
         rep = families.iizuka_family(3, 1, 1)
         assert [m.d_sf for m in rep.members] == [-7, -38]
@@ -334,25 +328,25 @@ class TestSearchSieve:
         monkeypatch.setattr(qform, "count_reduced", enumerated)
 
     @staticmethod
-    def search_from_cold_memo(monkeypatch, window):
-        empty_memo(monkeypatch)
+    def search_from_cold_memo(reset, window):
+        reset()
         lo, hi = window
         hits = families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
         return hits, dict(result_cache._memo)
 
-    def test_deep_window_hits_equal_field_by_field(self, monkeypatch, table_reads):
-        hits, memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
+    def test_deep_window_hits_equal_field_by_field(self, monkeypatch, fresh_process, table_reads):
+        hits, memo = self.search_from_cold_memo(fresh_process, self.WINDOW)
         # values with a large square factor have small fields
         assert table_reads, "the deep window should reach the table"
         # every read is an entry of a discriminant: none is entry 0, X = 0
         assert min(table_reads) > 0
         self.count_by_enumeration(monkeypatch)
-        reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.WINDOW)
+        reference, reference_memo = self.search_from_cold_memo(fresh_process, self.WINDOW)
         assert hits == reference
         assert len(hits) > 5
         assert memo == reference_memo
 
-    def test_near_window_hits_equal_field_by_field(self, monkeypatch, table_reads):
+    def test_near_window_hits_equal_field_by_field(self, monkeypatch, fresh_process, table_reads):
         factored, looked_up = [], []
         real_factor, real_field = intmath.factor, classgroup.class_number_of_squarefree
         monkeypatch.setattr(intmath, "factor", lambda *a, **k: factored.append(a) or real_factor(*a, **k))
@@ -360,22 +354,22 @@ class TestSearchSieve:
         monkeypatch.setattr(
             classgroup, "class_number_of_squarefree", lambda *a, **k: looked_up.append(a) or real_field(*a, **k)
         )
-        hits, memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
+        hits, memo = self.search_from_cold_memo(fresh_process, self.NEAR_WINDOW)
         assert table_reads, "the near window should reach the table"
         # each value is factored once per look-up and nowhere else
         assert len(factored) == len(looked_up) > 0
         self.count_by_enumeration(monkeypatch)
-        reference, reference_memo = self.search_from_cold_memo(monkeypatch, self.NEAR_WINDOW)
+        reference, reference_memo = self.search_from_cold_memo(fresh_process, self.NEAR_WINDOW)
         assert hits == reference
         assert len(hits) > 5
         assert memo == reference_memo
 
-    def test_cache_file_gets_the_same_entries(self, monkeypatch, tmp_path, capsys):
+    def test_cache_file_gets_the_same_entries(self, monkeypatch, fresh_process, tmp_path, capsys):
         def run(window, path):
             lo, hi = window
             args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to",
                     str(hi), "--max-hits", "1000", "--json", "--cache", str(path)]
-            empty_memo(monkeypatch)
+            fresh_process()
             assert cli.main(args) == 0
             return capsys.readouterr().out, sorted(path.read_text().splitlines())
 
@@ -390,16 +384,16 @@ class TestSearchSieve:
             assert tabled_lines == plain_lines, name
             assert sum('"key":"h:' in line for line in plain_lines) > 100, name
 
-    def test_warm_cache_entries_are_not_sieved(self, monkeypatch, tmp_path, capsys, table_reads):
+    def test_warm_cache_entries_are_not_sieved(self, monkeypatch, fresh_process, tmp_path, capsys, table_reads):
         lo, hi = self.NEAR_WINDOW
         path = tmp_path / "c.jsonl"
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
                 "--max-hits", "1000", "--json", "--cache", str(path)]
-        empty_memo(monkeypatch)
+        fresh_process()
         assert cli.main(args) == 0
         cold = len(table_reads)
         filed = path.read_text()
-        empty_memo(monkeypatch)
+        fresh_process()
         assert cli.main(args) == 0
         cold_out, warm_out = capsys.readouterr().out.splitlines()
         # below 2^16 a warm read is checked against the table, so the warm
@@ -409,7 +403,7 @@ class TestSearchSieve:
         assert len(table_reads) - cold == cold > 0
         assert path.read_text() == filed
 
-    def test_hit_recount_catches_a_wrong_file_entry(self, monkeypatch, tmp_path, capsys):
+    def test_hit_recount_catches_a_wrong_file_entry(self, monkeypatch, fresh_process, tmp_path, capsys):
         # |disc| = 4|d_sf| of these fields straddles 2^16
         lo, hi = -16_700, -16_100
         # a hit's field from 2^16 up, where a read is only genus-checked: 7h
@@ -423,7 +417,7 @@ class TestSearchSieve:
         )
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"key": f"h:{member.disc}", "value": str(7 * member.h), "v": 1}) + "\n")
-        empty_memo(monkeypatch)
+        fresh_process()
         args = ["search", "--n", "3", "--offsets", "0,1,4", "--from", str(lo), "--to", str(hi),
                 "--max-hits", "1000", "--json", "--cache", str(path)]
         assert cli.main(args) == 1
@@ -445,20 +439,20 @@ class TestSearchSieve:
         monkeypatch.setattr(qform, "count_reduced", recorded)
         return discs
 
-    def test_cold_search_counts_each_field_once(self, monkeypatch):
+    def test_cold_search_counts_each_field_once(self, monkeypatch, fresh_process):
         monkeypatch.setattr(result_cache, "_active", None)
         discs = self.counted_discs(monkeypatch)
-        hits, _ = self.search_from_cold_memo(monkeypatch, self.WINDOW)
+        hits, _ = self.search_from_cold_memo(fresh_process, self.WINDOW)
         assert len(hits) > 5
         # a hit's fields were counted by its look-ups; none is counted again
         assert len(discs) == len(set(discs)) > 0
         assert {m.disc for hit in hits for m in hit.members} <= set(discs)
 
-    def test_warm_search_recounts_only_hit_members_from_the_table_top(self, monkeypatch, tmp_path):
+    def test_warm_search_recounts_only_hit_members_from_the_table_top(self, monkeypatch, fresh_process, tmp_path):
         lo, hi = self.STRADDLE
 
         def search(path):
-            empty_memo(monkeypatch)
+            fresh_process()
             with result_cache.ResultCache(str(path)) as file:
                 result_cache.activate(file)
                 try:
@@ -483,6 +477,40 @@ class TestSearchSieve:
         below = [disc for disc in discs if -disc < qform._TABLE_TOP]
         assert len(below) == len(set(below)) and set(low) <= set(below)
 
+    @pytest.mark.parametrize(
+        "window, kept",
+        [
+            ((-1_000_300, -1_000_001), lambda key: key.startswith("factor:")),
+            (STRADDLE, lambda key: key.startswith("h:") and -int(key[2:]) < qform._TABLE_TOP),
+        ],
+        ids=["deep-factor-lines", "straddle-h-lines-below-2^16"],
+    )
+    def test_warm_search_with_no_genus_checked_read_counts_each_field_once(
+        self, monkeypatch, tmp_path, fresh_process, window, kept
+    ):
+        # a file whose reads are factorizations or table-checked h leaves no
+        # h that only the genus rule checked, so no hit member is recounted
+        lo, hi = window
+
+        def search(path):
+            fresh_process()
+            with result_cache.ResultCache(str(path)) as file:
+                result_cache.activate(file)
+                try:
+                    return families.search_successive(3, [0, 1, 4], lo, hi, max_hits=10**6)
+                finally:
+                    result_cache.activate(None)
+
+        path = tmp_path / "c.jsonl"
+        cold = search(path)
+        assert len(cold) > 5
+        lines = [line for line in path.read_text().splitlines() if kept(json.loads(line)["key"])]
+        assert len(lines) > 100
+        path.write_text("\n".join(lines) + "\n")
+        discs = self.counted_discs(monkeypatch)
+        assert search(path) == cold
+        assert len(discs) == len(set(discs)) > 0
+
     def wrong_file(self, tmp_path):
         """A hit, its first member from 2^16 up, and a cache file holding 7h
         for that member, which keeps 3 | h and passes the genus rule."""
@@ -501,9 +529,9 @@ class TestSearchSieve:
         )
         return hit, member, path, failure
 
-    def test_wrong_file_entry_fails_the_hit_after_the_file_is_deactivated(self, monkeypatch, tmp_path):
+    def test_wrong_file_entry_fails_the_hit_after_the_file_is_deactivated(self, monkeypatch, fresh_process, tmp_path):
         hit, member, path, failure = self.wrong_file(tmp_path)
-        empty_memo(monkeypatch)
+        fresh_process()
         with result_cache.ResultCache(str(path)) as file:
             result_cache.activate(file)
             try:
@@ -515,10 +543,10 @@ class TestSearchSieve:
             families.search_successive(3, [0, 1, 4], hit.base_d, hit.base_d)
 
     @pytest.mark.parametrize("memo_max", [1, 2, 3, 4, 5, 6, 8])
-    def test_wrong_file_entry_fails_the_hit_when_the_memo_drops_it(self, monkeypatch, tmp_path, memo_max):
+    def test_wrong_file_entry_fails_the_hit_when_the_memo_drops_it(self, monkeypatch, fresh_process, tmp_path, memo_max):
         # a small memo drops the filed value between the hit's look-ups
         hit, _, path, failure = self.wrong_file(tmp_path)
-        empty_memo(monkeypatch)
+        fresh_process()
         monkeypatch.setattr(result_cache, "MEMO_MAX", memo_max)
         with result_cache.ResultCache(str(path)) as file:
             result_cache.activate(file)

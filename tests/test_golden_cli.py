@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from quadclass import cache as result_cache
 from quadclass import cli
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
@@ -77,14 +76,13 @@ def _cases():
 
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda case: " ".join(case["argv"]))
-def test_output_matches_golden(case, capsys, tmp_path, monkeypatch):
+def test_output_matches_golden(case, capsys, tmp_path, fresh_process):
     cache_file = tmp_path / "cache.jsonl"
     cache = ["--cache", str(cache_file)]
     filed = []
     for extra in ([], cache, cache, cache + ["--verify-cache"]):
         # an empty memo makes the warm run read the file, not the process memory
-        monkeypatch.setattr(result_cache, "_memo", {})
-        monkeypatch.setattr(result_cache, "_file_read", False)
+        fresh_process()
         code = cli.main(case["argv"] + extra)
         out = capsys.readouterr().out
         assert (code, out.encode()) == (case["exit"], case["stdout"].encode()), extra

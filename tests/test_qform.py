@@ -791,6 +791,18 @@ class TestPrimeForm:
             with pytest.raises(InputError, match=rf"^q must be prime, got {q}$"):
                 qform.prime_form(-23, q)
 
+    def test_odd_q_is_tested_for_primality_once(self, monkeypatch):
+        tested = []
+        is_prime = intmath.is_prime
+        monkeypatch.setattr(intmath, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        for q in (3, 5, 23, 9, 15):
+            tested.clear()
+            try:
+                qform.prime_form(-23, q)
+            except InputError:
+                assert q in (9, 15)
+            assert tested == [q]
+
     def test_smallest_root_against_the_oracle(self):
         # every disc in [-3000, -3] and prime q <= 60: the smallest B in
         # [0, 2q) with B^2 = disc (mod 4q), None without one, InputError
