@@ -17,12 +17,13 @@ b mod 2a with b^2 = disc (mod 4a) that give a primitive form; N is
 multiplicative, and one numpy sieve over the primes finds it for every
 a <= sqrt(|disc|/3).
 ``_root_counts`` reads the Legendre symbols of the unramified primes by one
-gather from a bit-packed table of the squares mod every prime up to the
-largest a asked for so far, grown lazily and kept read-only: 253 KB once it
-holds every prime up to sqrt(DEFAULT_DISC_CAP/3).  A ramified prime p at
-which disc is fundamental, an odd p with p || disc or p = 2 with |disc| = 4
-or 8 (mod 16), only zeroes the multiples of p^2; ``_apply_ramified`` counts
-the other ramified primes, those at which disc is not fundamental.
+gather from the second table shipped with the package, residues.bits: the
+squares mod every prime up to sqrt(DEFAULT_DISC_CAP/3), bit-packed in
+253 KB, read on the first count that needs them and checked as the first
+table is.  A ramified prime p at which disc is fundamental, an odd p with
+p || disc or p = 2 with |disc| = 4 or 8 (mod 16), only zeroes the multiples
+of p^2; ``_apply_ramified`` counts the other ramified primes, those at
+which disc is not fundamental.
 The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned by ``_forms``:
 numpy tests a block of b at a time against the tail a with N(a) > 0.  No
 form is counted from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
@@ -35,12 +36,10 @@ are thus found by two different algorithms.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +67,17 @@ _TABLE_TOP = 1 << 16
 _TABLE_FILE = "class_numbers.u16"
 _TABLE_BYTES = _TABLE_TOP  # two bytes for each X = 0 or 3 (mod 4)
 _TABLE_SHA256 = "ddb323e8aadaef92b58bcddc629b1c2847f0da117814311e1f184a3479959031"
+# _root_counts reads the squares mod each prime p <= _RESIDUE_TOP, the
+# largest a_max of a |disc| within DEFAULT_DISC_CAP, from the second shipped
+# table: one ceil(p/8)-byte segment per prime in ascending order, r a square
+# mod p (0 included) exactly when bit r & 7 of the segment's byte r >> 3 is
+# set.  Its size grows as a_max^2 / log(a_max), about 19 MB at |disc| = 1e10,
+# so the primes past it, which only a larger max_disc reaches, take their
+# symbols from intmath.kronecker instead.
+_RESIDUE_TOP = math.isqrt(DEFAULT_DISC_CAP // 3)
+_RESIDUE_FILE = "residues.bits"
+_RESIDUE_BYTES = 253_149  # the 757 primes through 5773
+_RESIDUE_SHA256 = "7ba00680b6e0a580c08c947f49bd1328c13db18cd6d16253c6f14714e5517b28"
 # Guard for the int64 kernels; (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
 
@@ -201,56 +211,6 @@ def abs_disc(disc: int, max_disc: int) -> int:
     return -disc
 
 
-class _Residues(NamedTuple):
-    """The squares mod each prime p <= top, one bit per residue 0 <= r < p:
-    the i-th prime's ceil(p/8)-byte segment starts at bits[off[i]], packed
-    little-endian, so r is a square mod p (0 included) exactly when bit
-    r & 7 of bits[off[i] + (r >> 3)] is set."""
-
-    top: int
-    off: np.ndarray
-    bits: np.ndarray
-
-
-# The one residue table, read-only; _residue_table replaces it by a larger one.
-_residues = _Residues(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
-_residues_lock = threading.Lock()
-# The residue table holds the primes through this, the largest a_max of a
-# |disc| within DEFAULT_DISC_CAP: 757 primes in 253 KB, built in about 5 ms
-# (2-core x86-64 host).  Its size grows as a_max^2 / log(a_max), about 19 MB
-# at |disc| = 1e10, so the primes past it, which only a larger max_disc
-# reaches, take their symbols from intmath.kronecker instead.
-_RESIDUE_TOP = math.isqrt(DEFAULT_DISC_CAP // 3)
-
-
-def _residue_table(a_max: int) -> _Residues:
-    """The residue table through min(a_max, _RESIDUE_TOP) at least.  When
-    it stops short it grows to exactly that: the old segments are copied
-    once, and each new prime's squares are packed on their own."""
-    global _residues
-    top = min(a_max, _RESIDUE_TOP)
-    table = _residues
-    if table.top >= top:
-        return table
-    with _residues_lock:
-        table = _residues
-        if table.top >= top:
-            return table
-        new = intmath.primes_through(top)[table.off.size :]
-        segments = [table.bits]
-        for p in new.tolist():
-            square = np.zeros(p, dtype=bool)
-            k = np.arange(p // 2 + 1, dtype=np.int64)
-            square[k * k % p] = True
-            segments.append(np.packbits(square, bitorder="little"))
-        size = (new + 7) // 8
-        off = np.concatenate([table.off, table.bits.size + np.cumsum(size) - size])
-        bits = np.concatenate(segments)
-        off.flags.writeable = bits.flags.writeable = False
-        _residues = table = _Residues(top, off, bits)
-    return table
-
-
 @lru_cache(maxsize=1)
 def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     """N[a] for 0 <= a <= a_max, read-only: the number of b mod 2a with
@@ -263,7 +223,7 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     Form x^2 + ny^2, sec. 2).  For p not dividing abs_d,
     L_p(k) = 1 + (-abs_d | p) for every k >= 1; for p = 2 that is 2 when
     abs_d = 7 (mod 8) and 0 when abs_d = 3 (mod 8).  The odd symbols are one
-    gather from the residue table (``_residue_table``) at r = -abs_d mod p;
+    gather from the shipped residue table (``_residue_table``) at r = -abs_d mod p;
     only primes above _RESIDUE_TOP, which a max_disc above DEFAULT_DISC_CAP
     reaches, take theirs from ``intmath.kronecker``.  These unramified primes
     <= a_max are applied by one unbuffered scatter over all their multiples,
@@ -295,10 +255,10 @@ def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
             roots[q * q :: q * q] = 0
         else:
             _apply_ramified(roots, abs_d, q)
-    table = _residue_table(a_max)
-    held = p[: table.off.size]
+    held = p[p <= _RESIDUE_TOP]
+    size = (held + 7) // 8  # each prime's segment starts after those below it
     r = (-abs_d) % held
-    square = (table.bits[table.off[: held.size] + (r >> 3)] >> (r & 7)) & 1
+    square = (_residue_table()[np.cumsum(size) - size + (r >> 3)] >> (r & 7)) & 1
     if held.size < p.size:
         beyond = [intmath.kronecker(-abs_d, q) == 1 for q in p[held.size :].tolist()]
         square = np.concatenate([square, beyond])
@@ -354,15 +314,18 @@ def _forms(abs_d: int, roots: np.ndarray, lo: int, hi: int) -> list[tuple[int, i
     rows m_b = (b^2 + abs_d)/4 of a run of b >= 0 against the candidates in
     [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.  A primitive
     divisor pair gives (a, b, c), and (a, -b, c) too when 0 < b < a < c.
+    The cells are int32 below |disc| = 2^30, where b <= a_max keeps
+    b^2 + abs_d <= 4 abs_d / 3 below 2^31, and int64 from there on.
     """
-    cand = np.flatnonzero(roots[lo : hi + 1]) + lo
+    cell = np.int32 if abs_d < 1 << 30 else np.int64
+    cand = (np.flatnonzero(roots[lo : hi + 1]) + lo).astype(cell, copy=False)
     forms = []
     b = abs_d & 1
     b_max = int(cand[-1]) if cand.size else -1  # b <= a
     while b <= b_max:
         first = int(np.searchsorted(cand, max(b, 1)))
         rows = max(1, _PAIR_BLOCK // (cand.size - first))
-        b_row = np.arange(b, min(b + 2 * rows, b_max + 1), 2, dtype=np.int64)
+        b_row = np.arange(b, min(b + 2 * rows, b_max + 1), 2, dtype=cell)
         b_last = int(b_row[-1])
         last = int(np.searchsorted(cand, math.isqrt((b_last * b_last + abs_d) // 4), side="right"))
         a = cand[first:last]
@@ -428,21 +391,32 @@ def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
 @lru_cache(maxsize=1)
 def _class_numbers() -> np.ndarray:
     """The shipped table of h(-X), X < _TABLE_TOP, read-only, read once per
-    process on first use.  A file that is missing, or whose size or SHA-256
-    is not the pinned one, raises InconsistencyError, so no h is read from
-    a damaged table."""
-    try:
-        data = resources.files(__package__).joinpath(_TABLE_FILE).read_bytes()
-    except OSError as exc:
-        raise InconsistencyError(
-            f"cannot read the class-number table {_TABLE_FILE}: {exc.strerror or exc}"
-        ) from exc
-    if len(data) != _TABLE_BYTES or sha256(data).hexdigest() != _TABLE_SHA256:
-        raise InconsistencyError(
-            f"the class-number table {_TABLE_FILE} ({len(data)} bytes) does not "
-            "match its pinned size and SHA-256"
-        )
+    process on first use."""
+    data = _shipped(_TABLE_FILE, _TABLE_BYTES, _TABLE_SHA256, "class-number table")
     return np.frombuffer(data, dtype="<u2")
+
+
+@lru_cache(maxsize=1)
+def _residue_table() -> np.ndarray:
+    """The shipped squares mod each prime through _RESIDUE_TOP, read-only
+    bytes, read once per process on first use."""
+    data = _shipped(_RESIDUE_FILE, _RESIDUE_BYTES, _RESIDUE_SHA256, "residue table")
+    return np.frombuffer(data, dtype=np.uint8)
+
+
+def _shipped(name: str, size: int, digest: str, what: str) -> bytes:
+    """The bytes of the package file name.  A file that is missing, or whose
+    size or SHA-256 is not the pinned one, raises InconsistencyError, so
+    nothing is read from a damaged table."""
+    try:
+        data = resources.files(__package__).joinpath(name).read_bytes()
+    except OSError as exc:
+        raise InconsistencyError(f"cannot read the {what} {name}: {exc.strerror or exc}") from exc
+    if len(data) != size or sha256(data).hexdigest() != digest:
+        raise InconsistencyError(
+            f"the {what} {name} ({len(data)} bytes) does not match its pinned size and SHA-256"
+        )
+    return data
 
 
 def prime_form(disc: int, q: int) -> QuadForm | None:

@@ -6,7 +6,8 @@ search or from trial division of each (b^2 + |disc|)/4, Legendre symbols
 from counting residues, factorizations from plain trial division.  Slow but
 unarguable.  The one sieve here, ``window_counts``, generates the
 class-number table that qform ships; the tests hold it against those
-per-discriminant routes.
+per-discriminant routes.  ``residue_table`` generates qform's other shipped
+table, the squares mod each prime.
 """
 
 from __future__ import annotations
@@ -95,6 +96,21 @@ def brute_legendre(a: int, p: int) -> int:
         return 0
     roots = sum(1 for x in range(p) if x * x % p == a)
     return 1 if roots else -1
+
+
+def residue_table(top: int) -> bytes:
+    """The squares mod each prime p <= top, the primes found by trial
+    division: one ceil(p/8)-byte segment per prime in ascending order, bit
+    r & 7 of byte r >> 3 set when r is a square mod p (0 included).
+    ``test_qform`` builds qform's shipped residues.bits from it."""
+    segments = []
+    for p in range(2, top + 1):
+        if trial_factor(p) == [(p, 1)]:
+            square = np.zeros(p, dtype=bool)
+            k = np.arange(p // 2 + 1, dtype=np.int64)
+            square[k * k % p] = True
+            segments.append(np.packbits(square, bitorder="little").tobytes())
+    return b"".join(segments)
 
 
 def brute_prime_form(disc: int, q: int) -> tuple[int, int, int] | None:

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,14 @@ from oracles import (
     divisor_pairs,
     is_fundamental,
     random_unimodular,
+    residue_table,
     window_counts,
 )
+
+# The residue table that qform ships, built by oracles.residue_table.
+# Regenerate it after changing the oracle with
+#     PYTHONPATH=src python tests/test_qform.py
+RESIDUES = Path(__file__).resolve().parents[1] / "src" / "quadclass" / qform._RESIDUE_FILE
 
 SMALL_DISCS = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -47, -84, -104, -116, -120]
 
@@ -194,6 +202,30 @@ class TestEnumerate:
         assert last.a >= 64, abs_d  # more than one block
         assert not at_a_max or last.a == last.c == math.isqrt(abs_d // 3), abs_d
 
+    # |disc| above DEFAULT_DISC_CAP, both classes mod 4: just below 2^30,
+    # the int32 cells at their largest; just above, the int64 cells; and
+    # 1.7e9, above 3 * 2^31 / 4, where b^2 + |disc| outgrows int32 as b nears
+    # a_max.  The 40 a from a_min keep b^2 + |disc| near 5|disc|/4, under
+    # 2^31 even at 1.7e9; the 400 a up to a_max take b to a_max, and there
+    # int32 cells would lose every form at 1.7e9.
+    @pytest.mark.parametrize(
+        "abs_d", [(1 << 30) - 4, (1 << 30) - 1, (1 << 30) + 4, (1 << 30) + 3, 1_700_000_000, 1_700_000_003]
+    )
+    @pytest.mark.parametrize("end", ["a_min", "a_max"])
+    def test_tail_slices_at_the_cell_bounds(self, abs_d, end):
+        a_max = math.isqrt(abs_d // 3)
+        a_min = math.isqrt(abs_d - 1) // 2 + 1
+        lo, hi = (a_min, a_min + 39) if end == "a_min" else (a_max - 399, a_max)
+        expected = []
+        for a, b, c in divisor_pairs(abs_d, lo, hi):
+            if math.gcd(a, b, c) == 1:
+                expected.append((a, b, c))
+                if 0 < b < a < c:
+                    expected.append((a, -b, c))
+        assert expected, (abs_d, end)
+        roots = qform._root_counts(abs_d, a_max)
+        assert sorted(qform._forms(abs_d, roots, lo, hi)) == sorted(expected), (abs_d, end)
+
     def test_residue_filter(self):
         def usable(abs_d, a_max):
             return np.flatnonzero(qform._root_counts(abs_d, a_max)).tolist()
@@ -270,10 +302,6 @@ def brute_root_count(abs_d, a):
     )
 
 
-# An empty residue table, so that a test builds its own.
-NO_RESIDUES = qform._Residues(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
-
-
 class TestHeadCount:
     """count_reduced above the threshold sums the root counts N(a) over the
     head 4a^2 < |disc| and scans only the tail; it must agree with the
@@ -345,15 +373,15 @@ class TestHeadCount:
         short = np.array([p for p in range(2, 100) if intmath.is_prime(p)])
         monkeypatch.setattr(intmath, "TRIAL_DIVISION_BOUND", 100)
         monkeypatch.setattr(intmath, "_small_prime_array", lambda: short)
-        monkeypatch.setattr(qform, "_residues", NO_RESIDUES)  # built from the fresh sieve
         qform._root_counts.cache_clear()  # else the last disc's array is reused
         assert intmath.primes_through(577)[-1] == 577
         assert [qform.count_reduced(-x) for x in discs] == expected
 
 
-def residue_bits(table, i, p):
-    """The bits of the i-th prime p's segment of a residue table, one per r < p."""
-    segment = table.bits[table.off[i] : table.off[i] + (p + 7) // 8]
+def residue_bits(table, off, p):
+    """The bits of prime p's segment of the residue table, which starts at
+    byte off, one per r < p."""
+    segment = table[off : off + (p + 7) // 8]
     return np.unpackbits(segment, bitorder="little")[:p].tolist()
 
 
@@ -391,27 +419,25 @@ class TestResidueTable:
 
     def test_agrees_with_kronecker_at_every_residue(self):
         top = math.isqrt(qform.DEFAULT_DISC_CAP // 3)
+        assert top == qform._RESIDUE_TOP
         primes = intmath.primes_through(top).tolist()
-        table = qform._residue_table(top)
-        assert (table.top, table.off.size) == (qform._RESIDUE_TOP, len(primes))
-        assert table.bits.size == sum((p + 7) // 8 for p in primes)
-        assert not table.off.flags.writeable and not table.bits.flags.writeable
-        for i, p in enumerate(primes):
+        table = qform._residue_table()
+        assert table.size == sum((p + 7) // 8 for p in primes)
+        off = 0
+        for p in primes:
             expected = [int(r == 0 or intmath.kronecker(r, p) == 1) for r in range(p)]
-            assert residue_bits(table, i, p) == expected, p
+            assert residue_bits(table, off, p) == expected, p
+            off += (p + 7) // 8
 
-    def test_grown_in_two_steps_equals_built_at_once(self, monkeypatch):
-        monkeypatch.setattr(qform, "_residues", NO_RESIDUES)
-        assert qform._residue_table(300).top == 300
-        grown = qform._residue_table(5773)
-        monkeypatch.setattr(qform, "_residues", NO_RESIDUES)
-        once = qform._residue_table(5773)
-        assert grown.top == once.top == 5773
-        assert np.array_equal(grown.off, once.off)
-        assert np.array_equal(grown.bits, once.bits)
-        # a smaller a_max reads the same table; a larger one stops at the cap
-        assert qform._residue_table(1000) is once
-        assert qform._residue_table(10**6).top == qform._RESIDUE_TOP
+    def test_loaded_once(self):
+        table = qform._residue_table()
+        assert not table.flags.writeable
+        primes = intmath.primes_through(qform._RESIDUE_TOP)
+        assert (qform._RESIDUE_TOP, primes.size) == (5773, 757)
+        assert table.size == qform._RESIDUE_BYTES == int(((primes + 7) // 8).sum())
+        assert table.tobytes() == RESIDUES.read_bytes() == residue_table(qform._RESIDUE_TOP)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == qform._RESIDUE_SHA256
+        assert qform._residue_table() is table
 
     # |disc| up to 1e8: 6 of each class mod 4 and 4 each of |disc| = 4 and 8
     # (mod 16), then p^2 | |disc| for p = 2, 3, 5, 7, and p || |disc| for odd
@@ -448,7 +474,7 @@ class TestResidueTable:
         abs_d = 120_000_007
         a_max = math.isqrt(abs_d // 3)
         roots = qform._root_counts(abs_d, a_max)
-        assert qform._residues.top == qform._RESIDUE_TOP < a_max
+        assert qform._residue_table().size == qform._RESIDUE_BYTES and qform._RESIDUE_TOP < a_max
         for a in intmath.primes_through(a_max).tolist():
             if a > qform._RESIDUE_TOP:
                 assert roots[a] == brute_root_count(abs_d, a), a
@@ -828,3 +854,7 @@ class TestPrimeForm:
                     assert (f.a, f.b, f.c) == expected, (disc, q)
                     seen.add("odd B" if f.b % 2 else "even B")
         assert seen == {"imprimitive", "inert", "odd B", "even B"}
+
+
+if __name__ == "__main__":
+    RESIDUES.write_bytes(residue_table(qform._RESIDUE_TOP))
