@@ -15,22 +15,24 @@ reduced forms.  From 2^16 on it splits the a in two.  The head,
 4a^2 < |disc|, has c > a for every form, so a adds the number N(a) of
 b mod 2a with b^2 = disc (mod 4a) that give a primitive form; N is
 multiplicative, and one numpy sieve over the primes finds it for every
-a <= sqrt(|disc|/3).
+a <= c_top = (a_min^2 + |disc|) // 4a_min, a_min the least a of the tail.
 ``_root_counts`` reads the Legendre symbols of the unramified primes by one
 gather from the second table shipped with the package, residues.bits: the
-squares mod every prime up to sqrt(DEFAULT_DISC_CAP/3), bit-packed in
-253 KB, read on the first count that needs them and checked as the first
+squares mod every prime up to c_top at DEFAULT_DISC_CAP, bit-packed in
+294 KB, read on the first count that needs them and checked as the first
 table is.  A ramified prime p at which disc is fundamental, an odd p with
 p || disc or p = 2 with |disc| = 4 or 8 (mod 16), only zeroes the multiples
 of p^2; ``_apply_ramified`` counts the other ramified primes, those at
 which disc is not fundamental.
-The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is scanned by ``_forms``:
-numpy tests a block of b at a time against the tail a with N(a) > 0.  No
-form is counted from 2^61 on, where int64 no longer holds (b^2 + |disc|)/4.
-``reduced_forms`` streams the forms in (a, b, c) order from the same scan,
-one block of a at a time, head included, at every |disc|;
-``enumerate_reduced`` lists it.  Below 2^16 the forms and the table's count
-are thus found by two different algorithms.
+The tail, sqrt(|disc|)/2 <= a <= sqrt(|disc|/3), is counted by
+``_tail_count`` over pairs (a, c) of candidates, both with N > 0, whose
+4ac - |disc| is a square b^2 <= a^2; c runs up to c_top.  No form is
+counted from 2^61 on, where int64 no longer holds 4ac.
+``reduced_forms`` streams the forms in (a, b, c) order from ``_forms``, a
+scan of (b, a) cells, one block of a at a time, head included, at every
+|disc|; ``enumerate_reduced`` lists it.  The forms and the count are thus
+found by two different algorithms: below 2^16 the table's, above it the
+head's root counts and the tail's pairs.
 """
 
 from __future__ import annotations
@@ -67,18 +69,30 @@ _TABLE_TOP = 1 << 16
 _TABLE_FILE = "class_numbers.u16"
 _TABLE_BYTES = _TABLE_TOP  # two bytes for each X = 0 or 3 (mod 4)
 _TABLE_SHA256 = "ddb323e8aadaef92b58bcddc629b1c2847f0da117814311e1f184a3479959031"
-# _root_counts reads the squares mod each prime p <= _RESIDUE_TOP, the
-# largest a_max of a |disc| within DEFAULT_DISC_CAP, from the second shipped
-# table: one ceil(p/8)-byte segment per prime in ascending order, r a square
-# mod p (0 included) exactly when bit r & 7 of the segment's byte r >> 3 is
-# set.  Its size grows as a_max^2 / log(a_max), about 19 MB at |disc| = 1e10,
+
+
+def _tail_start(abs_d: int) -> tuple[int, int]:
+    """(a_min, c_top): the least a of the tail, 4a^2 >= abs_d, and the
+    largest c of a reduced form whose a is in it, (a_min^2 + abs_d) // 4a_min,
+    as b^2 = 4ac - abs_d <= a^2 bounds c by (a^2 + abs_d) / 4a, which falls
+    as a grows.  c_top >= a_max = isqrt(abs_d // 3)."""
+    a_min = math.isqrt(abs_d - 1) // 2 + 1
+    return a_min, (a_min * a_min + abs_d) // (4 * a_min)
+
+
+# _root_counts reads the squares mod each prime p <= _RESIDUE_TOP from the
+# second shipped table: one ceil(p/8)-byte segment per prime in ascending
+# order, r a square mod p (0 included) exactly when bit r & 7 of the
+# segment's byte r >> 3 is set.  _RESIDUE_TOP is c_top at DEFAULT_DISC_CAP =
+# 4 * 5000^2, 5 * 5000 // 4 = 6250, the largest c_top of any |disc| within
+# it.  The size grows as c_top^2 / log(c_top), about 22 MB at |disc| = 1e10,
 # so the primes past it, which only a larger max_disc reaches, take their
 # symbols from intmath.kronecker instead.
-_RESIDUE_TOP = math.isqrt(DEFAULT_DISC_CAP // 3)
+_RESIDUE_TOP = _tail_start(DEFAULT_DISC_CAP)[1]
 _RESIDUE_FILE = "residues.bits"
-_RESIDUE_BYTES = 253_149  # the 757 primes through 5773
-_RESIDUE_SHA256 = "7ba00680b6e0a580c08c947f49bd1328c13db18cd6d16253c6f14714e5517b28"
-# Guard for the int64 kernels; (b^2 + |disc|) / 4 must fit in int64.
+_RESIDUE_BYTES = 294_439  # the 812 primes through 6250
+_RESIDUE_SHA256 = "125d88c1a5902af8b7bd597223cad7843b8376a5f6919a3c0d6581c931bfc265"
+# Guard for the int64 kernels; 4ac and (b^2 + |disc|) / 4 must fit in int64.
 _NUMPY_MAX_DISC = 1 << 61
 
 
@@ -215,8 +229,9 @@ def abs_disc(disc: int, max_disc: int) -> int:
 def _root_counts(abs_d: int, a_max: int) -> np.ndarray:
     """N[a] for 0 <= a <= a_max, read-only: the number of b mod 2a with
     b^2 = -abs_d (mod 4a) and gcd(a, b, (b^2 + abs_d)/4a) = 1; N[0] = 0.
-    The last array is kept, so a class group's count and its form stream
-    sieve once.
+    ``count_reduced`` and ``reduced_forms`` both sieve to c_top
+    (``_tail_start``), whose N the tail's pairs read, and the last array is
+    kept, so a class group's count and its form stream sieve once.
 
     N is multiplicative, N(a) = prod L_p(k) over p^k || a (Cohen, A Course
     in Computational Algebraic Number Theory, sec. 5.3; Cox, Primes of the
@@ -303,17 +318,59 @@ def _apply_ramified(roots: np.ndarray, abs_d: int, p: int) -> None:
     roots[p::p] *= factor
 
 
-# b rows times candidate a per numpy block of _forms.
+# Cells per numpy block: b rows times candidate a in _forms, candidate a
+# rows times candidate c in _tail_count.
 _PAIR_BLOCK = 1 << 14
+
+
+def _tail_count(abs_d: int, roots: np.ndarray, a_min: int, a_max: int) -> int:
+    """The number of primitive reduced forms of discriminant -abs_d with
+    a_min <= a <= a_max, 4 a_min^2 >= abs_d, counted by pairs (a, c).
+
+    A form (a, b, c) with b >= 0 there is exactly a pair
+    a <= c <= (a^2 + abs_d) // 4a whose v = 4ac - abs_d is a square b^2;
+    c >= a >= a_min keeps v >= 0, and c's bound is b <= a.  Both ends are
+    candidates, roots[x] > 0: (c, -b, a) is a primitive form too, so it
+    gives c a root.  So roots must reach c_top (``_tail_start``).  A pair
+    with gcd(a, b, c) = 1 counts (a, b, c), and (a, -b, c) too when
+    0 < b < a < c.
+
+    Each numpy block takes a run of rows a from the i-th candidate on
+    against the columns c up to row i's bound, the largest of the block,
+    about _PAIR_BLOCK cells; the few squares there are checked one by one.
+    The square test is exact: s = rint(sqrt(v)) is b when v = b^2, and
+    s * s == v decides in int64, which holds 4ac < 1.45 abs_d below 2^61.
+    """
+    cand = np.flatnonzero(roots[a_min:]) + a_min
+    rows = int(np.searchsorted(cand, a_max, side="right"))
+    count = 0
+    i = 0
+    while i < rows:
+        a = cand.item(i)
+        hi = int(np.searchsorted(cand, (a * a + abs_d) // (4 * a), side="right"))
+        j = min(rows, i + max(1, _PAIR_BLOCK // (hi - i)))
+        c = cand[i:hi]
+        v = 4 * cand[i:j, None] * c - abs_d
+        s = np.rint(np.sqrt(v)).astype(np.int64)
+        # a few squares per block: math.gcd costs less than numpy calls here
+        for k in np.flatnonzero(s * s == v).tolist():
+            row, col = divmod(k, hi - i)
+            x, y, z = cand.item(i + row), s.item(k), c.item(col)
+            if y <= x <= z and math.gcd(x, y, z) == 1:
+                count += 1 + (0 < y < x < z)
+        i = j
+    return count
 
 
 def _forms(abs_d: int, roots: np.ndarray, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """The primitive reduced forms (a, b, c) of discriminant -abs_d with
-    lo <= a <= hi, unsorted.  Only the candidates, the a with roots[a] > 0,
-    are tried: each numpy block tests about _PAIR_BLOCK (b, a) cells, the
-    rows m_b = (b^2 + abs_d)/4 of a run of b >= 0 against the candidates in
-    [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.  A primitive
-    divisor pair gives (a, b, c), and (a, -b, c) too when 0 < b < a < c.
+    lo <= a <= hi, unsorted, for ``reduced_forms``; the count takes its
+    tail from ``_tail_count`` instead.  Only the candidates, the a with
+    roots[a] > 0, are tried: each numpy block tests about _PAIR_BLOCK (b, a)
+    cells, the rows m_b = (b^2 + abs_d)/4 of a run of b >= 0 against the
+    candidates in [b_first, isqrt(m_b_last)], and keeps b <= a <= m_b / a.
+    A primitive divisor pair gives (a, b, c), and (a, -b, c) too when
+    0 < b < a < c.
     The cells are int32 below |disc| = 2^30, where b <= a_max keeps
     b^2 + abs_d <= 4 abs_d / 3 below 2^31, and int64 from there on.
     """
@@ -350,11 +407,12 @@ def reduced_forms(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> Iterator[QuadF
     """The primitive reduced forms of disc, in canonical (a, b, c) order,
     found one block of a at a time as they are drawn: a < 64, then each
     lo <= a < 2 lo.  Each block is one ``_forms`` scan over the a with
-    N(a) > 0, at every |disc|.
+    N(a) > 0, at every |disc|.  It sieves to c_top, as ``count_reduced``
+    does, so that a class group's count and stream share one sieve.
     """
     abs_d = abs_disc(disc, max_disc)
     a_max = math.isqrt(abs_d // 3)  # 3a^2 <= |disc| for every reduced form
-    roots = _root_counts(abs_d, a_max)
+    roots = _root_counts(abs_d, _tail_start(abs_d)[1])
     lo, hi = 1, 63  # fewer numpy calls than blocks that double from a = 1
     while lo <= a_max:
         hi = min(hi, a_max)
@@ -375,17 +433,17 @@ def count_reduced(disc: int, max_disc: int = DEFAULT_DISC_CAP) -> int:
     """len(enumerate_reduced(disc)) without building the forms.
 
     Below 2^16 it is read from the shipped table, ``_class_numbers``.
-    From there on the head a <= A = isqrt(|disc| - 1) // 2 adds its
-    root counts N(a): as 4a^2 < |disc|, each of its forms has c > a.  Only
-    the tail a > A is scanned, by ``_forms``.
+    From there on the head a < a_min adds its root counts N(a): as
+    4a^2 < |disc|, each of its forms has c > a.  The tail
+    a_min <= a <= isqrt(|disc| / 3) is counted by pairs of candidates
+    (a, c), ``_tail_count``, with N sieved to c_top (``_tail_start``).
     """
     abs_d = abs_disc(disc, max_disc)
     if abs_d < _TABLE_TOP:
         return int(_class_numbers()[abs_d // 4 * 2 + (abs_d % 4 == 3)])
-    a_max = math.isqrt(abs_d // 3)
-    roots = _root_counts(abs_d, a_max)
-    a_min = math.isqrt(abs_d - 1) // 2 + 1
-    return int(roots[:a_min].sum()) + len(_forms(abs_d, roots, a_min, a_max))
+    a_min, c_top = _tail_start(abs_d)
+    roots = _root_counts(abs_d, c_top)
+    return int(roots[:a_min].sum()) + _tail_count(abs_d, roots, a_min, math.isqrt(abs_d // 3))
 
 
 @lru_cache(maxsize=1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quadclass import intmath, qform
+from quadclass import classgroup, intmath, qform
 from quadclass.errors import InputError, ResourceCapError
 from quadclass.qform import QuadForm
 
@@ -338,10 +338,13 @@ class TestHeadCount:
     def test_seeded_sample_up_to_1e8(self, abs_d):
         self.assert_agrees(abs_d, python=abs_d < 3 * 10**6)
 
+    # fundamental D0 of each class mod 8, and -3 and -4
+    NON_FUNDAMENTAL_D0 = (3, 4, 7, 8, 15, 20, 23, 24, 104, 163, 1003, 20_003, 99_995, 400_004)
+
     @pytest.mark.parametrize("f", [2, 3, 4, 6, 9, 25, 60])
     def test_non_fundamental(self, f):
-        # f^2 D0 for fundamental D0 of each class mod 8, and -3 and -4
-        for d0 in (3, 4, 7, 8, 15, 20, 23, 24, 104, 163, 1003, 20_003, 99_995, 400_004):
+        # f^2 D0 for each D0
+        for d0 in self.NON_FUNDAMENTAL_D0:
             if qform._TABLE_TOP <= f * f * d0 <= 10**8:
                 self.assert_agrees(f * f * d0, python=f * f * d0 < 3 * 10**6)
 
@@ -376,6 +379,97 @@ class TestHeadCount:
         qform._root_counts.cache_clear()  # else the last disc's array is reused
         assert intmath.primes_through(577)[-1] == 577
         assert [qform.count_reduced(-x) for x in discs] == expected
+
+
+def tail_by_oracle(abs_d):
+    """The tail's form count, a_min <= a <= a_max, from the pure-int
+    divisor-pair scan: a primitive pair counts twice when 0 < b < a < c."""
+    a_min, a_max = math.isqrt(abs_d - 1) // 2 + 1, math.isqrt(abs_d // 3)
+    pairs = list(divisor_pairs(abs_d, a_min, a_max))
+    count = sum(2 if 0 < b < a < c else 1 for a, b, c in pairs if math.gcd(a, b, c) == 1)
+    return count, pairs
+
+
+def boundary_discs(seed, shape, count):
+    """count seeded |disc| in [2^16, 1e8] with a primitive tail pair of the
+    given shape: b = a, |disc| = a(4c - a) with c <= 5a/4, or a = c,
+    |disc| = 4a^2 - b^2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = rng.randrange(150, 5_000)
+        if shape == "b = a":
+            c = rng.randrange(a, 5 * a // 4 + 1)
+            abs_d, triple = a * (4 * c - a), (a, a, c)
+        else:
+            b = rng.randrange(0, a)
+            abs_d, triple = 4 * a * a - b * b, (a, b, a)
+        if 1 << 16 <= abs_d <= 10**8 and math.gcd(*triple) == 1:
+            out.append((abs_d, triple))
+    return out
+
+
+class TestTailPairs:
+    """count_reduced's tail from 2^16 up, counted by pairs of candidates
+    (a, c), against the divisor-pair oracle and against ``_forms``, the scan
+    of (b, a) cells that the form stream uses."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_edges(self, monkeypatch, block):
+        discs = TestHeadCount.HEAD_SAMPLE[::4] + [
+            f * f * d0
+            for f in (2, 3, 4, 6, 9, 25, 60)
+            for d0 in TestHeadCount.NON_FUNDAMENTAL_D0
+            if qform._TABLE_TOP <= f * f * d0 <= 10**8
+        ]
+        monkeypatch.setattr(qform, "_PAIR_BLOCK", block)
+        for abs_d in discs:
+            assert qform.count_reduced(-abs_d) == len(qform.enumerate_reduced(-abs_d)), abs_d
+
+    @pytest.mark.parametrize(
+        "abs_d,triple",
+        # b = 0: only (k, 0, k) at |disc| = 4k^2, imprimitive, which the gcd drops
+        [(4 * k * k, (k, 0, k)) for k in (128, 1999, 5000)]
+        + boundary_discs(91, "b = a", 4)
+        + boundary_discs(92, "a = c", 4)
+        # a = c = a_max, the last row: (a, a - 1, a) at |disc| = 3a^2 + 2a - 1
+        + [(3 * a * a + 2 * a - 1, (a, a - 1, a)) for a in (1500, 4999)],
+    )
+    def test_boundary_forms(self, abs_d, triple):
+        expected, pairs = tail_by_oracle(abs_d)
+        assert triple in pairs, abs_d
+        assert triple[0] <= math.isqrt(abs_d // 3), abs_d
+        a_min, c_top = qform._tail_start(abs_d)
+        roots = qform._root_counts(abs_d, c_top)
+        assert qform._tail_count(abs_d, roots, a_min, math.isqrt(abs_d // 3)) == expected, abs_d
+        assert qform.count_reduced(-abs_d) == int(roots[:a_min].sum()) + expected, abs_d
+
+    @pytest.mark.parametrize("abs_d", [10**10 + 3, 10**11 + 4])
+    def test_raised_cap_against_the_scan(self, abs_d):
+        # c_top passes _RESIDUE_TOP, so c's roots take intmath.kronecker
+        a_min, c_top = qform._tail_start(abs_d)
+        a_max = math.isqrt(abs_d // 3)
+        assert qform._RESIDUE_TOP < a_max < c_top
+        count = qform.count_reduced(-abs_d, max_disc=abs_d)
+        roots = qform._root_counts(abs_d, c_top)
+        tail = len(qform._forms(abs_d, roots, a_min, a_max))
+        assert tail > 0
+        assert count == int(roots[:a_min].sum()) + tail, abs_d
+
+    def test_count_never_scans(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("_forms was called")
+
+        discs = (1 << 16, 1_000_003, 99_999_971, 10**8)
+        expected = [len(qform.enumerate_reduced(-x)) for x in discs]
+        monkeypatch.setattr(qform, "_forms", no_scan)
+        assert [qform.count_reduced(-x) for x in discs] == expected
+
+    def test_group_structure_sieves_once(self):
+        # its count and its form stream both sieve to c_top
+        qform._root_counts.cache_clear()
+        classgroup.group_structure(-4_873_699)
+        assert qform._root_counts.cache_info().misses == 1
 
 
 def residue_bits(table, off, p):
@@ -418,8 +512,16 @@ class TestResidueTable:
     _apply_ramified."""
 
     def test_agrees_with_kronecker_at_every_residue(self):
-        top = math.isqrt(qform.DEFAULT_DISC_CAP // 3)
-        assert top == qform._RESIDUE_TOP
+        # the largest c of a tail form within the cap: (a_min^2 + cap) // 4a_min
+        cap = qform.DEFAULT_DISC_CAP
+        a_min = math.isqrt(cap - 1) // 2 + 1
+        top = (a_min * a_min + cap) // (4 * a_min)
+        assert top == qform._RESIDUE_TOP == 6250
+        # c_top rises with |disc| while a_min stays, and the cap ends such a
+        # run, 4 * 5000^2: no |disc| below it reaches further
+        assert cap == 4 * a_min * a_min
+        assert max(qform._tail_start(x)[1] for x in range(cap - 200_000, cap + 1)) == top
+        assert max(qform._tail_start(4 * k * k)[1] for k in range(1, a_min + 1)) == top
         primes = intmath.primes_through(top).tolist()
         table = qform._residue_table()
         assert table.size == sum((p + 7) // 8 for p in primes)
@@ -433,7 +535,7 @@ class TestResidueTable:
         table = qform._residue_table()
         assert not table.flags.writeable
         primes = intmath.primes_through(qform._RESIDUE_TOP)
-        assert (qform._RESIDUE_TOP, primes.size) == (5773, 757)
+        assert (qform._RESIDUE_TOP, primes.size) == (6250, 812)
         assert table.size == qform._RESIDUE_BYTES == int(((primes + 7) // 8).sum())
         assert table.tobytes() == RESIDUES.read_bytes() == residue_table(qform._RESIDUE_TOP)
         assert hashlib.sha256(table.tobytes()).hexdigest() == qform._RESIDUE_SHA256
@@ -475,9 +577,10 @@ class TestResidueTable:
         a_max = math.isqrt(abs_d // 3)
         roots = qform._root_counts(abs_d, a_max)
         assert qform._residue_table().size == qform._RESIDUE_BYTES and qform._RESIDUE_TOP < a_max
-        for a in intmath.primes_through(a_max).tolist():
-            if a > qform._RESIDUE_TOP:
-                assert roots[a] == brute_root_count(abs_d, a), a
+        beyond = [p for p in intmath.primes_through(a_max).tolist() if p > qform._RESIDUE_TOP]
+        assert len(beyond) == 11  # 6257 to 6323
+        for a in beyond:
+            assert roots[a] == brute_root_count(abs_d, a), a
 
     @pytest.mark.parametrize(
         "abs_d, expected",
